@@ -61,6 +61,10 @@ class CheckpointChecksumError(CheckpointError):
     """Checkpoint payload does not match its checksum."""
 
 
+class CheckpointContentError(CheckpointError):
+    """Checksum-valid checkpoint whose metadata or record names are invalid."""
+
+
 class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss and was aborted."""
 

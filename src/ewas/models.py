@@ -27,6 +27,7 @@ statistic.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ import numpy as np
 
 from .errors import (
     CheckpointChecksumError,
+    CheckpointContentError,
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -512,7 +514,11 @@ class _Reader:
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, restoring every array bit-exactly
-    (relative to the stored payload precision)."""
+    (relative to the stored payload precision).
+
+    The record framing is walked and the CRC verified before the metadata
+    is decoded or a model is built, so a corrupted byte fails with a
+    ``CheckpointError``, never with a ``ConfigError`` from garbled metadata."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4:
@@ -528,44 +534,42 @@ def load_checkpoint(path) -> Model:
             f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     (meta_len,) = r.unpack("<Q")
-    try:
-        meta = json.loads(r.take(meta_len).decode())
-        cfg = meta["model"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise CheckpointChecksumError(f"metadata block corrupt: {exc}") from exc
+    meta_raw = r.take(meta_len)
     payload_dtype = np.dtype("<f8" if f64_flag else "<f4")
-    model = build_model(
-        cfg["arch"], cfg["input_shape"], cfg["num_classes"],
-        width=cfg["width"], dtype=np.dtype(cfg["dtype"]).type,
-    )
-    for host in cfg["insertion_points"]:
-        insert_ewas(model, host, cfg["num_classes"])
-    model.checkpoint_meta = {
-        "epoch": meta["epoch"], "seed": meta["seed"],
-        "config_digest": meta["config_digest"],
-    }
-
     (n_records,) = r.unpack("<I")
-    arrays = {}
+    records = []
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
-        try:
-            name = r.take(name_len).decode()
-        except UnicodeDecodeError as exc:
-            raise CheckpointChecksumError(f"record name corrupt: {exc}") from exc
+        name_raw = r.take(name_len)
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
-        raw = r.take(count * payload_dtype.itemsize)
-        arrays[name] = np.frombuffer(raw, dtype=payload_dtype).reshape(shape)
+        records.append((name_raw, shape, r.take(math.prod(shape) * payload_dtype.itemsize)))
     if r.pos != len(body):
         raise CheckpointTruncatedError(f"{len(body) - r.pos} trailing bytes after records")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(body) & 0xFFFFFFFF != struct.unpack("<I", blob[-4:])[0]:
         raise CheckpointChecksumError("checksum mismatch; file is corrupt")
 
+    try:
+        meta = json.loads(meta_raw.decode())
+        cfg = meta["model"]
+        model = build_model(
+            cfg["arch"], cfg["input_shape"], cfg["num_classes"],
+            width=cfg["width"], dtype=np.dtype(cfg["dtype"]).type,
+        )
+        for host in cfg["insertion_points"]:
+            insert_ewas(model, host, cfg["num_classes"])
+        model.checkpoint_meta = {key: meta[key] for key in ("epoch", "seed", "config_digest")}
+        names = [name.decode() for name, _, _ in records]
+    except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
+        raise CheckpointContentError(f"metadata or record name invalid: {exc}") from exc
     expected = _param_records(model)
-    missing = [name for name, _ in expected if name not in arrays]
+    known = dict(expected)
+    bad = sorted({name for name in names if name not in known or names.count(name) > 1})
+    if bad:
+        raise CheckpointContentError(f"duplicate or unknown record names: {bad}")
+    arrays = {name: np.frombuffer(raw, dtype=payload_dtype).reshape(shape)
+              for name, (_, shape, raw) in zip(names, records)}
+    missing = [name for name in known if name not in arrays]
     if missing:
         raise CheckpointTruncatedError(f"missing parameter records: {missing}")
     for name, target in expected:

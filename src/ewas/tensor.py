@@ -129,32 +129,6 @@ def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-class Graph:
-    """Topologically ordered record of one forward pass."""
-
-    def __init__(self, nodes: list):
-        self.nodes = nodes
-
-    @staticmethod
-    def trace(root: Tensor) -> "Graph":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return Graph(order)
-
-
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable leaf with ``requires_grad``.
 
@@ -164,12 +138,26 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    graph = Graph.trace(loss)
-    for node in graph.nodes:
+    # iterative post-order walk: every node comes after all of its parents
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
         if node._consumed:
             raise GraphConsumedError("graph already consumed by a previous backward()")
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
     grad_map = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(graph.nodes):
+    for node in reversed(order):
         g = grad_map.pop(id(node), None)
         if g is None:
             continue
@@ -345,12 +333,31 @@ def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
 # convolution, pooling, normalization
 # ---------------------------------------------------------------------------
 
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(Cin·kh·kw, B·Ho·Wo) column matrix of a channel-major padded input."""
+    cin, b = xp.shape[:2]
+    s0, s1, s2, s3 = xp.strides
+    view = np.ndarray((cin, kh, kw, b, ho, wo), xp.dtype, xp,
+                      strides=(s0, s2, s3, s1, s2 * stride, s3 * stride))
+    return view.reshape(cin * kh * kw, b * ho * wo)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
     x: (B, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,) or None.
     Output spatial size is floor((H + 2p - kh) / stride) + 1.
+
+    Channel-major: the input is copied once into a zeroed (Cin, B, H+2p,
+    W+2p) buffer whose strided view reshapes to the column matrix
+    cols = (Cin·kh·kw, B·Ho·Wo); the forward is ``W(Cout, Cin·kh·kw) @ cols``
+    plus one plane-wise transpose to (B, Cout, Ho, Wo). With the gradient
+    as g_c = (Cout, B·Ho·Wo), ``dw = g_c @ cols.T`` and ``dx`` is
+    ``W.T @ g_c`` folded back by kh·kw slice-adds (col2im), the forward's
+    multiply-adds at every stride. The closure keeps no column matrix; it
+    keeps the padded input, to rebuild cols, only when grad mode is on and
+    ``weight.requires_grad``, so frozen-weight attack steps keep nothing.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -360,51 +367,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     cout, cin_w, kh, kw = weight.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: input channels {cin} != weight channels {cin_w}")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise ShapeError(
-            f"conv2d: kernel {(kh, kw)} larger than padded input "
-            f"{(h + 2 * padding, w + 2 * padding)}"
-        )
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp or kw > wp:
+        raise ShapeError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (B, Cin, Ho, Wo, kh, kw) strided view of all receptive fields
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    view = view[:, :, ::stride, ::stride]
-    patches = view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, cin * kh * kw)
+    xp = np.zeros((cin, b, hp, wp), dtype=x.data.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = (patches @ wmat.T).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = wmat @ _im2col(xp, kh, kw, stride, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
-    out = np.ascontiguousarray(out)
+        out += bias.data[:, None]
+    out = np.ascontiguousarray(out.reshape(cout, b, ho, wo).transpose(1, 0, 2, 3))
+    kept_xp = xp if _grad_enabled and weight.requires_grad else None
 
     def grad_fn(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
+        g_c = g.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
         dw = db = dx = None
-        if weight.requires_grad:
-            dw = (g2.T @ patches).reshape(cout, cin, kh, kw)
+        if kept_xp is not None:
+            dw = (g_c @ _im2col(kept_xp, kh, kw, stride, ho, wo).T).reshape(cout, cin, kh, kw)
         if bias is not None and bias.requires_grad:
-            db = g.sum(axis=(0, 2, 3))
+            db = g_c.sum(axis=1)
         if x.requires_grad:
-            # scatter grad * weight back onto the padded input
-            gw = np.tensordot(g, weight.data, axes=([1], [0]))  # (B,Ho,Wo,Cin,kh,kw)
-            dxp = np.zeros(
-                (b, cin, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype
-            )
+            dcols = (wmat.T @ g_c).reshape(cin, kh, kw, b, ho, wo)
+            dxp = np.zeros((cin, b, hp, wp), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
-                    dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
-                        gw[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-            if padding:
-                dx = dxp[:, :, padding:padding + h, padding:padding + w]
-            else:
-                dx = dxp
-        if bias is None:
-            return (dx, dw)
-        return (dx, dw, db)
+                    dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
+            dx = np.ascontiguousarray(
+                dxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
+        return (dx, dw) if bias is None else (dx, dw, db)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, grad_fn)

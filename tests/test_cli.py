@@ -161,6 +161,18 @@ class TestEval:
         assert code == EXIT_IO
 
 
+    def test_corrupt_arch_name_is_io_error(self, trained, tmp_path):
+        cfg_path, ckpt = trained
+        blob = bytearray(ckpt.read_bytes())
+        at = blob.index(b"small_cnn")
+        blob[at + 8] ^= 0x0E  # "small_cnn" -> "small_cn`"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_IO
+
+
 class TestAblate:
     def test_lambda_sweep_two_rows(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

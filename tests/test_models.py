@@ -7,6 +7,8 @@ from ewas import models as M
 from ewas import tensor as T
 from ewas.errors import (
     CheckpointChecksumError,
+    CheckpointContentError,
+    CheckpointError,
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -215,6 +217,32 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointTruncatedError):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    def test_every_flipped_byte_raises_checkpoint_error(self, tmp_path, mask):
+        model = self._trained_like_model()
+        path = tmp_path / "f.ckpt"
+        M.save_checkpoint(model, path, float64=True)
+        blob = path.read_bytes()
+        bad = tmp_path / "flipped.ckpt"
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= mask
+            bad.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError):
+                M.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("extra", ["duplicate", "unknown"])
+    def test_duplicate_or_unknown_record_rejected(self, tmp_path, monkeypatch, extra):
+        model = self._trained_like_model()
+        records = M._param_records(model)
+        added = records[0] if extra == "duplicate" else ("bogus.weight", records[0][1])
+        path = tmp_path / "x.ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "_param_records", lambda _m: records + [added])
+            M.save_checkpoint(model, path)
+        with pytest.raises(CheckpointContentError, match=added[0]):
             M.load_checkpoint(path)
 
     def test_round_trip_preserves_evaluation(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tensor engine: op semantics, gradients vs finite differences, graph rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,108 @@ class TestConv2d:
         assert_grad_matches(loss_fn, x.data, x.grad, what="conv/x")
         assert_grad_matches(loss_fn, w.data, w.grad, what="conv/w")
         assert_grad_matches(loss_fn, b.data, b.grad, what="conv/b")
+
+
+def loop_conv_reference(x, w, b, g, stride, padding):
+    """Loop oracle in float64: output, dx, dw and db for upstream gradient g.
+
+    Walks every output position (i, j); each receptive field contributes
+    its dot products to the output and its outer products to the gradients.
+    """
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    bs, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ho, wo = g.shape[2:]
+    xp = np.zeros((bs, cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    out = np.zeros((bs, cout, ho, wo))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            field = xp[:, :, rows, cols]                    # (B, Cin, kh, kw)
+            out[:, :, i, j] = np.einsum("ncuv,ocuv->no", field, w) + b
+            dxp[:, :, rows, cols] += np.einsum("no,ocuv->ncuv", g[:, :, i, j], w)
+            dw += np.einsum("no,ncuv->ocuv", g[:, :, i, j], field)
+    dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+CONV_CASES = [
+    # (B, Cin, H, W, Cout, k, stride, padding); H and W are odd or
+    # non-square, so (H + 2p - k) is not always divisible by the stride
+    (b, 3, h, w, 4, k, s, p)
+    for (b, h, w) in [(2, 7, 6), (1, 5, 8)]
+    for k in (1, 3) for s in (1, 2) for p in (0, 1)
+]
+
+
+class TestConv2dKernelParity:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_matches_loop_reference(self, case, dtype, tol):
+        bs, cin, h, w, cout, k, s, p = case
+        rng = np.random.default_rng(sum(case))
+        x = T.Tensor(rng.normal(size=(bs, cin, h, w)).astype(dtype), requires_grad=True)
+        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype), requires_grad=True)
+        bt = T.Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
+        x_before = x.data.copy()
+        out = T.conv2d(x, wt, bt, stride=s, padding=p)
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        g = rng.normal(size=out.data.shape).astype(dtype)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        assert x.data.tobytes() == x_before.tobytes()
+        ref = loop_conv_reference(x.data, wt.data, bt.data, g, s, p)
+        for name, got, want in zip(("out", "dx", "dw", "db"),
+                                   (out.data, x.grad, wt.grad, bt.grad), ref):
+            assert got.shape == want.shape, name
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= tol, f"{name}: relative error {err:.3g} > {tol}"
+
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(3)
+        x = t(rng.normal(size=(2, 3, 5, 5)))
+        w = t(rng.normal(size=(4, 3, 3, 3)), rg=False)
+        T.backward(T.tsum(T.conv2d(x, w, stride=2, padding=1)))
+        assert w.grad is None
+        np.testing.assert_allclose(
+            x.grad, loop_conv_reference(x.data, w.data, np.zeros(4),
+                                        np.ones((2, 4, 3, 3)), 2, 1)[1], rtol=1e-12)
+
+
+class TestConv2dRetainedMemory:
+    """What a live graph keeps after a conv forward, measured by tracemalloc."""
+
+    B, CIN, H, W, COUT, K = 8, 16, 16, 16, 16, 3
+
+    def retained_bytes(self, weight_grad: bool) -> tuple[int, int]:
+        rng = np.random.default_rng(11)
+        x = t(rng.normal(size=(self.B, self.CIN, self.H, self.W)))
+        w = t(rng.normal(size=(self.COUT, self.CIN, self.K, self.K)), rg=weight_grad)
+        b = t(rng.normal(size=self.COUT), rg=weight_grad)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, b, stride=1, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._grad_fn is not None  # the graph is still alive here
+        return kept, out.data.nbytes
+
+    def im2col_bytes(self) -> int:
+        return self.B * self.H * self.W * self.CIN * self.K * self.K * 8
+
+    def test_keeps_under_half_the_column_matrix(self):
+        kept, _ = self.retained_bytes(weight_grad=True)
+        assert kept < self.im2col_bytes() / 2
+
+    def test_frozen_weights_keep_only_the_output(self):
+        kept, out_bytes = self.retained_bytes(weight_grad=False)
+        x_bytes = self.B * self.CIN * self.H * self.W * 8
+        assert kept <= out_bytes + x_bytes + 4096
 
 
 class TestRelu:
