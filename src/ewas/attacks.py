@@ -233,25 +233,6 @@ def cw_attack(model, x, y, config: AttackConfig) -> AdversarialBatch:
     return pgd(model, x, y, replace(config, loss_kind="cw_margin"))
 
 
-def fgsm_preset(epsilon: float, lambda_attack: float = 0.0, seed: int = 0) -> AttackConfig:
-    return AttackConfig(
-        epsilon=epsilon, step_size=max(epsilon, np.finfo(float).tiny), steps=1,
-        random_start=False, loss_kind="cross_entropy",
-        lambda_attack=lambda_attack, seed=seed, name="fgsm",
-    )
-
-
-def pgd_preset(epsilon: float, steps: int = 20, step_size: float | None = None,
-               lambda_attack: float = 0.0, random_start: bool = True,
-               seed: int = 0) -> AttackConfig:
-    return AttackConfig(
-        epsilon=epsilon,
-        step_size=step_size if step_size is not None else epsilon / 4,
-        steps=steps, random_start=random_start, loss_kind="cross_entropy",
-        lambda_attack=lambda_attack, seed=seed, name=f"pgd{steps}",
-    )
-
-
 def cw_preset(epsilon: float, steps: int = 30, step_size: float | None = None,
               lambda_attack: float = 0.0, kappa: float = 0.0,
               seed: int = 0) -> AttackConfig:

@@ -3,7 +3,7 @@
 Every command validates its config fully before doing work, writes a
 resolved-config snapshot into the output directory, and never mutates
 its input files. Exit codes: 0 success, 1 usage or config error,
-2 runtime abort (non-finite loss), 3 IO or checkpoint error.
+2 runtime abort (non-finite value), 3 IO or checkpoint error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ import numpy as np
 from .analysis import ActivationStats, export_stats
 from .attacks import pgd
 from .config import RunConfig, load_run_config
-from .errors import CheckpointError, ConfigError, DataFormatError, TrainingDivergedError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataFormatError,
+    NonFiniteError,
+    TrainingDivergedError,
+)
 from .models import load_checkpoint
 from .tensor import no_grad
 from .training import evaluate, train
@@ -242,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, NonFiniteError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except (CheckpointError, DataFormatError, OSError) as exc:

@@ -75,3 +75,12 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(
             f"non-finite loss {value!r} at epoch {epoch}, batch {batch}; aborting"
         )
+
+
+class NonFiniteError(RuntimeError):
+    """Evaluation met a non-finite logit or attack objective and was aborted."""
+
+    def __init__(self, attack: str, batch: int):
+        self.attack = attack
+        self.batch = batch
+        super().__init__(f"non-finite value under attack {attack!r}, batch {batch}; aborting")

@@ -204,8 +204,6 @@ class Model:
                 f"unknown insertion point {host!r}; valid points: "
                 f"{', '.join(self.insertion_points())}"
             )
-        from .tensor import no_grad
-
         with no_grad():
             probe = np.zeros((1, *self.input_shape), dtype=self.dtype)
             out = self.forward(probe, train=False, capture=(host,))

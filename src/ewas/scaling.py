@@ -13,7 +13,7 @@ then column) and is shared bit-exactly with the tensor module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class EwasModule:
     host: str
     params: AlcParams
     module_id: str = ""
-    tie_break: str = field(default="lowest_index", repr=False)
 
     def __post_init__(self):
         if not self.module_id:

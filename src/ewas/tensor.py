@@ -334,12 +334,12 @@ def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(Cin·kh·kw, B·Ho·Wo) column matrix of a channel-major padded input."""
-    cin, b = xp.shape[:2]
+    """(Cin·kh·kw, Ho·Wo·B) column matrix of a batch-innermost padded input."""
+    cin, b = xp.shape[0], xp.shape[3]
     s0, s1, s2, s3 = xp.strides
-    view = np.ndarray((cin, kh, kw, b, ho, wo), xp.dtype, xp,
-                      strides=(s0, s2, s3, s1, s2 * stride, s3 * stride))
-    return view.reshape(cin * kh * kw, b * ho * wo)
+    view = np.ndarray((cin, kh, kw, ho, wo, b), xp.dtype, xp,
+                      strides=(s0, s1, s2, s1 * stride, s2 * stride, s3))
+    return view.reshape(cin * kh * kw, ho * wo * b)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -349,15 +349,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x: (B, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,) or None.
     Output spatial size is floor((H + 2p - kh) / stride) + 1.
 
-    Channel-major: the input is copied once into a zeroed (Cin, B, H+2p,
-    W+2p) buffer whose strided view reshapes to the column matrix
-    cols = (Cin·kh·kw, B·Ho·Wo); the forward is ``W(Cout, Cin·kh·kw) @ cols``
-    plus one plane-wise transpose to (B, Cout, Ho, Wo). With the gradient
-    as g_c = (Cout, B·Ho·Wo), ``dw = g_c @ cols.T`` and ``dx`` is
-    ``W.T @ g_c`` folded back by kh·kw slice-adds (col2im), the forward's
-    multiply-adds at every stride. The closure keeps no column matrix; it
-    keeps the padded input, to rebuild cols, only when grad mode is on and
-    ``weight.requires_grad``, so frozen-weight attack steps keep nothing.
+    Batch-innermost: the input is copied once into a zeroed (Cin, H+2p,
+    W+2p, B) buffer whose strided view reshapes to the column matrix
+    cols = (Cin·kh·kw, Ho·Wo·B); the forward is ``W(Cout, Cin·kh·kw) @ cols``
+    plus one transpose to (B, Cout, Ho, Wo). With the batch axis innermost,
+    every run the im2col gather and the col2im slice-adds move is at
+    least B contiguous elements (Wo·B at stride 1); with the batch outside
+    the spatial axes a run is one output row, Wo elements, or a single
+    element at stride 2, which leaves numpy's inner loops nearly empty on
+    small feature maps. With the gradient as g_c = (Cout, Ho·Wo·B),
+    ``dw = g_c @ cols.T`` and ``dx`` is ``W.T @ g_c`` folded back by kh·kw
+    slice-adds (col2im), the forward's multiply-adds at every stride. The
+    closure keeps no column matrix; it keeps the padded input, to rebuild
+    cols, only when grad mode is on and ``weight.requires_grad``, so
+    frozen-weight attack steps keep nothing.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -372,30 +377,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    xp = np.zeros((cin, b, hp, wp), dtype=x.data.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
+    xp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
+    xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(1, 2, 3, 0)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = wmat @ _im2col(xp, kh, kw, stride, ho, wo)
     if bias is not None:
         out += bias.data[:, None]
-    out = np.ascontiguousarray(out.reshape(cout, b, ho, wo).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2))
     kept_xp = xp if _grad_enabled and weight.requires_grad else None
 
     def grad_fn(g):
-        g_c = g.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
+        g_c = g.transpose(1, 2, 3, 0).reshape(cout, ho * wo * b)
         dw = db = dx = None
         if kept_xp is not None:
             dw = (g_c @ _im2col(kept_xp, kh, kw, stride, ho, wo).T).reshape(cout, cin, kh, kw)
         if bias is not None and bias.requires_grad:
             db = g_c.sum(axis=1)
         if x.requires_grad:
-            dcols = (wmat.T @ g_c).reshape(cin, kh, kw, b, ho, wo)
-            dxp = np.zeros((cin, b, hp, wp), dtype=x.data.dtype)
+            dcols = (wmat.T @ g_c).reshape(cin, kh, kw, ho, wo, b)
+            dxp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
-                    dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
+                    dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
             dx = np.ascontiguousarray(
-                dxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
+                dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
         return (dx, dw) if bias is None else (dx, dw, db)
 
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd
 from .data import BatchIterator, Dataset
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .models import Model, save_checkpoint
 from .tensor import (
     Tensor,
@@ -112,15 +112,6 @@ class EpochRecord:
 @dataclass
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(EpochRecord.csv_header())
-            for rec in self.records:
-                w.writerow(rec.csv_row())
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +273,12 @@ def _derived_seed(*parts: int) -> int:
 
 
 def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
+    """Share of rows whose logit argmax is the label; NaN if any logit is not finite."""
     with no_grad():
-        out = model.forward(x, labels=y, train=False, mask_mode="inference")
-    return float((out.logits.data.argmax(axis=1) == y).mean())
+        logits = model.forward(x, labels=y, train=False, mask_mode="inference").logits.data
+    if not np.isfinite(logits).all():
+        return float("nan")
+    return float((logits.argmax(axis=1) == y).mean())
 
 
 def train(model: Model, dataset: Dataset, config: TrainConfig,
@@ -329,6 +323,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                 acfg = replace(config.attack,
                                seed=_derived_seed(config.seed, epoch, bi))
                 adv = pgd(model, xb, yb, acfg)
+                natural_acc = _accuracy(model, xb, yb)  # same state as adv.success
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam,
                                 config.beta, True)
                 loss = terms["total"]
@@ -339,7 +334,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                 opt.step()
                 n_seen += len(yb)
                 n_rob += int((~adv.success).sum())
-                n_nat += int(round(_accuracy(model, xb, yb) * len(yb)))
+                n_nat += int(round(natural_acc * len(yb)))
                 for key, t in terms.items():
                     loss_sums[key] = loss_sums.get(key, 0.0) + float(t.data)
                 n_batches += 1
@@ -412,14 +407,18 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
 
     Robust accuracy counts adversarial examples that are still labeled
     correctly. Per-batch attack seeds derive deterministically from the
-    attack's own seed, so repeated evaluation is bit-identical.
+    attack's own seed, so repeated evaluation is bit-identical. A non-finite
+    natural logit or final attack objective raises ``NonFiniteError``.
     """
     n = len(dataset)
     correct = 0
-    for start in range(0, n, batch_size):
+    for bi, start in enumerate(range(0, n, batch_size)):
         xb = dataset.images[start:start + batch_size]
         yb = dataset.labels[start:start + batch_size]
-        correct += int(round(_accuracy(model, xb, yb) * len(yb)))
+        acc = _accuracy(model, xb, yb)
+        if not np.isfinite(acc):
+            raise NonFiniteError("natural", bi)
+        correct += int(round(acc * len(yb)))
     natural = correct / n if n else 0.0
 
     rows = []
@@ -429,6 +428,8 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
             xb = dataset.images[start:start + batch_size]
             yb = dataset.labels[start:start + batch_size]
             adv = pgd(model, xb, yb, replace(cfg, seed=_derived_seed(cfg.seed, bi)))
+            if not np.isfinite(adv.loss).all():
+                raise NonFiniteError(cfg.name, bi)
             robust_hits += int((~adv.success).sum())
         rows.append(AttackRow(cfg.name, cfg.epsilon, cfg.steps, cfg.lambda_attack,
                               natural, robust_hits / n if n else 0.0))

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ewas.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from ewas.models import load_checkpoint
+from ewas.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from ewas.models import load_checkpoint, save_checkpoint
 
 
 def write_config(path, **overrides):
@@ -160,6 +160,17 @@ class TestEval:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_IO
 
+    def test_nan_weight_checkpoint_aborts_without_csv(self, trained, tmp_path):
+        cfg_path, ckpt = trained
+        model = load_checkpoint(ckpt)
+        dict(model.parameters())["head.weight"].data[0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(model, bad, float64=True)
+        out = tmp_path / "eval_nan"
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                     "--out", str(out)])
+        assert code == EXIT_ABORT
+        assert not (out / "eval.csv").exists()
 
     def test_corrupt_arch_name_is_io_error(self, trained, tmp_path):
         cfg_path, ckpt = trained

@@ -150,9 +150,11 @@ def loop_conv_reference(x, w, b, g, stride, padding):
 
 CONV_CASES = [
     # (B, Cin, H, W, Cout, k, stride, padding); H and W are odd or
-    # non-square, so (H + 2p - k) is not always divisible by the stride
+    # non-square, so (H + 2p - k) is not always divisible by the stride;
+    # batch 5 catches a kernel that mixes the batch axis with a spatial
+    # one, which batches of 1 and 2 can miss
     (b, 3, h, w, 4, k, s, p)
-    for (b, h, w) in [(2, 7, 6), (1, 5, 8)]
+    for (b, h, w) in [(2, 7, 6), (1, 5, 8), (5, 9, 4)]
     for k in (1, 3) for s in (1, 2) for p in (0, 1)
 ]
 

@@ -1,5 +1,7 @@
 """Composite losses, optimizer, schedule, training loop, evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ewas import models as M
 from ewas import tensor as T
 from ewas import training as TR
 from ewas.data import synth_dataset
-from ewas.errors import ConfigError, TrainingDivergedError
+from ewas.errors import ConfigError, NonFiniteError, TrainingDivergedError
 from ewas.scaling import AlcParams, EwasModule, ewas_forward
 
 
@@ -327,6 +329,16 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TR.train(small_model(with_ewas=False), ds, toy_config())
 
+    def test_natural_acc_measured_before_the_step(self):
+        # one batch holds the whole set, so the logged natural accuracy is
+        # the untrained model's, taken in the same state as robust_acc
+        # (after the step this model scores 8/15, before it 5/15)
+        ds = synth_dataset(3, 5, (1, 8, 8), seed=47)
+        cfg = replace(toy_config(epochs=1), batch_size=len(ds), lr=0.5)
+        _, log = TR.train(small_model(seed=48), ds, cfg)
+        untrained = TR._accuracy(small_model(seed=48), ds.images, ds.labels)
+        assert log.records[0].natural_acc == untrained
+
 
 class TestEvaluate:
     def test_empty_attack_list_natural_only(self):
@@ -348,6 +360,29 @@ class TestEvaluate:
         cfg = A.AttackConfig(epsilon=0.0, step_size=0.01, steps=2, name="noop")
         report = TR.evaluate(model, ds, [cfg])
         assert report.rows[0].robust_acc == report.natural_acc
+
+    def test_nan_weight_raises_naming_the_clean_pass(self):
+        model = small_model(seed=49)
+        dict(model.parameters())["head.weight"].data[0, 0] = np.nan
+        ds = synth_dataset(3, 5, (1, 8, 8), seed=50, split="test")
+        with pytest.raises(NonFiniteError) as err:
+            TR.evaluate(model, ds, [])
+        assert err.value.attack == "natural" and err.value.batch == 0
+
+    def test_non_finite_attack_objective_raises_naming_attack(self, monkeypatch):
+        def pgd_inf_in_last_batch(model, x, y, config):
+            adv = A.pgd(model, x, y, config)
+            if len(y) < 8:
+                adv.loss[-1] = np.inf
+            return adv
+
+        monkeypatch.setattr(TR, "pgd", pgd_inf_in_last_batch)
+        ds = synth_dataset(3, 5, (1, 8, 8), seed=51, split="test")  # batches of 8 and 7
+        cfg = A.AttackConfig(epsilon=0.05, step_size=0.02, steps=1, name="pgd1")
+        with pytest.raises(NonFiniteError) as err:
+            TR.evaluate(small_model(seed=52), ds, [cfg], batch_size=8)
+        assert err.value.attack == "pgd1" and err.value.batch == 1
+        assert "pgd1" in str(err.value) and "batch 1" in str(err.value)
 
     def test_reevaluation_identical(self):
         model = small_model(seed=47)
