@@ -99,22 +99,46 @@ def project_linf_box(x: np.ndarray, x0: np.ndarray, epsilon: float) -> np.ndarra
     return np.clip(np.clip(x, x0 - epsilon, x0 + epsilon), 0.0, 1.0)
 
 
-def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0) -> Tensor:
-    """Mean over the batch of max(Z_y - max_{k != y} Z_k, -kappa).
+def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0,
+                   reduction: str = "mean") -> Tensor:
+    """max(Z_y - max_{k != y} Z_k, -kappa) per row; a NaN logit gives a NaN row.
 
     The attacker minimizes this margin (equivalently ascends its
     negation); kappa > 0 keeps pushing past the decision boundary.
+    ``reduction="none"`` returns the (B,) per-row margins; the default
+    returns their batch mean.
     """
     if logits.data.ndim != 2 or logits.data.shape[1] < 2:
         raise ConfigError(
             f"margin loss needs (B, K>=2) logits, got shape {logits.data.shape}"
         )
+    if reduction not in ("mean", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
     margin = gather_labels(logits, labels) - masked_rowmax(logits, labels)
-    return tmean(maximum_scalar(margin, -kappa))
+    rows = maximum_scalar(margin, -kappa)
+    return tmean(rows) if reduction == "mean" else rows
 
 
-def _alc_score_list(model, out) -> list[Tensor]:
-    return [out.alc_scores[m.module_id] for m in model.ewas_modules]
+def loss_heads(model, out, lam: float) -> list[Tensor]:
+    """Score tensors a loss is taken over: the backbone logits, then each
+    scaling module's classifier scores in module order when lam > 0."""
+    scores = [out.alc_scores[m.module_id] for m in model.ewas_modules] if lam > 0 else []
+    return [out.logits] + scores
+
+
+def _objective(model, out, y, loss_kind: str, lambda_attack: float, kappa: float,
+               reduction: str = "mean") -> Tensor:
+    """loss(logits) + lambda * loss(scores) for each module, over one forward."""
+    def head_loss(scores):
+        if loss_kind == "cw_margin":
+            return cw_margin_loss(scores, y, kappa, reduction)
+        return softmax_cross_entropy(scores, y, reduction)
+
+    backbone, *alcs = loss_heads(model, out, lambda_attack)
+    loss = head_loss(backbone)
+    for scores in alcs:
+        loss = loss + lambda_attack * head_loss(scores)
+    return loss
 
 
 def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
@@ -130,17 +154,7 @@ def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
     if lambda_attack > 0 and not model.ewas_modules:
         raise ConfigError("lambda_attack > 0 requires a model with a scaling module")
     out = model.forward(x, labels=y, train=False, mask_mode=mask_mode)
-    if loss_kind == "cw_margin":
-        loss = cw_margin_loss(out.logits, y, kappa)
-        if lambda_attack > 0:
-            for scores in _alc_score_list(model, out):
-                loss = loss + lambda_attack * cw_margin_loss(scores, y, kappa)
-        return loss
-    loss = softmax_cross_entropy(out.logits, y)
-    if lambda_attack > 0:
-        for scores in _alc_score_list(model, out):
-            loss = loss + lambda_attack * softmax_cross_entropy(scores, y)
-    return loss
+    return _objective(model, out, y, loss_kind, lambda_attack, kappa)
 
 
 @contextmanager
@@ -157,35 +171,14 @@ def frozen_params(model):
             t.requires_grad = flag
 
 
-def _per_sample_ce(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    return lse - z[np.arange(len(y)), y]
-
-
-def _per_sample_margin(logits: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
-    rows = np.arange(len(y))
-    masked = logits.copy()
-    masked[rows, y] = -np.inf
-    return np.maximum(logits[rows, y] - masked.max(axis=1), -kappa)
-
-
 def _final_metrics(model, x_adv: np.ndarray, y: np.ndarray,
                    config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample misclassification and final objective at ``x_adv``."""
     with no_grad():
         out = model.forward(x_adv, labels=y, train=False, mask_mode=config.mask_mode)
-    logits = out.logits.data
-    success = logits.argmax(axis=1) != y
-    if config.loss_kind == "cw_margin":
-        loss = _per_sample_margin(logits, y, config.kappa)
-        per_alc = _per_sample_margin
-    else:
-        loss = _per_sample_ce(logits, y)
-        per_alc = lambda s, yy, _k: _per_sample_ce(s, yy)  # noqa: E731
-    if config.lambda_attack > 0:
-        for scores in _alc_score_list(model, out):
-            loss = loss + config.lambda_attack * per_alc(scores.data, y, config.kappa)
-    return success, loss
+        loss = _objective(model, out, y, config.loss_kind, config.lambda_attack,
+                          config.kappa, reduction="none")
+    return out.logits.data.argmax(axis=1) != y, loss.data
 
 
 def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:

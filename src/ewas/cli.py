@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ActivationStats, export_stats
-from .attacks import pgd
 from .config import RunConfig, load_run_config
 from .errors import (
     CheckpointError,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .models import load_checkpoint
 from .tensor import no_grad
-from .training import evaluate, train
+from .training import attack_batches, consecutive_batches, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,24 +97,21 @@ def cmd_ablate(args) -> int:
     if cfg.train is None:
         raise ConfigError("train: required section is missing")
     preset_names = sorted(cfg.attack_presets)
-    rows = []
-
+    presets = [cfg.attack_presets[n] for n in preset_names]
+    test_set = cfg.data.load("test", cfg.seed)
     if args.axis == "attack_lambda":
         # one checkpoint, sweep only the evaluation attack's lambda
         if args.checkpoint:
             model = load_checkpoint(args.checkpoint)
         else:
             model, _ = _train_one(cfg, out_dir)
-        test_set = cfg.data.load("test", cfg.seed)
-        for v in values:
-            attacks = [replace(cfg.attack_presets[n], lambda_attack=v)
-                       for n in preset_names]
-            report = evaluate(model, test_set, attacks)
-            rows.append([v, report.natural_acc]
-                        + [r.robust_acc for r in report.rows])
-    else:
-        test_set = cfg.data.load("test", cfg.seed)
-        for v in values:
+
+    rows = []
+    for v in values:
+        attacks = presets
+        if args.axis == "attack_lambda":
+            attacks = [replace(a, lambda_attack=v) for a in presets]
+        else:
             point = cfg.train
             point_model_section = cfg.model
             if args.axis == "lambda":
@@ -128,10 +124,8 @@ def cmd_ablate(args) -> int:
             sub_dir = out_dir / f"{args.axis}_{v}"
             sub_dir.mkdir(parents=True, exist_ok=True)
             train(model, train_set, point, out_dir=sub_dir, config_digest=cfg.digest())
-            report = evaluate(model, test_set,
-                              [cfg.attack_presets[n] for n in preset_names])
-            rows.append([v, report.natural_acc]
-                        + [r.robust_acc for r in report.rows])
+        report = evaluate(model, test_set, attacks)
+        rows.append([v, report.natural_acc] + [r.robust_acc for r in report.rows])
 
     table = out_dir / "ablation.csv"
     with open(table, "w", newline="") as fh:
@@ -145,10 +139,7 @@ def cmd_ablate(args) -> int:
 
 def _collect_activations(model, images, labels, layer: str) -> list[np.ndarray]:
     acts = []
-    batch = 64
-    for start in range(0, len(images), batch):
-        xb = images[start:start + batch]
-        yb = labels[start:start + batch]
+    for xb, yb in consecutive_batches(images, labels):
         with no_grad():
             out = model.forward(xb, labels=yb, train=False,
                                 mask_mode="inference", capture=(layer,))
@@ -183,11 +174,8 @@ def cmd_export_activations(args) -> int:
     adversarial = None
     if cfg.analysis.attack is not None:
         acfg = cfg.attack_presets[cfg.analysis.attack]
-        adv_images = np.concatenate([
-            pgd(model, images[s:s + 64], labels[s:s + 64],
-                replace(acfg, seed=acfg.seed + i)).x_adv
-            for i, s in enumerate(range(0, len(images), 64))
-        ])
+        adv_images = np.concatenate(
+            [adv.x_adv for adv in attack_batches(model, images, labels, acfg)])
         adversarial = ActivationStats.collect(
             _collect_activations(model, adv_images, labels, layer),
             cfg.analysis.class_label, "adversarial", cfg.analysis.scope,

@@ -78,7 +78,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """Evaluation met a non-finite logit or attack objective and was aborted."""
+    """A non-finite logit, adversarial input or attack objective aborted the run."""
 
     def __init__(self, attack: str, batch: int):
         self.attack = attack

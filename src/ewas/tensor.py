@@ -215,9 +215,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maximum_scalar(x: Tensor, c: float) -> Tensor:
-    """Elementwise max(x, c); gradient flows only where x > c."""
+    """Elementwise max(x, c), NaN where x is NaN; gradient flows only where x > c."""
     mask = x.data > c
-    return _result(np.where(mask, x.data, c), (x,), lambda g: (g * mask,))
+    return _result(np.maximum(x.data, c), (x,), lambda g: (g * mask,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -517,22 +517,30 @@ def softmax(x: Tensor) -> Tensor:
     return _result(s, (x,), grad_fn)
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], max-stabilized."""
+def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
+    """-log softmax(logits)[label] per row, max-stabilized.
+
+    ``reduction="none"`` returns the (B,) per-row losses; the default
+    returns their batch mean.
+    """
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy needs (B, K) logits, got {logits.data.shape}")
+    if reduction not in ("mean", "none"):
+        raise ValueError(f"unknown reduction {reduction!r}")
     b, k = logits.data.shape
     labels = _check_labels(labels, k)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     rows = np.arange(b)
-    loss = np.asarray((lse - z[rows, labels]).mean(), dtype=logits.data.dtype)
+    loss = lse - z[rows, labels]
 
     def grad_fn(g):
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1.0
-        return (p * (g / b),)
+        return (p * ((g / b) if reduction == "mean" else g[:, None]),)
 
+    if reduction == "mean":
+        loss = np.asarray(loss.mean(), dtype=logits.data.dtype)
     return _result(loss, (logits,), grad_fn)
 
 

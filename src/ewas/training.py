@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd
+from .attacks import AttackConfig, loss_heads, pgd
 from .data import BatchIterator, Dataset
 from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .models import Model, save_checkpoint
 from .tensor import (
     Tensor,
+    add,
     backward,
     boosted_cross_entropy,
     gather_labels,
@@ -123,87 +125,68 @@ def _require_ewas(model: Model, lam: float) -> None:
         raise ConfigError("lambda > 0 requires a model with a scaling module")
 
 
-def _scores(model: Model, out) -> list[Tensor]:
-    return [out.alc_scores[m.module_id] for m in model.ewas_modules]
+def _head_terms(method: str, s_nat, s_adv, y, beta: float):
+    """One head's classification term and its unweighted KL term (None if beta is 0)."""
+    if method == "at":
+        return softmax_cross_entropy(s_adv, y), None
+    if method == "trades":
+        ce = softmax_cross_entropy(s_nat, y)
+        return ce, kl_divergence(softmax(s_nat), softmax(s_adv)) if beta > 0 else None
+    p_adv = softmax(s_adv)
+    bce = boosted_cross_entropy(p_adv, y)
+    if beta == 0:
+        return bce, None
+    p_nat = softmax(s_nat)
+    row_kl = kl_divergence(p_nat, p_adv, reduction="none")
+    return bce, tmean(mul(row_kl, 1.0 - gather_labels(p_nat, y)))
+
+
+def _loss_terms(method: str, model: Model, x, x_adv, y, lam: float, beta: float,
+                train: bool) -> dict[str, Tensor]:
+    """Terms of ``method``'s loss, the backbone with weight 1 and each module with lam.
+
+    TRADES and MART run the natural forward first: each train-mode
+    forward updates the batch-norm running statistics.
+    """
+    _require_ewas(model, lam)
+
+    def heads(inputs):
+        out = model.forward(inputs, labels=y, train=train, mask_mode="training")
+        return loss_heads(model, out, lam)
+
+    nat = heads(x) if method != "at" else None
+    adv = heads(x_adv)
+    if nat is None:
+        nat = [None] * len(adv)
+    (cls, kl), *alc = [_head_terms(method, s_nat, s_adv, y, beta)
+                       for s_nat, s_adv in zip(nat, adv)]
+    terms = {"cls": cls}
+    if kl is not None:
+        terms["kl"] = beta * kl
+    if alc:
+        terms["alc"] = lam * reduce(add, [c for c, _ in alc])
+        if kl is not None:
+            terms["alc_kl"] = (lam * beta) * reduce(add, [k for _, k in alc])
+    total = terms["cls"]
+    for key in ("kl", "alc", "alc_kl"):
+        if key in terms:
+            total = total + terms[key]
+    terms["total"] = total
+    return terms
 
 
 def _at_terms(model: Model, x_adv, y, lam: float, train: bool) -> dict[str, Tensor]:
-    _require_ewas(model, lam)
-    out = model.forward(x_adv, labels=y, train=train, mask_mode="training")
-    terms = {"cls": softmax_cross_entropy(out.logits, y)}
-    if lam > 0:
-        alc = None
-        for scores in _scores(model, out):
-            ce = softmax_cross_entropy(scores, y)
-            alc = ce if alc is None else alc + ce
-        terms["alc"] = lam * alc
-    total = terms["cls"]
-    if "alc" in terms:
-        total = total + terms["alc"]
-    terms["total"] = total
-    return terms
+    return _loss_terms("at", model, None, x_adv, y, lam, 0.0, train)
 
 
 def _trades_terms(model: Model, x, x_adv, y, lam: float, beta: float,
                   train: bool) -> dict[str, Tensor]:
-    _require_ewas(model, lam)
-    out_nat = model.forward(x, labels=y, train=train, mask_mode="training")
-    out_adv = model.forward(x_adv, labels=y, train=train, mask_mode="training")
-    terms = {"cls": softmax_cross_entropy(out_nat.logits, y)}
-    if beta > 0:
-        terms["kl"] = beta * kl_divergence(softmax(out_nat.logits), softmax(out_adv.logits))
-    if lam > 0:
-        alc = alc_kl = None
-        for s_nat, s_adv in zip(_scores(model, out_nat), _scores(model, out_adv)):
-            ce = softmax_cross_entropy(s_nat, y)
-            alc = ce if alc is None else alc + ce
-            if beta > 0:
-                kl = kl_divergence(softmax(s_nat), softmax(s_adv))
-                alc_kl = kl if alc_kl is None else alc_kl + kl
-        terms["alc"] = lam * alc
-        if alc_kl is not None:
-            terms["alc_kl"] = (lam * beta) * alc_kl
-    total = terms["cls"]
-    for key in ("kl", "alc", "alc_kl"):
-        if key in terms:
-            total = total + terms[key]
-    terms["total"] = total
-    return terms
+    return _loss_terms("trades", model, x, x_adv, y, lam, beta, train)
 
 
 def _mart_terms(model: Model, x, x_adv, y, lam: float, beta: float,
                 train: bool) -> dict[str, Tensor]:
-    _require_ewas(model, lam)
-    out_nat = model.forward(x, labels=y, train=train, mask_mode="training")
-    out_adv = model.forward(x_adv, labels=y, train=train, mask_mode="training")
-    p_adv = softmax(out_adv.logits)
-    terms = {"cls": boosted_cross_entropy(p_adv, y)}
-    if beta > 0:
-        p_nat = softmax(out_nat.logits)
-        row_kl = kl_divergence(p_nat, p_adv, reduction="none")
-        weight = 1.0 - gather_labels(p_nat, y)
-        terms["kl"] = beta * tmean(mul(row_kl, weight))
-    if lam > 0:
-        alc = alc_kl = None
-        for s_nat, s_adv in zip(_scores(model, out_nat), _scores(model, out_adv)):
-            ps_adv = softmax(s_adv)
-            bce = boosted_cross_entropy(ps_adv, y)
-            alc = bce if alc is None else alc + bce
-            if beta > 0:
-                ps_nat = softmax(s_nat)
-                row = kl_divergence(ps_nat, ps_adv, reduction="none")
-                w = 1.0 - gather_labels(ps_nat, y)
-                kl = tmean(mul(row, w))
-                alc_kl = kl if alc_kl is None else alc_kl + kl
-        terms["alc"] = lam * alc
-        if alc_kl is not None:
-            terms["alc_kl"] = (lam * beta) * alc_kl
-    total = terms["cls"]
-    for key in ("kl", "alc", "alc_kl"):
-        if key in terms:
-            total = total + terms[key]
-    terms["total"] = total
-    return terms
+    return _loss_terms("mart", model, x, x_adv, y, lam, beta, train)
 
 
 def at_loss_ewas(model: Model, x_adv, y, lam: float) -> Tensor:
@@ -221,11 +204,7 @@ def mart_loss_ewas(model: Model, x, x_adv, y, lam: float, beta: float) -> Tensor
     return _mart_terms(model, x, x_adv, y, lam, beta, train=True)["total"]
 
 
-_TERM_FNS = {
-    "at": lambda model, x, x_adv, y, lam, beta, train: _at_terms(model, x_adv, y, lam, train),
-    "trades": _trades_terms,
-    "mart": _mart_terms,
-}
+_TERM_FNS = {method: partial(_loss_terms, method) for method in METHODS}
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +247,33 @@ def lr_schedule(epoch: int, base_lr: float, milestones, factor: float = 0.1) -> 
 # training loop and evaluation
 # ---------------------------------------------------------------------------
 
+EVAL_BATCH = 128
+
+
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def consecutive_batches(images: np.ndarray, labels: np.ndarray,
+                        batch_size: int = EVAL_BATCH):
+    """(images, labels) slices of ``batch_size`` rows, in dataset order."""
+    for start in range(0, len(labels), batch_size):
+        yield images[start:start + batch_size], labels[start:start + batch_size]
+
+
+def attack_batches(model: Model, images: np.ndarray, labels: np.ndarray,
+                   config: AttackConfig, batch_size: int = EVAL_BATCH):
+    """Yield the ``AdversarialBatch`` of each consecutive batch in turn.
+
+    Batch ``bi`` is attacked with seed ``SeedSequence([config.seed, bi])``,
+    so a rerun is bit-identical. A non-finite adversarial input or final
+    objective raises ``NonFiniteError`` naming the attack and the batch.
+    """
+    for bi, (xb, yb) in enumerate(consecutive_batches(images, labels, batch_size)):
+        adv = pgd(model, xb, yb, replace(config, seed=_derived_seed(config.seed, bi)))
+        if not (np.isfinite(adv.x_adv).all() and np.isfinite(adv.loss).all()):
+            raise NonFiniteError(config.name, bi)
+        yield adv
 
 
 def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -402,19 +406,18 @@ class EvalReport:
 
 
 def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
-             batch_size: int = 128) -> EvalReport:
+             batch_size: int = EVAL_BATCH) -> EvalReport:
     """Natural accuracy plus robust accuracy per attack over the full set.
 
     Robust accuracy counts adversarial examples that are still labeled
-    correctly. Per-batch attack seeds derive deterministically from the
-    attack's own seed, so repeated evaluation is bit-identical. A non-finite
-    natural logit or final attack objective raises ``NonFiniteError``.
+    correctly; the attacks run batch by batch through ``attack_batches``.
+    A non-finite natural logit, adversarial input or final attack
+    objective raises ``NonFiniteError``.
     """
     n = len(dataset)
     correct = 0
-    for bi, start in enumerate(range(0, n, batch_size)):
-        xb = dataset.images[start:start + batch_size]
-        yb = dataset.labels[start:start + batch_size]
+    for bi, (xb, yb) in enumerate(consecutive_batches(dataset.images, dataset.labels,
+                                                      batch_size)):
         acc = _accuracy(model, xb, yb)
         if not np.isfinite(acc):
             raise NonFiniteError("natural", bi)
@@ -423,14 +426,8 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
 
     rows = []
     for cfg in attacks:
-        robust_hits = 0
-        for bi, start in enumerate(range(0, n, batch_size)):
-            xb = dataset.images[start:start + batch_size]
-            yb = dataset.labels[start:start + batch_size]
-            adv = pgd(model, xb, yb, replace(cfg, seed=_derived_seed(cfg.seed, bi)))
-            if not np.isfinite(adv.loss).all():
-                raise NonFiniteError(cfg.name, bi)
-            robust_hits += int((~adv.success).sum())
+        robust_hits = sum(int((~adv.success).sum()) for adv in attack_batches(
+            model, dataset.images, dataset.labels, cfg, batch_size))
         rows.append(AttackRow(cfg.name, cfg.epsilon, cfg.steps, cfg.lambda_attack,
                               natural, robust_hits / n if n else 0.0))
     return EvalReport(natural, rows)

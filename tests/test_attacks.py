@@ -8,6 +8,8 @@ from ewas import models as M
 from ewas import tensor as T
 from ewas.errors import ConfigError, ShapeError
 
+from _gradcheck import assert_grad_matches
+
 
 class LinearModel:
     """Minimal flat linear classifier used as a closed-form oracle target."""
@@ -71,6 +73,42 @@ class TestCwMarginLoss:
             A.cw_margin_loss(T.Tensor([[1.0]]), [0])
 
 
+ROW_LOSSES = {
+    "cross_entropy": lambda z, y, reduction: T.softmax_cross_entropy(z, y, reduction),
+    "cw_margin": lambda z, y, reduction: A.cw_margin_loss(z, y, 0.5, reduction),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_LOSSES))
+class TestReductionNone:
+    def test_row_mean_is_bitwise_the_mean(self, name):
+        loss = ROW_LOSSES[name]
+        rng = np.random.default_rng(70)
+        z = rng.normal(size=(6, 4))
+        y = rng.integers(0, 4, size=6)
+        rows = loss(T.Tensor(z), y, "none")
+        assert rows.data.shape == (6,)
+        assert rows.data.mean().tobytes() == loss(T.Tensor(z), y, "mean").data.tobytes()
+
+    def test_gradient_with_vector_upstream(self, name):
+        loss = ROW_LOSSES[name]
+        rng = np.random.default_rng(71)
+        z = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        y = np.array([0, 3, 1, 2, 1])
+        upstream = T.Tensor(rng.normal(size=5))
+
+        def forward(logits):
+            return T.tsum(T.mul(loss(logits, y, "none"), upstream))
+
+        T.backward(forward(z))
+        assert_grad_matches(lambda: float(forward(T.Tensor(z.data)).data),
+                            z.data, z.grad, what=name)
+
+    def test_unknown_reduction_rejected(self, name):
+        with pytest.raises(ValueError):
+            ROW_LOSSES[name](T.Tensor(np.zeros((2, 3))), [0, 1], "sum")
+
+
 class TestAttackObjective:
     def test_lambda_zero_is_backbone_ce_bitexact(self):
         model = small_ewas_model()
@@ -109,6 +147,23 @@ class TestAttackObjective:
         with pytest.raises(ConfigError):
             A.attack_objective(model, T.Tensor(np.zeros((2, 1, 8, 8))),
                                np.array([0, 1]), "cross_entropy", 0.5)
+
+    def test_two_modules_each_weighted_by_lambda(self):
+        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=16)
+        M.insert_ewas(model, "block3", 3, seed=17)
+        M.insert_ewas(model, "block4", 3, seed=18)
+        x = np.random.default_rng(19).uniform(0, 1, (4, 1, 8, 8))
+        y = np.array([0, 1, 2, 1])
+        out = model.forward(x, labels=y, train=False, mask_mode="inference")
+
+        def ce(scores):
+            return float(T.softmax_cross_entropy(scores, y).data)
+
+        lam = 0.5
+        expect = ce(out.logits) + lam * (ce(out.alc_scores["block3"])
+                                         + ce(out.alc_scores["block4"]))
+        total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", lam)
+        assert float(total.data) == pytest.approx(expect, rel=1e-12)
 
     def test_combined_is_alias_of_cross_entropy(self):
         model = small_ewas_model(seed=7)
@@ -233,6 +288,19 @@ class TestPgd:
         cfg = A.AttackConfig(epsilon=0.3, step_size=0.1, steps=6, random_start=False)
         adv = A.pgd(model, x, y, cfg)
         assert np.all(np.isfinite(adv.x_adv))
+
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("loss_kind", ["cross_entropy", "cw_margin"])
+    def test_nan_head_weight_gives_non_finite_loss_everywhere(self, loss_kind, lam):
+        model = small_ewas_model(seed=15)
+        dict(model.parameters())["head.weight"].data[0, 0] = np.nan
+        x = np.random.default_rng(14).uniform(0, 1, (4, 1, 8, 8))
+        y = np.array([0, 1, 2, 1])
+        cfg = A.AttackConfig(epsilon=0.1, step_size=0.05, steps=2,
+                             loss_kind=loss_kind, lambda_attack=lam)
+        adv = A.pgd(model, x, y, cfg)
+        assert not np.isfinite(adv.loss).any()
 
 
 class TestCwAttack:

@@ -39,6 +39,18 @@ def write_config(path, **overrides):
     return cfg
 
 
+def nan_conv_checkpoint(ckpt, path):
+    """Copy of ``ckpt`` with one NaN in the first conv weight.
+
+    ReLU maps the NaN channel to 0, so the logits stay finite; PGD's input
+    gradient goes through the weight and turns the adversarial input NaN.
+    """
+    model = load_checkpoint(ckpt)
+    dict(model.parameters())["block1.conv.weight"].data[0, 0, 0, 0] = np.nan
+    save_checkpoint(model, path, float64=True)
+    return path
+
+
 class TestTrain:
     def test_writes_three_artifacts(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -172,6 +184,17 @@ class TestEval:
         assert code == EXIT_ABORT
         assert not (out / "eval.csv").exists()
 
+    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        bad = nan_conv_checkpoint(ckpt, tmp_path / "nan_conv.ckpt")
+        out = tmp_path / "eval_nan_conv"
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                     "--out", str(out)])
+        assert code == EXIT_ABORT
+        assert not (out / "eval.csv").exists()
+        err = capsys.readouterr().err
+        assert "'pgd2'" in err and "batch 0" in err
+
     def test_corrupt_arch_name_is_io_error(self, trained, tmp_path):
         cfg_path, ckpt = trained
         blob = bytearray(ckpt.read_bytes())
@@ -271,6 +294,27 @@ class TestExportActivations:
         for r in freq_rows:
             assert float(r["natural_value"]) == pytest.approx(
                 nat.frequency[int(r["channel_index"])])
+
+    def test_rerun_with_random_start_is_byte_identical(self, trained, tmp_path):
+        cfg_path, ckpt = trained  # the pgd2 preset starts at a random point
+        outs = []
+        for name in ("a1", "a2"):
+            out = tmp_path / name
+            assert main(["export-activations", "--config", str(cfg_path),
+                         "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
+            outs.append((out / "activations.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        bad = nan_conv_checkpoint(ckpt, tmp_path / "nan_conv.ckpt")
+        out = tmp_path / "act_nan_conv"
+        code = main(["export-activations", "--config", str(cfg_path),
+                     "--checkpoint", str(bad), "--out", str(out)])
+        assert code == EXIT_ABORT
+        assert not (out / "activations.csv").exists()
+        err = capsys.readouterr().err
+        assert "'pgd2'" in err and "batch 0" in err
 
     def test_natural_only_omits_adversarial_column(self, trained, tmp_path):
         cfg_path, ckpt = trained

@@ -534,3 +534,12 @@ def test_take_columns_selects_and_scatters():
     expect[:, 3] = 1.0
     np.testing.assert_array_equal(w.grad, expect)
     assert g is not None
+
+
+def test_maximum_scalar_propagates_nan_with_zero_gradient():
+    x = t([np.nan, -2.0, 3.0])
+    out = T.maximum_scalar(x, -1.0)
+    assert np.isnan(out.data[0])
+    np.testing.assert_array_equal(out.data[1:], [-1.0, 3.0])
+    T.backward(T.tsum(out))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])

@@ -210,6 +210,44 @@ class TestMartLoss:
         assert per_sample != pytest.approx(batch_mean, rel=1e-6)
 
 
+def np_weighted_kl(p, q, y):
+    rows = (p * np.log(p / q)).sum(axis=1)
+    return float(np.mean(rows * (1 - p[np.arange(len(y)), y])))
+
+
+class TestTwoModules:
+    @pytest.mark.parametrize("method", ["at", "trades", "mart"])
+    def test_alc_terms_sum_over_both_modules(self, batch, method):
+        x, x_adv, y = batch
+        lam, beta = 0.05, 6.0
+        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=60)
+        M.insert_ewas(model, "block3", 3, seed=61)
+        M.insert_ewas(model, "block4", 3, seed=62)
+        o_nat = model.forward(x, labels=y, train=True, mask_mode="training")
+        o_adv = model.forward(x_adv, labels=y, train=True, mask_mode="training")
+        nat = [o_nat.alc_scores[h].data for h in ("block3", "block4")]
+        adv = [o_adv.alc_scores[h].data for h in ("block3", "block4")]
+        if method == "at":
+            terms = TR._at_terms(model, x_adv, y, lam, True)
+            alc = sum(np_ce(s, y) for s in adv)
+            alc_kl = None
+        elif method == "trades":
+            terms = TR._trades_terms(model, x, x_adv, y, lam, beta, True)
+            alc = sum(np_ce(s, y) for s in nat)
+            alc_kl = sum(np_kl(np_softmax(a), np_softmax(b)) for a, b in zip(nat, adv))
+        else:
+            terms = TR._mart_terms(model, x, x_adv, y, lam, beta, True)
+            alc = sum(np_bce(np_softmax(b), y) for b in adv)
+            alc_kl = sum(np_weighted_kl(np_softmax(a), np_softmax(b), y)
+                         for a, b in zip(nat, adv))
+        assert float(terms["alc"].data) == pytest.approx(lam * alc, rel=1e-12)
+        if alc_kl is None:
+            assert "alc_kl" not in terms
+        else:
+            assert float(terms["alc_kl"].data) == pytest.approx(lam * beta * alc_kl,
+                                                                rel=1e-12)
+
+
 class TestNonnegativity:
     def test_all_terms_nonnegative(self, batch):
         x, x_adv, y = batch
@@ -383,6 +421,19 @@ class TestEvaluate:
             TR.evaluate(small_model(seed=52), ds, [cfg], batch_size=8)
         assert err.value.attack == "pgd1" and err.value.batch == 1
         assert "pgd1" in str(err.value) and "batch 1" in str(err.value)
+
+    def test_attack_batches_seed_each_batch_by_its_index(self):
+        model = small_model(seed=53)
+        ds = synth_dataset(2, 65, (1, 8, 8), seed=54, split="test")  # batches of 128 and 2
+        cfg = A.AttackConfig(epsilon=0.1, step_size=0.05, steps=2,
+                             random_start=True, seed=9)
+        advs = list(TR.attack_batches(model, ds.images, ds.labels, cfg))
+        assert [len(adv.success) for adv in advs] == [128, 2]
+        expect = A.pgd(model, ds.images[128:], ds.labels[128:],
+                       replace(cfg, seed=TR._derived_seed(cfg.seed, 1)))
+        assert advs[1].x_adv.tobytes() == expect.x_adv.tobytes()
+        assert advs[1].success.tobytes() == expect.success.tobytes()
+        assert advs[1].loss.tobytes() == expect.loss.tobytes()
 
     def test_reevaluation_identical(self):
         model = small_model(seed=47)
