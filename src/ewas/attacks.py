@@ -45,7 +45,9 @@ class AttackConfig:
 
     ``loss_kind="combined"`` is an alias of ``"cross_entropy"``: both add
     ``lambda_attack`` times the scaling modules' classifier loss to the
-    backbone loss, and reduce to the backbone loss at lambda 0.
+    backbone loss, and reduce to the backbone loss at lambda 0. In a run
+    config ``seed`` defaults to the run seed and ``name`` to the preset's
+    name, or ``"inner"`` for the training attack.
     """
 
     epsilon: float
@@ -61,19 +63,19 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.epsilon < 0:
-            raise ConfigError(f"attack.epsilon must be >= 0, got {self.epsilon}")
+            raise ConfigError(f"epsilon: must be >= 0, got {self.epsilon}")
         if self.step_size <= 0:
-            raise ConfigError(f"attack.step_size must be > 0, got {self.step_size}")
+            raise ConfigError(f"step_size: must be > 0, got {self.step_size}")
         if self.steps < 1:
-            raise ConfigError(f"attack.steps must be >= 1, got {self.steps}")
+            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if self.lambda_attack < 0:
-            raise ConfigError(f"attack.lambda_attack must be >= 0, got {self.lambda_attack}")
+            raise ConfigError(f"lambda_attack: must be >= 0, got {self.lambda_attack}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(
-                f"attack.loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
+                f"loss_kind: must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
         if self.mask_mode not in ("training", "inference"):
-            raise ConfigError(f"attack.mask_mode must be training|inference, got {self.mask_mode!r}")
+            raise ConfigError(f"mask_mode: must be training|inference, got {self.mask_mode!r}")
         if not self.name:
             self.name = self.loss_kind
 

@@ -90,8 +90,6 @@ def _parse_values(axis: str, raw: str) -> list:
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    if args.axis not in ("lambda", "position", "attack_lambda"):
-        raise ConfigError(f"--axis: must be lambda|position|attack_lambda, got {args.axis!r}")
     values = _parse_values(args.axis, args.values)
     out_dir = _prepare_out(cfg, args.out)
     if cfg.train is None:
@@ -137,13 +135,19 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _collect_activations(model, images, labels, layer: str) -> list[np.ndarray]:
+def _collect_activations(model, images, labels, layer: str,
+                         source: str) -> list[np.ndarray]:
+    """Per-sample activations at ``layer``; non-finite ones raise ``NonFiniteError``
+    naming ``source`` ("natural" or the attack) and the batch."""
     acts = []
-    for xb, yb in consecutive_batches(images, labels):
+    for bi, (xb, yb) in enumerate(consecutive_batches(images, labels)):
         with no_grad():
             out = model.forward(xb, labels=yb, train=False,
                                 mask_mode="inference", capture=(layer,))
-        acts.extend(np.asarray(a) for a in out.captured[layer].data)
+        captured = out.captured[layer].data
+        if not np.isfinite(captured).all():
+            raise NonFiniteError(source, bi)
+        acts.extend(np.asarray(a) for a in captured)
     return acts
 
 
@@ -168,7 +172,7 @@ def cmd_export_activations(args) -> int:
             f"{cfg.analysis.class_label}"
         )
     natural = ActivationStats.collect(
-        _collect_activations(model, images, labels, layer),
+        _collect_activations(model, images, labels, layer, "natural"),
         cfg.analysis.class_label, "natural", cfg.analysis.scope,
     )
     adversarial = None
@@ -177,7 +181,7 @@ def cmd_export_activations(args) -> int:
         adv_images = np.concatenate(
             [adv.x_adv for adv in attack_batches(model, images, labels, acfg)])
         adversarial = ActivationStats.collect(
-            _collect_activations(model, adv_images, labels, layer),
+            _collect_activations(model, adv_images, labels, layer, acfg.name),
             cfg.analysis.class_label, "adversarial", cfg.analysis.scope,
         )
     path = out_dir / "activations.csv"

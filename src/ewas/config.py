@@ -1,10 +1,12 @@
 """Run-configuration files: JSON schema, strict validation, snapshots.
 
 A run config has sections {model, data, train, attack_presets, output,
-seed} plus an optional analysis section for activation export. Unknown
-keys are rejected and every error names the offending field, so a config
-is either fully valid before any work starts or the command exits with a
-usage error.
+seed} plus an optional analysis section for activation export. Each
+section is a dataclass whose init fields are its JSON keys, whose
+defaults are the config's and whose ``__post_init__`` checks ranges;
+``read_section`` builds one from JSON and rejects unknown keys, missing
+fields, wrongly typed values and non-finite numbers with a
+``ConfigError`` naming the field, before any work starts.
 
 ``RunConfig.resolved()`` returns the config with all defaults filled in;
 commands write it next to their outputs so a run can be repeated
@@ -13,8 +15,14 @@ exactly. The digest of that snapshot identifies the run in checkpoints.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,28 +30,26 @@ import numpy as np
 from .attacks import AttackConfig
 from .data import Dataset, load_cifar_binary, load_idx, synth_dataset
 from .errors import ConfigError
-from .models import Model, build_model, insert_ewas
+from .models import _BUILDERS, Model, build_model, insert_ewas
 from .training import TrainConfig
 
-_MODEL_KEYS = {"arch", "width", "input_shape", "num_classes", "insertion_points", "dtype"}
-_DATA_COMMON = {"kind", "seed"}
-_DATA_KEYS = {
-    "synthetic": _DATA_COMMON | {"num_classes", "samples_per_class",
-                                 "test_samples_per_class", "shape", "noise_std"},
-    "idx": _DATA_COMMON | {"train_images", "train_labels", "test_images",
-                           "test_labels", "num_classes"},
-    "cifar_binary": _DATA_COMMON | {"train_files", "test_files", "num_classes"},
-}
-_TRAIN_KEYS = {"method", "lambda", "beta", "epochs", "batch_size", "lr", "momentum",
-               "weight_decay", "milestones", "lr_decay", "attack"}
-_ATTACK_KEYS = {"epsilon", "step_size", "steps", "random_start", "loss_kind",
-                "lambda_attack", "kappa", "mask_mode", "seed", "name"}
-_ANALYSIS_KEYS = {"layer", "class_label", "attack", "scope", "split"}
 _TOP_KEYS = {"seed", "output_dir", "model", "data", "train", "attack_presets", "analysis"}
+# Field names whose JSON key differs: ``lambda`` is a Python keyword.
+_JSON_KEYS = {"lam": "lambda"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string"}
+# Evaluating a class's string annotations dominates a read; there are few classes.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def _object(raw, path: str) -> dict:
+    if type(raw) is not dict:
+        raise ConfigError(f"{path}: expected an object, got {json.dumps(raw)}")
+    return raw
+
+
+def _reject_unknown(section: dict, allowed, path: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
 
@@ -54,45 +60,75 @@ def _need(section: dict, key: str, path: str):
     return section[key]
 
 
-def _attack_from_dict(d: dict, path: str, default_seed: int,
-                      default_name: str = "") -> AttackConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _reject_unknown(d, _ATTACK_KEYS, path)
+def _typed(tp, value, path: str):
+    """The JSON ``value`` checked against the annotation ``tp`` and converted to it.
+
+    Integers must be JSON integers, booleans ``true``/``false`` and
+    tuples or lists JSON arrays; an integer in a float field becomes a
+    float, and NaN or an infinity is rejected.
+    """
+    if typing.get_origin(tp) is types.UnionType:  # ``X | None``
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if typing.get_origin(tp) in (tuple, list):
+        if type(value) is not list:
+            raise ConfigError(f"{path}: expected a list, got {json.dumps(value)}")
+        item = typing.get_args(tp)[0]
+        return typing.get_origin(tp)(_typed(item, v, f"{path}[{i}]")
+                                     for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise ConfigError(f"{path}: expected {_TYPE_NAMES[tp]}, got {json.dumps(value)}")
+    return value
+
+
+def read_section(cls, raw, path: str, defaults: dict | None = None, **given):
+    """Build the dataclass ``cls`` from the JSON object ``raw`` found at ``path``.
+
+    The JSON keys are the init fields of ``cls`` (``lambda`` for ``lam``)
+    other than those in ``given``, whose values the caller supplies. A
+    key left out takes its value from ``defaults``, else the field's
+    default; a field with neither is required. Every error is a
+    ``ConfigError`` naming ``<path>.<key>``.
+    """
+    _object(raw, path)
+    hints = _type_hints(cls)
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)
+              if f.init and f.name not in given}
+    _reject_unknown(raw, fields, path)
+    kwargs = dict(given)
+    for key, f in fields.items():
+        if key in raw:
+            kwargs[f.name] = _typed(hints[f.name], raw[key], f"{path}.{key}")
+        elif defaults and key in defaults:
+            kwargs[f.name] = defaults[key]
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{key}: required field is missing")
     try:
-        return AttackConfig(
-            epsilon=float(_need(d, "epsilon", path)),
-            step_size=float(_need(d, "step_size", path)),
-            steps=int(d.get("steps", 1)),
-            random_start=bool(d.get("random_start", False)),
-            loss_kind=str(d.get("loss_kind", "cross_entropy")),
-            lambda_attack=float(d.get("lambda_attack", 0.0)),
-            kappa=float(d.get("kappa", 0.0)),
-            mask_mode=str(d.get("mask_mode", "inference")),
-            seed=int(d.get("seed", default_seed)),
-            name=str(d.get("name", default_name)),
-        )
-    except ConfigError as exc:
+        return cls(**kwargs)
+    except ConfigError as exc:  # __post_init__ messages start with the key
         raise ConfigError(f"{path}.{exc}") from exc
-
-
-def _attack_to_dict(a: AttackConfig) -> dict:
-    return {
-        "epsilon": a.epsilon, "step_size": a.step_size, "steps": a.steps,
-        "random_start": a.random_start, "loss_kind": a.loss_kind,
-        "lambda_attack": a.lambda_attack, "kappa": a.kappa,
-        "mask_mode": a.mask_mode, "seed": a.seed, "name": a.name,
-    }
 
 
 @dataclass
 class ModelSection:
     arch: str = "small_cnn"
     width: int = 8
-    input_shape: tuple = (1, 8, 8)
+    input_shape: tuple[int, ...] = (1, 8, 8)
     num_classes: int = 3
-    insertion_points: tuple = ()
+    insertion_points: tuple[str, ...] = ()
     dtype: str = "float64"
+
+    def __post_init__(self):
+        if self.arch not in _BUILDERS:
+            raise ConfigError(f"arch: unknown architecture {self.arch!r}; "
+                              f"expected one of {sorted(_BUILDERS)}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype: must be float32|float64, got {self.dtype!r}")
+        if len(self.input_shape) != 3:
+            raise ConfigError(f"input_shape: must be [C, H, W], got {list(self.input_shape)}")
 
     def build(self, seed: int) -> Model:
         model = build_model(self.arch, self.input_shape, self.num_classes,
@@ -102,12 +138,44 @@ class ModelSection:
             insert_ewas(model, host, self.num_classes, seed=seed + i + 1)
         return model
 
-    def to_dict(self) -> dict:
-        return {"arch": self.arch, "width": self.width,
-                "input_shape": list(self.input_shape),
-                "num_classes": self.num_classes,
-                "insertion_points": list(self.insertion_points),
-                "dtype": self.dtype}
+
+@dataclass(kw_only=True)
+class _DataOptions:
+    seed: int | None = None  # None: the run seed
+
+
+@dataclass
+class _SyntheticData(_DataOptions):
+    samples_per_class: int
+    num_classes: int = 3
+    test_samples_per_class: int | None = None  # None: samples_per_class
+    shape: tuple[int, ...] = (1, 8, 8)
+    noise_std: float = 0.1
+
+    def __post_init__(self):
+        if self.test_samples_per_class is None:
+            self.test_samples_per_class = self.samples_per_class
+
+
+@dataclass
+class _IdxData(_DataOptions):
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+    num_classes: int | None = None
+
+
+@dataclass
+class _CifarBinaryData(_DataOptions):
+    train_files: list[str]
+    test_files: list[str]
+    num_classes: int = 10
+
+
+# The options of each data kind: the data section's keys besides "kind".
+_DATA_KINDS = {"synthetic": _SyntheticData, "idx": _IdxData,
+               "cifar_binary": _CifarBinaryData}
 
 
 @dataclass
@@ -131,9 +199,6 @@ class DataSection:
         files = o["train_files"] if split == "train" else o["test_files"]
         return load_cifar_binary(files, num_classes=o["num_classes"], split=split)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.options}
-
 
 @dataclass
 class AnalysisSection:
@@ -143,9 +208,11 @@ class AnalysisSection:
     scope: str = "sample"
     split: str = "test"
 
-    def to_dict(self) -> dict:
-        return {"layer": self.layer, "class_label": self.class_label,
-                "attack": self.attack, "scope": self.scope, "split": self.split}
+    def __post_init__(self):
+        if self.scope not in ("sample", "dataset"):
+            raise ConfigError(f"scope: must be sample|dataset, got {self.scope!r}")
+        if self.split not in ("train", "test"):
+            raise ConfigError(f"split: must be train|test, got {self.split!r}")
 
 
 @dataclass
@@ -159,27 +226,11 @@ class RunConfig:
     analysis: AnalysisSection | None = None
 
     def resolved(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "model": self.model.to_dict(),
-            "data": self.data.to_dict(),
-            "attack_presets": {k: _attack_to_dict(v)
-                               for k, v in sorted(self.attack_presets.items())},
-        }
-        if self.train is not None:
-            out["train"] = {
-                "method": self.train.method, "lambda": self.train.lam,
-                "beta": self.train.beta, "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size, "lr": self.train.lr,
-                "momentum": self.train.momentum,
-                "weight_decay": self.train.weight_decay,
-                "milestones": list(self.train.milestones),
-                "lr_decay": self.train.lr_decay,
-                "attack": _attack_to_dict(self.train.attack),
-            }
-        if self.analysis is not None:
-            out["analysis"] = self.analysis.to_dict()
+        out = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+        out["data"] = {"kind": self.data.kind, **out["data"]["options"]}
+        if "train" in out:  # its seed is the run seed, already at the top
+            out["train"] = {_JSON_KEYS.get(k, k): v for k, v in out["train"].items()
+                            if k != "seed"}
         return out
 
     def snapshot_json(self) -> str:
@@ -191,121 +242,47 @@ class RunConfig:
         ).hexdigest()
 
 
-def _parse_model(section: dict) -> ModelSection:
-    _reject_unknown(section, _MODEL_KEYS, "model")
-    ms = ModelSection(
-        arch=str(section.get("arch", "small_cnn")),
-        width=int(section.get("width", 8)),
-        input_shape=tuple(section.get("input_shape", (1, 8, 8))),
-        num_classes=int(section.get("num_classes", 3)),
-        insertion_points=tuple(section.get("insertion_points", ())),
-        dtype=str(section.get("dtype", "float64")),
-    )
-    if ms.arch not in ("small_cnn", "resnet18_like"):
-        raise ConfigError(f"model.arch: unknown architecture {ms.arch!r}")
-    if ms.dtype not in ("float32", "float64"):
-        raise ConfigError(f"model.dtype: must be float32|float64, got {ms.dtype!r}")
-    if len(ms.input_shape) != 3:
-        raise ConfigError(f"model.input_shape: must be [C, H, W], got {list(ms.input_shape)}")
-    return ms
+def _parse_data(raw) -> DataSection:
+    options = dict(_object(raw, "data"))
+    kind = _typed(str, _need(options, "kind", "data"), "data.kind")
+    if kind not in _DATA_KINDS:
+        raise ConfigError(f"data.kind: must be one of {sorted(_DATA_KINDS)}, got {kind!r}")
+    del options["kind"]
+    return DataSection(kind, dataclasses.asdict(read_section(_DATA_KINDS[kind], options, "data")))
 
 
-def _parse_data(section: dict) -> DataSection:
-    kind = _need(section, "kind", "data")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"data.kind: must be one of {sorted(_DATA_KEYS)}, got {kind!r}")
-    _reject_unknown(section, _DATA_KEYS[kind], "data")
-    if kind == "synthetic":
-        options = {
-            "num_classes": int(section.get("num_classes", 3)),
-            "samples_per_class": int(_need(section, "samples_per_class", "data")),
-            "test_samples_per_class": int(section.get(
-                "test_samples_per_class", section["samples_per_class"])),
-            "shape": tuple(section.get("shape", (1, 8, 8))),
-            "noise_std": float(section.get("noise_std", 0.1)),
-            "seed": section.get("seed"),
-        }
-    elif kind == "idx":
-        options = {
-            "train_images": str(_need(section, "train_images", "data")),
-            "train_labels": str(_need(section, "train_labels", "data")),
-            "test_images": str(_need(section, "test_images", "data")),
-            "test_labels": str(_need(section, "test_labels", "data")),
-            "num_classes": section.get("num_classes"),
-            "seed": section.get("seed"),
-        }
-    else:
-        options = {
-            "train_files": list(_need(section, "train_files", "data")),
-            "test_files": list(_need(section, "test_files", "data")),
-            "num_classes": int(section.get("num_classes", 10)),
-            "seed": section.get("seed"),
-        }
-    return DataSection(kind, options)
+def _parse_attack(raw, path: str, seed: int, name: str) -> AttackConfig:
+    """An attack section whose seed defaults to the run seed and name to its label."""
+    return read_section(AttackConfig, raw, path, defaults={"seed": seed, "name": name})
 
 
-def _parse_train(section: dict, default_seed: int) -> TrainConfig:
-    _reject_unknown(section, _TRAIN_KEYS, "train")
-    attack = _attack_from_dict(_need(section, "attack", "train"),
-                               "train.attack", default_seed, "inner")
-    return TrainConfig(
-        method=str(section.get("method", "at")),
-        lam=float(section.get("lambda", 0.0)),
-        beta=float(section.get("beta", 0.0)),
-        epochs=int(_need(section, "epochs", "train")),
-        batch_size=int(section.get("batch_size", 128)),
-        lr=float(section.get("lr", 0.1)),
-        momentum=float(section.get("momentum", 0.9)),
-        weight_decay=float(section.get("weight_decay", 2e-4)),
-        milestones=tuple(section.get("milestones", ())),
-        lr_decay=float(section.get("lr_decay", 0.1)),
-        attack=attack,
-        seed=default_seed,
-    )
-
-
-def _parse_analysis(section: dict) -> AnalysisSection:
-    _reject_unknown(section, _ANALYSIS_KEYS, "analysis")
-    a = AnalysisSection(
-        layer=str(_need(section, "layer", "analysis")),
-        class_label=int(section.get("class_label", 0)),
-        attack=section.get("attack"),
-        scope=str(section.get("scope", "sample")),
-        split=str(section.get("split", "test")),
-    )
-    if a.scope not in ("sample", "dataset"):
-        raise ConfigError(f"analysis.scope: must be sample|dataset, got {a.scope!r}")
-    if a.split not in ("train", "test"):
-        raise ConfigError(f"analysis.split: must be train|test, got {a.split!r}")
-    return a
+def _parse_train(raw, seed: int) -> TrainConfig:
+    train = dict(_object(raw, "train"))  # its attack, read first, passes the type check
+    train["attack"] = _parse_attack(_need(train, "attack", "train"), "train.attack",
+                                    seed, "inner")
+    return read_section(TrainConfig, train, "train", seed=seed)
 
 
 def parse_run_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     """Validate a raw config dict; raises ConfigError naming bad fields."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root: expected a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config root")
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    model = _parse_model(raw.get("model", {}))
+    _reject_unknown(_object(raw, "config root"), _TOP_KEYS, "config root")
+    seed = (seed_override if seed_override is not None
+            else _typed(int, raw.get("seed", 0), "seed"))
+    model = read_section(ModelSection, raw.get("model", {}), "model")
     if "data" not in raw:
         raise ConfigError("data: required section is missing")
     data = _parse_data(raw["data"])
     train = _parse_train(raw["train"], seed) if "train" in raw else None
-    presets = {}
-    raw_presets = raw.get("attack_presets", {})
-    if not isinstance(raw_presets, dict):
-        raise ConfigError("attack_presets: expected an object of named attacks")
-    for name, sub in raw_presets.items():
-        presets[name] = _attack_from_dict(sub, f"attack_presets.{name}", seed, name)
-    analysis = _parse_analysis(raw["analysis"]) if "analysis" in raw else None
-    if analysis is not None and analysis.attack is not None \
-            and analysis.attack not in presets:
-        raise ConfigError(
-            f"analysis.attack: {analysis.attack!r} is not an attack preset name"
-        )
+    presets = {name: _parse_attack(sub, f"attack_presets.{name}", seed, name)
+               for name, sub in _object(raw.get("attack_presets", {}),
+                                        "attack_presets").items()}
+    analysis = (read_section(AnalysisSection, raw["analysis"], "analysis")
+                if "analysis" in raw else None)
+    if analysis is not None and analysis.attack not in (None, *presets):
+        raise ConfigError(f"analysis.attack: {analysis.attack!r} is not an attack preset name")
     return RunConfig(
         seed=seed,
-        output_dir=str(raw.get("output_dir", "runs/run")),
+        output_dir=_typed(str, raw.get("output_dir", "runs/run"), "output_dir"),
         model=model, data=data, train=train,
         attack_presets=presets, analysis=analysis,
     )

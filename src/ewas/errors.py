@@ -66,14 +66,14 @@ class CheckpointContentError(CheckpointError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss and was aborted."""
+    """Training produced a non-finite loss or natural accuracy and was aborted."""
 
-    def __init__(self, epoch: int, batch: int, value: float):
+    def __init__(self, epoch: int, batch: int, value: float, what: str = "loss"):
         self.epoch = epoch
         self.batch = batch
         self.value = value
         super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, batch {batch}; aborting"
+            f"non-finite {what} {value!r} at epoch {epoch}, batch {batch}; aborting"
         )
 
 

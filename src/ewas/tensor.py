@@ -209,9 +209,9 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is 0."""
+    """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0."""
     mask = x.data > 0
-    return _result(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _result(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def maximum_scalar(x: Tensor, c: float) -> Tensor:

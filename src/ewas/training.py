@@ -52,36 +52,41 @@ METHODS = ("at", "trades", "mart")
 
 @dataclass
 class TrainConfig:
-    method: str
-    lam: float
-    beta: float
+    """Outer-training hyperparameters: the keys and defaults of a config's train section.
+
+    ``lam`` is the JSON key ``lambda``; ``seed`` is the run seed, not a key.
+    """
+
     epochs: int
-    batch_size: int
-    lr: float
+    method: str = "at"
+    lam: float = 0.0
+    beta: float = 0.0
+    batch_size: int = 128
+    lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 2e-4
-    milestones: tuple = ()
+    milestones: tuple[int, ...] = ()
     lr_decay: float = 0.1
     attack: AttackConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ConfigError(f"train.method must be one of {METHODS}, got {self.method!r}")
+            raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
         if self.lam < 0:
-            raise ConfigError(f"train.lambda must be >= 0, got {self.lam}")
+            raise ConfigError(f"lambda: must be >= 0, got {self.lam}")
         if self.beta < 0:
-            raise ConfigError(f"train.beta must be >= 0, got {self.beta}")
+            raise ConfigError(f"beta: must be >= 0, got {self.beta}")
         if self.epochs < 0:
-            raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ConfigError(f"train.milestones must be strictly increasing, got {ms}")
+            raise ConfigError(f"milestones: must be strictly increasing, got {ms}")
         if ms and ms[-1] >= self.epochs:
             raise ConfigError(
-                f"train.milestones must be < epochs ({self.epochs}), got {ms}"
+                f"milestones: must be < epochs ({self.epochs}), got {ms}"
             )
         self.milestones = ms
 
@@ -270,10 +275,16 @@ def attack_batches(model: Model, images: np.ndarray, labels: np.ndarray,
     objective raises ``NonFiniteError`` naming the attack and the batch.
     """
     for bi, (xb, yb) in enumerate(consecutive_batches(images, labels, batch_size)):
-        adv = pgd(model, xb, yb, replace(config, seed=_derived_seed(config.seed, bi)))
-        if not (np.isfinite(adv.x_adv).all() and np.isfinite(adv.loss).all()):
-            raise NonFiniteError(config.name, bi)
-        yield adv
+        yield _checked_pgd(model, xb, yb, config, _derived_seed(config.seed, bi), bi)
+
+
+def _checked_pgd(model: Model, x, y, config: AttackConfig, seed: int, batch: int):
+    """``pgd`` with ``seed``; a non-finite adversarial input or final objective
+    raises ``NonFiniteError`` naming the attack and ``batch``."""
+    adv = pgd(model, x, y, replace(config, seed=seed))
+    if not (np.isfinite(adv.x_adv).all() and np.isfinite(adv.loss).all()):
+        raise NonFiniteError(config.name, batch)
+    return adv
 
 
 def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -292,7 +303,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
     model computes in float64, so the saved model reproduces evaluation
-    results exactly).
+    results exactly). Non-finite clean logits or loss raise
+    ``TrainingDivergedError``, a non-finite inner attack ``NonFiniteError``
+    naming the attack and batch; either way no checkpoint is written.
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
@@ -324,10 +337,11 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
             loss_sums: dict[str, float] = {}
             n_batches = 0
             for bi, (xb, yb) in enumerate(it.next_epoch()):
-                acfg = replace(config.attack,
-                               seed=_derived_seed(config.seed, epoch, bi))
-                adv = pgd(model, xb, yb, acfg)
                 natural_acc = _accuracy(model, xb, yb)  # same state as adv.success
+                if not np.isfinite(natural_acc):
+                    raise TrainingDivergedError(epoch, bi, natural_acc, "natural accuracy")
+                adv = _checked_pgd(model, xb, yb, config.attack,
+                                   _derived_seed(config.seed, epoch, bi), bi)
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam,
                                 config.beta, True)
                 loss = terms["total"]

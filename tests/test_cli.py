@@ -39,14 +39,26 @@ def write_config(path, **overrides):
     return cfg
 
 
-def nan_conv_checkpoint(ckpt, path):
-    """Copy of ``ckpt`` with one NaN in the first conv weight.
-
-    ReLU maps the NaN channel to 0, so the logits stay finite; PGD's input
-    gradient goes through the weight and turns the adversarial input NaN.
-    """
-    model = load_checkpoint(ckpt)
+def nan_conv(model):
+    """One NaN in the first conv weight; ReLU keeps it, so the clean logits are NaN."""
     dict(model.parameters())["block1.conv.weight"].data[0, 0, 0, 0] = np.nan
+
+
+def nan_gradient(model):
+    """A finite clean pass whose input gradient is NaN.
+
+    Channel 0 of ``block1.bn`` gets gamma -inf over a running mean of
+    -1e300, so in eval mode its output is -inf and ReLU turns it into 0.
+    In the backward pass ReLU's zero gradient times gamma is NaN, which
+    PGD spreads into the adversarial input.
+    """
+    dict(model.parameters())["block1.bn.gamma"].data[0] = -np.inf
+    dict(model.state_arrays())["block1.bn.running_mean"][0] = -1e300
+
+
+def poisoned_checkpoint(ckpt, path, poison):
+    model = load_checkpoint(ckpt)
+    poison(model)
     save_checkpoint(model, path, float64=True)
     return path
 
@@ -100,6 +112,29 @@ class TestTrain:
         before = cfg_path.read_bytes()
         main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert cfg_path.read_bytes() == before
+
+    @pytest.mark.parametrize("poison,message", [
+        (nan_conv, "natural accuracy nan at epoch 0, batch 0"),
+        (nan_gradient, "under attack 'inner', batch 0"),
+    ], ids=["nan_conv", "nan_gradient"])
+    def test_non_finite_model_aborts_without_checkpoint(self, poison, message, tmp_path,
+                                                       monkeypatch, capsys):
+        from ewas.config import ModelSection
+
+        build = ModelSection.build
+
+        def poisoned_build(section, seed):
+            model = build(section, seed)
+            poison(model)
+            return model
+
+        monkeypatch.setattr(ModelSection, "build", poisoned_build)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "run_nan"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ABORT
+        assert not (out / "checkpoint.ckpt").exists()
+        assert message in capsys.readouterr().err
 
     def test_snapshot_enables_exact_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -186,7 +221,7 @@ class TestEval:
 
     def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
         cfg_path, ckpt = trained
-        bad = nan_conv_checkpoint(ckpt, tmp_path / "nan_conv.ckpt")
+        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_grad.ckpt", nan_gradient)
         out = tmp_path / "eval_nan_conv"
         code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
                      "--out", str(out)])
@@ -194,6 +229,20 @@ class TestEval:
         assert not (out / "eval.csv").exists()
         err = capsys.readouterr().err
         assert "'pgd2'" in err and "batch 0" in err
+
+    def test_nan_conv_weight_aborts_natural_only_eval(self, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_conv.ckpt", nan_conv)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["attack_presets"] = {}
+        cfg2 = tmp_path / "cfg_nat.json"
+        cfg2.write_text(json.dumps(cfg))
+        out = tmp_path / "eval_nan_nat"
+        code = main(["eval", "--config", str(cfg2), "--checkpoint", str(bad),
+                     "--out", str(out)])
+        assert code == EXIT_ABORT
+        assert not (out / "eval.csv").exists()
+        assert "'natural', batch 0" in capsys.readouterr().err
 
     def test_corrupt_arch_name_is_io_error(self, trained, tmp_path):
         cfg_path, ckpt = trained
@@ -307,7 +356,7 @@ class TestExportActivations:
 
     def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
         cfg_path, ckpt = trained
-        bad = nan_conv_checkpoint(ckpt, tmp_path / "nan_conv.ckpt")
+        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_grad.ckpt", nan_gradient)
         out = tmp_path / "act_nan_conv"
         code = main(["export-activations", "--config", str(cfg_path),
                      "--checkpoint", str(bad), "--out", str(out)])
@@ -327,6 +376,20 @@ class TestExportActivations:
                      "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
         rows = list(csv.DictReader(open(out / "activations.csv")))
         assert "adversarial_value" not in rows[0]
+
+    def test_nan_conv_weight_aborts_natural_only_export(self, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained
+        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_conv.ckpt", nan_conv)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["analysis"]["attack"] = None
+        cfg2 = tmp_path / "cfg_nat.json"
+        cfg2.write_text(json.dumps(cfg))
+        out = tmp_path / "act_nan_nat"
+        code = main(["export-activations", "--config", str(cfg2),
+                     "--checkpoint", str(bad), "--out", str(out)])
+        assert code == EXIT_ABORT
+        assert not (out / "activations.csv").exists()
+        assert "'natural', batch 0" in capsys.readouterr().err
 
     def test_unknown_hook_lists_valid_hooks(self, trained, tmp_path, capsys):
         cfg_path, ckpt = trained

@@ -1,0 +1,66 @@
+"""Run-config reading: typed values, error paths, snapshot digests."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ewas.cli import EXIT_USAGE, main
+from ewas.config import load_run_config, parse_run_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NAN = float("nan")
+
+# (keys down to the value, the malformed value, the field path the error names)
+MALFORMED = [
+    (("train", "attack", "epsilon"), "abc", "train.attack.epsilon"),
+    (("train", "attack", "epsilon"), None, "train.attack.epsilon"),
+    (("train", "attack", "epsilon"), NAN, "train.attack.epsilon"),
+    (("train", "attack", "epsilon"), -0.1, "train.attack.epsilon"),
+    (("train", "attack", "random_start"), "false", "train.attack.random_start"),
+    (("train", "attack", "steps"), 2.7, "train.attack.steps"),
+    (("train", "lambda"), NAN, "train.lambda"),
+    (("train", "beta"), NAN, "train.beta"),
+    (("train", "milestones"), 3, "train.milestones"),
+    (("train",), [], "train"),
+    (("model",), [], "model"),
+    (("model", "input_shape"), 5, "model.input_shape"),
+    (("model", "width"), "eight", "model.width"),
+    (("analysis", "class_label"), "a", "analysis.class_label"),
+    (("data", "noise_std"), NAN, "data.noise_std"),
+    (("data", "samples_per_class"), 1.5, "data.samples_per_class"),
+    (("attack_presets", "fgsm", "steps"), True, "attack_presets.fgsm.steps"),
+]
+
+
+@pytest.mark.parametrize("keys,value,field", MALFORMED,
+                         ids=[f"{f}={v!r}" for _, v, f in MALFORMED])
+def test_malformed_value_is_a_config_error_naming_its_field(keys, value, field,
+                                                           tmp_path, capsys):
+    raw = json.loads((CONFIGS / "toy-at-ewas.json").read_text())
+    section = raw
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
+    assert err[0].count(field) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("toy-at-ewas", "6faf88e311fbac563fe12338552596866eed6fb1e93f88c5e8e0d454d8d200bb"),
+    ("cifar10-at-ewas", "8cb4f2349c6513636e0b1ab460007ab8836387ad919b1a408891d45cc9c0373e"),
+    ("svhn-at-ewas", "3bc10ad124446caf0f8577fedaf5133814f1724154e00a740351928fad350675"),
+])
+def test_shipped_config_digest_is_pinned(name, digest):
+    assert load_run_config(CONFIGS / f"{name}.json").digest() == digest
+
+
+@pytest.mark.parametrize("name", ["toy-at-ewas", "cifar10-at-ewas", "svhn-at-ewas"])
+def test_snapshot_reads_back_to_itself(name):
+    snapshot = load_run_config(CONFIGS / f"{name}.json").snapshot_json()
+    assert parse_run_config(json.loads(snapshot)).snapshot_json() == snapshot

@@ -234,6 +234,13 @@ class TestRelu:
         T.backward(T.tsum(T.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
+    def test_propagates_nan_with_zero_gradient(self):
+        x = t([np.nan, -1.0, 2.0])
+        out = T.relu(x)
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
+        T.backward(T.tsum(out))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
     def test_subgradient_at_zero_is_zero(self):
         x = t([0.0])
         T.backward(T.tsum(T.relu(x)))
