@@ -18,9 +18,7 @@ from .data import Dataset, batches, load_cifar_binary, load_idx, synth_dataset
 from .models import (
     ForwardOut,
     Model,
-    build_model,
-    build_resnet18_like,
-    build_small_cnn,
+    ModelSection,
     insert_ewas,
     load_checkpoint,
     save_checkpoint,
@@ -48,11 +46,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialBatch", "AlcParams", "AttackConfig", "Dataset", "ForwardOut",
-    "Model", "Tensor", "TrainConfig", "alc_score", "apply_scaling",
-    "at_loss_ewas", "attack_objective", "backward", "batches", "build_model",
-    "build_resnet18_like", "build_small_cnn", "cw_attack", "cw_margin_loss",
-    "evaluate", "ewas_forward", "fgsm", "insert_ewas", "load_cifar_binary",
-    "load_checkpoint", "load_idx", "lr_schedule", "mart_loss_ewas", "no_grad",
-    "pgd", "project_linf_box", "save_checkpoint", "select_mask", "sgd_step",
-    "synth_dataset", "trades_loss_ewas", "train",
+    "Model", "ModelSection", "Tensor", "TrainConfig", "alc_score",
+    "apply_scaling", "at_loss_ewas", "attack_objective", "backward", "batches",
+    "cw_attack", "cw_margin_loss", "evaluate", "ewas_forward", "fgsm",
+    "insert_ewas", "load_cifar_binary", "load_checkpoint", "load_idx",
+    "lr_schedule", "mart_loss_ewas", "no_grad", "pgd", "project_linf_box",
+    "save_checkpoint", "select_mask", "sgd_step", "synth_dataset",
+    "trades_loss_ewas", "train",
 ]

@@ -226,14 +226,3 @@ def fgsm(model, x, y, config: AttackConfig) -> AdversarialBatch:
 def cw_attack(model, x, y, config: AttackConfig) -> AdversarialBatch:
     """PGD ascending the negated class margin (l-infinity C&W variant)."""
     return pgd(model, x, y, replace(config, loss_kind="cw_margin"))
-
-
-def cw_preset(epsilon: float, steps: int = 30, step_size: float | None = None,
-              lambda_attack: float = 0.0, kappa: float = 0.0,
-              seed: int = 0) -> AttackConfig:
-    return AttackConfig(
-        epsilon=epsilon,
-        step_size=step_size if step_size is not None else epsilon / 4,
-        steps=steps, random_start=False, loss_kind="cw_margin",
-        lambda_attack=lambda_attack, kappa=kappa, seed=seed, name=f"cw{steps}",
-    )

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import ActivationStats, export_stats
 from .config import RunConfig, load_run_config
+from .data import Dataset
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -25,9 +26,9 @@ from .errors import (
     NonFiniteError,
     TrainingDivergedError,
 )
-from .models import load_checkpoint
+from .models import ModelSection, load_checkpoint
 from .tensor import no_grad
-from .training import attack_batches, consecutive_batches, evaluate, train
+from .training import TrainConfig, attack_batches, consecutive_batches, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,28 +49,43 @@ def _prepare_out(cfg: RunConfig, out_override: str | None) -> Path:
     return out_dir
 
 
-def _train_one(cfg: RunConfig, out_dir: Path):
-    if cfg.train is None:
-        raise ConfigError("train: required section is missing")
-    model = cfg.model.build(cfg.seed)
-    train_set = cfg.data.load("train", cfg.seed)
-    return train(model, train_set, cfg.train, out_dir=out_dir,
-                 config_digest=cfg.digest())
+def _load_split(cfg: RunConfig, split: str, spec: ModelSection) -> Dataset:
+    """The config's ``split`` data; a class count or image shape that does not fit
+    the model ``spec`` describes is a ``ConfigError`` naming the model key."""
+    data = cfg.data.load(split, cfg.seed)
+    if data.num_classes != spec.num_classes:
+        raise ConfigError(f"model.num_classes: the model has {spec.num_classes} classes, "
+                          f"the {split} data {data.num_classes}")
+    if data.images.shape[1:] != spec.input_shape:
+        raise ConfigError(f"model.input_shape: the model takes {list(spec.input_shape)}, "
+                          f"the {split} images are {list(data.images.shape[1:])}")
+    return data
+
+
+def _trained(cfg: RunConfig, spec: ModelSection, point: TrainConfig,
+             train_set: Dataset, out_dir: Path):
+    """The model ``spec`` describes, built from the run seed and trained as ``point``."""
+    model, _ = train(spec.build(cfg.seed), train_set, point, out_dir=out_dir,
+                     config_digest=cfg.digest())
+    return model
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
+    if cfg.train is None:
+        raise ConfigError("train: required section is missing")
+    train_set = _load_split(cfg, "train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
-    _train_one(cfg, out_dir)
+    _trained(cfg, cfg.model, cfg.train, train_set, out_dir)
     print(f"wrote {out_dir / 'checkpoint.ckpt'}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    out_dir = _prepare_out(cfg, args.out)
     model = load_checkpoint(args.checkpoint)
-    test_set = cfg.data.load("test", cfg.seed)
+    test_set = _load_split(cfg, "test", model.spec)
+    out_dir = _prepare_out(cfg, args.out)
     report = evaluate(model, test_set, list(cfg.attack_presets.values()))
     report.write_csv(out_dir / "eval.csv")
     print(f"wrote {out_dir / 'eval.csv'}")
@@ -91,37 +107,38 @@ def _parse_values(axis: str, raw: str) -> list:
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
-    out_dir = _prepare_out(cfg, args.out)
     if cfg.train is None:
         raise ConfigError("train: required section is missing")
+    model = None
+    if args.axis == "attack_lambda" and args.checkpoint:
+        model = load_checkpoint(args.checkpoint)  # evaluated, not trained
+    test_set = _load_split(cfg, "test", model.spec if model else cfg.model)
+    train_set = None if model else _load_split(cfg, "train", cfg.model)
+    if args.axis == "position":  # every point is checked before any is trained
+        try:
+            specs = [replace(cfg.model, insertion_points=(v,)) for v in values]
+        except ConfigError as exc:
+            raise ConfigError(f"--values: {exc}") from exc
+    out_dir = _prepare_out(cfg, args.out)
     preset_names = sorted(cfg.attack_presets)
     presets = [cfg.attack_presets[n] for n in preset_names]
-    test_set = cfg.data.load("test", cfg.seed)
-    if args.axis == "attack_lambda":
-        # one checkpoint, sweep only the evaluation attack's lambda
-        if args.checkpoint:
-            model = load_checkpoint(args.checkpoint)
-        else:
-            model, _ = _train_one(cfg, out_dir)
+    if args.axis == "attack_lambda" and model is None:
+        # one trained model; sweep only the evaluation attack's lambda
+        model = _trained(cfg, cfg.model, cfg.train, train_set, out_dir)
 
     rows = []
-    for v in values:
+    for i, v in enumerate(values):
         attacks = presets
         if args.axis == "attack_lambda":
             attacks = [replace(a, lambda_attack=v) for a in presets]
         else:
-            point = cfg.train
-            point_model_section = cfg.model
+            point, spec = cfg.train, cfg.model
             if args.axis == "lambda":
                 point = replace(cfg.train, lam=v,
                                 attack=replace(cfg.train.attack, lambda_attack=v))
             else:  # position
-                point_model_section = replace(cfg.model, insertion_points=(v,))
-            model = point_model_section.build(cfg.seed)
-            train_set = cfg.data.load("train", cfg.seed)
-            sub_dir = out_dir / f"{args.axis}_{v}"
-            sub_dir.mkdir(parents=True, exist_ok=True)
-            train(model, train_set, point, out_dir=sub_dir, config_digest=cfg.digest())
+                spec = specs[i]
+            model = _trained(cfg, spec, point, train_set, out_dir / f"{args.axis}_{v}")
         report = evaluate(model, test_set, attacks)
         rows.append([v, report.natural_acc] + [r.robust_acc for r in report.rows])
 
@@ -155,7 +172,6 @@ def cmd_export_activations(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     if cfg.analysis is None:
         raise ConfigError("analysis: required section is missing for export-activations")
-    out_dir = _prepare_out(cfg, args.out)
     model = load_checkpoint(args.checkpoint)
     layer = cfg.analysis.layer
     if layer not in model.insertion_points():
@@ -163,7 +179,7 @@ def cmd_export_activations(args) -> int:
             f"analysis.layer: unknown hook {layer!r}; valid hooks: "
             f"{', '.join(model.insertion_points())}"
         )
-    dataset = cfg.data.load(cfg.analysis.split, cfg.seed)
+    dataset = _load_split(cfg, cfg.analysis.split, model.spec)
     keep = dataset.labels == cfg.analysis.class_label
     images, labels = dataset.images[keep], dataset.labels[keep]
     if len(images) == 0:
@@ -171,6 +187,7 @@ def cmd_export_activations(args) -> int:
             f"analysis.class_label: no {cfg.analysis.split} samples of class "
             f"{cfg.analysis.class_label}"
         )
+    out_dir = _prepare_out(cfg, args.out)
     natural = ActivationStats.collect(
         _collect_activations(model, images, labels, layer, "natural"),
         cfg.analysis.class_label, "natural", cfg.analysis.scope,

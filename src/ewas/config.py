@@ -6,7 +6,8 @@ section is a dataclass whose init fields are its JSON keys, whose
 defaults are the config's and whose ``__post_init__`` checks ranges;
 ``read_section`` builds one from JSON and rejects unknown keys, missing
 fields, wrongly typed values and non-finite numbers with a
-``ConfigError`` naming the field, before any work starts.
+``ConfigError`` naming the field, before any work starts. The model
+section is ``models.ModelSection``, the one description of a model.
 
 ``RunConfig.resolved()`` returns the config with all defaults filled in;
 commands write it next to their outputs so a run can be repeated
@@ -25,12 +26,10 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .attacks import AttackConfig
 from .data import Dataset, load_cifar_binary, load_idx, synth_dataset
 from .errors import ConfigError
-from .models import _BUILDERS, Model, build_model, insert_ewas
+from .models import ModelSection
 from .training import TrainConfig
 
 _TOP_KEYS = {"seed", "output_dir", "model", "data", "train", "attack_presets", "analysis"}
@@ -112,33 +111,6 @@ def read_section(cls, raw, path: str, defaults: dict | None = None, **given):
         raise ConfigError(f"{path}.{exc}") from exc
 
 
-@dataclass
-class ModelSection:
-    arch: str = "small_cnn"
-    width: int = 8
-    input_shape: tuple[int, ...] = (1, 8, 8)
-    num_classes: int = 3
-    insertion_points: tuple[str, ...] = ()
-    dtype: str = "float64"
-
-    def __post_init__(self):
-        if self.arch not in _BUILDERS:
-            raise ConfigError(f"arch: unknown architecture {self.arch!r}; "
-                              f"expected one of {sorted(_BUILDERS)}")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype: must be float32|float64, got {self.dtype!r}")
-        if len(self.input_shape) != 3:
-            raise ConfigError(f"input_shape: must be [C, H, W], got {list(self.input_shape)}")
-
-    def build(self, seed: int) -> Model:
-        model = build_model(self.arch, self.input_shape, self.num_classes,
-                            width=self.width, dtype=np.dtype(self.dtype).type,
-                            seed=seed)
-        for i, host in enumerate(self.insertion_points):
-            insert_ewas(model, host, self.num_classes, seed=seed + i + 1)
-        return model
-
-
 @dataclass(kw_only=True)
 class _DataOptions:
     seed: int | None = None  # None: the run seed
@@ -153,6 +125,8 @@ class _SyntheticData(_DataOptions):
     noise_std: float = 0.1
 
     def __post_init__(self):
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
         if self.test_samples_per_class is None:
             self.test_samples_per_class = self.samples_per_class
 

@@ -119,8 +119,6 @@ def synth_dataset(num_classes: int, samples_per_class: int, shape,
     Templates depend only on ``seed``; the noise stream additionally
     depends on the split, so train/test share templates but not samples.
     """
-    if num_classes < 2:
-        raise ConfigError(f"synth_dataset needs num_classes >= 2, got {num_classes}")
     shape = tuple(int(v) for v in shape)
     template_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     templates = template_rng.uniform(0.0, 1.0, size=(num_classes, *shape))

@@ -1,12 +1,15 @@
 """Backbone CNNs with named insertion points, plus checkpoint persistence.
 
-Two architectures are provided:
+A ``ModelSection`` is the one description of a model: architecture,
+width, input shape, class count, insertion points and dtype. It checks
+them, ``ModelSection.build(seed)`` builds the model, and checkpoints
+embed it. Two architectures are provided:
 
-* ``build_small_cnn`` -- a 4-block conv net (conv-BN-ReLU x4, two stride-2
+* ``small_cnn`` -- a 4-block conv net (conv-BN-ReLU x4, two stride-2
   reductions at blocks 2 and 3, global average pool, linear head) with
   insertion points ``block1`` .. ``block4`` after each ReLU. This is the
   desk-scale workhorse.
-* ``build_resnet18_like`` -- a width-scaled residual net with 8 basic
+* ``resnet18_like`` -- a width-scaled residual net with 8 basic
   blocks (2 per stage, 4 stages). Insertion points are named after conv
   ordinals ``layer1`` .. ``layer17`` (stem conv is ``layer1``; batch norm,
   ReLU and shortcut 1x1 convs are not counted); each tap sits after the
@@ -17,11 +20,11 @@ Any number of scaling modules can be attached at insertion points; the
 forward pass then also returns their classifier scores.
 
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
-seed, config digest, architecture config), named parameter records
-(little-endian float32 payloads by default, float64 behind a flag), and
-a trailing CRC-32. Loading rebuilds the model from the embedded
-architecture config and restores every parameter and batch-norm running
-statistic.
+seed, config digest, model description), named parameter records in the
+order the layers were built (little-endian float32 payloads by default,
+float64 behind a flag), and a trailing CRC-32. Loading rebuilds the model
+from the embedded description and restores every parameter and
+batch-norm running statistic.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -126,6 +129,57 @@ class LinearLayer:
 
 
 # ---------------------------------------------------------------------------
+# model description
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ModelSection:
+    """A model's description: the keys and defaults of a config's model section.
+
+    Every check of a description lives here, so a config error names its
+    key; ``build`` makes the model it describes.
+    """
+
+    arch: str = "small_cnn"
+    width: int = 8
+    input_shape: tuple[int, ...] = (1, 8, 8)
+    num_classes: int = 3
+    insertion_points: tuple[str, ...] = ()
+    dtype: str = "float64"
+
+    def __post_init__(self):
+        self.input_shape = tuple(self.input_shape)
+        self.insertion_points = tuple(self.insertion_points)
+        if self.arch not in _ARCHS:
+            raise ConfigError(f"arch: unknown architecture {self.arch!r}; "
+                              f"expected one of {sorted(_ARCHS)}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype: must be float32|float64, got {self.dtype!r}")
+        shape = self.input_shape
+        if len(shape) != 3 or shape[0] < 1 or min(shape[1:]) < 8:
+            raise ConfigError(f"input_shape: must be [C, H, W] with C >= 1 and H, W >= 8, "
+                              f"got {list(shape)}")
+        arch = _ARCHS[self.arch]
+        if self.width < arch.MIN_WIDTH:
+            raise ConfigError(f"width: must be >= {arch.MIN_WIDTH} for {self.arch}, "
+                              f"got {self.width}")
+        unknown = [p for p in self.insertion_points if p not in arch.INSERTION_POINTS]
+        if unknown:
+            raise ConfigError(f"insertion_points: unknown {unknown}; valid points: "
+                              f"{', '.join(arch.INSERTION_POINTS)}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
+
+    def build(self, seed: int) -> Model:
+        """The described model: backbone weights drawn from ``seed``, the scaling
+        module at ``insertion_points[i]`` from ``seed + i + 1``."""
+        model = _ARCHS[self.arch](self, seed)
+        for i, host in enumerate(self.insertion_points):
+            insert_ewas(model, host, seed=seed + i + 1)
+        return model
+
+
+# ---------------------------------------------------------------------------
 # model base
 # ---------------------------------------------------------------------------
 
@@ -139,21 +193,33 @@ class ForwardOut:
 
 
 class Model:
-    """Shared machinery: insertion-point taps, scaling modules, parameters."""
+    """Shared machinery: the layer list, insertion-point taps, scaling modules.
+
+    An architecture's constructor takes ``(spec, seed)`` and registers
+    each layer with ``_add`` as it builds it; that order is the order of
+    ``parameters()``, ``state_arrays()`` and the checkpoint records.
+    """
 
     arch = "model"
+    MIN_WIDTH = 1
+    INSERTION_POINTS: tuple[str, ...] = ()  # in forward order
 
-    def __init__(self, input_shape, num_classes: int, dtype):
-        self.input_shape = tuple(int(v) for v in input_shape)
-        self.num_classes = int(num_classes)
-        self.dtype = np.dtype(dtype).type
+    def __init__(self, spec: ModelSection):
+        self.spec = spec
+        self.num_classes = spec.num_classes
+        self.dtype = np.dtype(spec.dtype).type
+        self.layers: list = []
         self.ewas_modules: list[EwasModule] = []
         self.checkpoint_meta: dict = {}
 
-    # subclasses provide _run(x, training, ctx) and _backbone_parameters()
+    # subclasses provide INSERTION_POINTS and _run(x, training, ctx)
+
+    def _add(self, layer):
+        self.layers.append(layer)
+        return layer
 
     def insertion_points(self) -> list[str]:
-        raise NotImplementedError
+        return list(self.INSERTION_POINTS)
 
     def forward(self, x, labels=None, train: bool = False,
                 mask_mode: str = "inference", capture=()) -> ForwardOut:
@@ -161,8 +227,7 @@ class Model:
         ``mask_mode`` controls scaling-mask selection for attached modules.
 
         ``capture`` is an iterable of insertion-point names whose outgoing
-        activations (post-scaling, if a module is attached) are returned;
-        ``"<name>:pre_scale"`` captures the activation before scaling.
+        activations (post-scaling, if a module is attached) are returned.
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
@@ -175,27 +240,15 @@ class Model:
         return ForwardOut(logits, ctx.alc_scores, ctx.captured)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self._backbone_parameters())
+        out = [rec for layer in self.layers for rec in layer.parameters()]
         for i, mod in enumerate(self.ewas_modules):
             out.append((f"ewas.{i}.{mod.host}.weight", mod.params.weight))
         return out
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Non-trained arrays persisted in checkpoints (BN running stats)."""
-        return [rec for bn in self._batch_norms() for rec in bn.state_arrays()]
-
-    def _batch_norms(self):
-        raise NotImplementedError
-
-    def arch_config(self) -> dict:
-        return {
-            "arch": self.arch,
-            "width": self.width,
-            "input_shape": list(self.input_shape),
-            "num_classes": self.num_classes,
-            "insertion_points": [m.host for m in self.ewas_modules],
-            "dtype": np.dtype(self.dtype).name,
-        }
+        return [rec for layer in self.layers if isinstance(layer, BatchNorm2dLayer)
+                for rec in layer.state_arrays()]
 
     def activation_shape(self, host: str) -> tuple[int, int, int]:
         """Dry-run a zero input to find the activation shape at a tap."""
@@ -205,7 +258,7 @@ class Model:
                 f"{', '.join(self.insertion_points())}"
             )
         with no_grad():
-            probe = np.zeros((1, *self.input_shape), dtype=self.dtype)
+            probe = np.zeros((1, *self.spec.input_shape), dtype=self.dtype)
             out = self.forward(probe, train=False, capture=(host,))
         return tuple(out.captured[host].data.shape[1:])
 
@@ -223,12 +276,9 @@ class _ForwardCtx:
 
     def tap(self, name: str, h: Tensor) -> Tensor:
         for mod in self.model.ewas_modules:
-            if mod.host != name:
-                continue
-            if f"{name}:pre_scale" in self.capture:
-                self.captured[f"{name}:pre_scale"] = h
-            h, scores = ewas_forward(h, mod.params, self.labels, self.mask_mode)
-            self.alc_scores[mod.module_id] = scores
+            if mod.host == name:
+                h, scores = ewas_forward(h, mod.params, self.labels, self.mask_mode)
+                self.alc_scores[mod.module_id] = scores
         if name in self.capture:
             self.captured[name] = h
         return h
@@ -240,32 +290,25 @@ class _ForwardCtx:
 
 class SmallCnn(Model):
     arch = "small_cnn"
+    INSERTION_POINTS = ("block1", "block2", "block3", "block4")
 
     STRIDES = (1, 2, 2, 1)
 
-    def __init__(self, input_shape, num_classes: int, width: int = 8,
-                 seed: int = 0, dtype=np.float64):
-        super().__init__(input_shape, num_classes, dtype)
-        c, h, w = self.input_shape
-        if h < 8 or w < 8:
-            raise ShapeError(f"input spatial dims must be >= 8, got {h}x{w}")
-        if width < 1:
-            raise ConfigError(f"width must be >= 1, got {width}")
-        self.width = int(width)
+    def __init__(self, spec: ModelSection, seed: int):
+        super().__init__(spec)
         rng = np.random.default_rng(seed)
+        width = spec.width
         channels = (width, 2 * width, 4 * width, 4 * width)
         self.blocks = []
-        cin = c
-        for i, (cout, stride) in enumerate(zip(channels, self.STRIDES)):
-            name = f"block{i + 1}"
-            conv = Conv2dLayer(f"{name}.conv", cin, cout, 3, stride, 1, rng, self.dtype)
-            bn = BatchNorm2dLayer(f"{name}.bn", cout, self.dtype)
+        cin = spec.input_shape[0]
+        for name, cout, stride in zip(self.INSERTION_POINTS, channels, self.STRIDES):
+            conv = self._add(Conv2dLayer(f"{name}.conv", cin, cout, 3, stride, 1, rng,
+                                         self.dtype))
+            bn = self._add(BatchNorm2dLayer(f"{name}.bn", cout, self.dtype))
             self.blocks.append((name, conv, bn))
             cin = cout
-        self.head = LinearLayer("head", channels[-1], num_classes, rng, self.dtype)
-
-    def insertion_points(self) -> list[str]:
-        return [name for name, _, _ in self.blocks]
+        self.head = self._add(LinearLayer("head", channels[-1], spec.num_classes, rng,
+                                          self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
@@ -274,37 +317,32 @@ class SmallCnn(Model):
             h = ctx.tap(name, h)
         return self.head.forward(global_avg_pool(h))
 
-    def _backbone_parameters(self):
-        for _, conv, bn in self.blocks:
-            yield from conv.parameters()
-            yield from bn.parameters()
-        yield from self.head.parameters()
-
-    def _batch_norms(self):
-        return [bn for _, _, bn in self.blocks]
-
 
 # ---------------------------------------------------------------------------
 # residual network
 # ---------------------------------------------------------------------------
 
 class BasicBlock:
-    """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU."""
+    """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU.
 
-    def __init__(self, name: str, cin: int, cout: int, stride: int,
-                 rng: np.random.Generator, dtype, tap1: str, tap2: str):
+    Its layers are registered with ``model`` as they are built."""
+
+    def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
+                 rng: np.random.Generator, tap1: str, tap2: str):
+        keep, dtype = model._add, model.dtype
         self.name = name
         self.tap1 = tap1
         self.tap2 = tap2
-        self.conv1 = Conv2dLayer(f"{name}.conv1", cin, cout, 3, stride, 1, rng, dtype)
-        self.bn1 = BatchNorm2dLayer(f"{name}.bn1", cout, dtype)
-        self.conv2 = Conv2dLayer(f"{name}.conv2", cout, cout, 3, 1, 1, rng, dtype)
-        self.bn2 = BatchNorm2dLayer(f"{name}.bn2", cout, dtype)
+        self.conv1 = keep(Conv2dLayer(f"{name}.conv1", cin, cout, 3, stride, 1, rng, dtype))
+        self.bn1 = keep(BatchNorm2dLayer(f"{name}.bn1", cout, dtype))
+        self.conv2 = keep(Conv2dLayer(f"{name}.conv2", cout, cout, 3, 1, 1, rng, dtype))
+        self.bn2 = keep(BatchNorm2dLayer(f"{name}.bn2", cout, dtype))
         self.down_conv = None
         self.down_bn = None
         if stride != 1 or cin != cout:
-            self.down_conv = Conv2dLayer(f"{name}.down", cin, cout, 1, stride, 0, rng, dtype)
-            self.down_bn = BatchNorm2dLayer(f"{name}.down_bn", cout, dtype)
+            self.down_conv = keep(Conv2dLayer(f"{name}.down", cin, cout, 1, stride, 0, rng,
+                                              dtype))
+            self.down_bn = keep(BatchNorm2dLayer(f"{name}.down_bn", cout, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = relu(self.bn1.forward(self.conv1.forward(x), training))
@@ -317,120 +355,59 @@ class BasicBlock:
         out = relu(add(h, shortcut))
         return ctx.tap(self.tap2, out)
 
-    def parameters(self):
-        layers = [self.conv1, self.bn1, self.conv2, self.bn2]
-        if self.down_conv is not None:
-            layers += [self.down_conv, self.down_bn]
-        for layer in layers:
-            yield from layer.parameters()
-
-    def batch_norms(self):
-        out = [self.bn1, self.bn2]
-        if self.down_bn is not None:
-            out.append(self.down_bn)
-        return out
-
 
 class ResNetLike(Model):
     arch = "resnet18_like"
+    MIN_WIDTH = 4
+    INSERTION_POINTS = tuple(f"layer{i}" for i in range(1, 18))  # conv ordinals
 
     DEFAULT_INSERTION = "layer15"
 
-    def __init__(self, input_shape, num_classes: int, width: int = 8,
-                 seed: int = 0, dtype=np.float64):
-        super().__init__(input_shape, num_classes, dtype)
-        if width < 4:
-            raise ConfigError(f"resnet width must be >= 4, got {width}")
-        self.width = int(width)
-        c, h, w = self.input_shape
-        if h < 8 or w < 8:
-            raise ShapeError(f"input spatial dims must be >= 8, got {h}x{w}")
+    def __init__(self, spec: ModelSection, seed: int):
+        super().__init__(spec)
+        width = spec.width
         rng = np.random.default_rng(seed)
-        ordinal = iter(range(1, 18))
-        self.stem_conv = Conv2dLayer("stem.conv", c, width, 3, 1, 1, rng, self.dtype)
-        self.stem_bn = BatchNorm2dLayer("stem.bn", width, self.dtype)
-        self.stem_tap = f"layer{next(ordinal)}"
-        self.stages: list[list[BasicBlock]] = []
-        self._taps = [self.stem_tap]
+        taps = iter(self.INSERTION_POINTS)
+        self.stem_conv = self._add(Conv2dLayer("stem.conv", spec.input_shape[0], width,
+                                               3, 1, 1, rng, self.dtype))
+        self.stem_bn = self._add(BatchNorm2dLayer("stem.bn", width, self.dtype))
+        self.stem_tap = next(taps)
+        self.blocks: list[BasicBlock] = []
         cin = width
         for s, (cout, stride) in enumerate(
             zip((width, 2 * width, 4 * width, 8 * width), (1, 2, 2, 2))
         ):
-            blocks = []
             for b in range(2):
-                tap1 = f"layer{next(ordinal)}"
-                tap2 = f"layer{next(ordinal)}"
-                blocks.append(
-                    BasicBlock(f"stage{s + 1}.block{b + 1}", cin, cout,
-                               stride if b == 0 else 1, rng, self.dtype, tap1, tap2)
+                self.blocks.append(
+                    BasicBlock(self, f"stage{s + 1}.block{b + 1}", cin, cout,
+                               stride if b == 0 else 1, rng, next(taps), next(taps))
                 )
-                self._taps += [tap1, tap2]
                 cin = cout
-            self.stages.append(blocks)
-        self.head = LinearLayer("head", 8 * width, num_classes, rng, self.dtype)
-
-    def insertion_points(self) -> list[str]:
-        return list(self._taps)
+        self.head = self._add(LinearLayer("head", 8 * width, spec.num_classes, rng,
+                                          self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = relu(self.stem_bn.forward(self.stem_conv.forward(x), training))
         h = ctx.tap(self.stem_tap, h)
-        for blocks in self.stages:
-            for block in blocks:
-                h = block.forward(h, training, ctx)
+        for block in self.blocks:
+            h = block.forward(h, training, ctx)
         return self.head.forward(global_avg_pool(h))
 
-    def _backbone_parameters(self):
-        yield from self.stem_conv.parameters()
-        yield from self.stem_bn.parameters()
-        for blocks in self.stages:
-            for block in blocks:
-                yield from block.parameters()
-        yield from self.head.parameters()
 
-    def _batch_norms(self):
-        out = [self.stem_bn]
-        for blocks in self.stages:
-            for block in blocks:
-                out += block.batch_norms()
-        return out
+_ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}
 
 
-def build_small_cnn(input_shape, num_classes: int, width: int = 8,
-                    seed: int = 0, dtype=np.float64) -> SmallCnn:
-    return SmallCnn(input_shape, num_classes, width=width, seed=seed, dtype=dtype)
-
-
-def build_resnet18_like(input_shape, num_classes: int, width: int = 8,
-                        seed: int = 0, dtype=np.float64) -> ResNetLike:
-    return ResNetLike(input_shape, num_classes, width=width, seed=seed, dtype=dtype)
-
-
-_BUILDERS = {"small_cnn": build_small_cnn, "resnet18_like": build_resnet18_like}
-
-
-def build_model(arch: str, input_shape, num_classes: int, width: int = 8,
-                seed: int = 0, dtype=np.float64) -> Model:
-    if arch not in _BUILDERS:
-        raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(_BUILDERS)}")
-    return _BUILDERS[arch](input_shape, num_classes, width=width, seed=seed, dtype=dtype)
-
-
-def insert_ewas(model: Model, host_layer: str, num_classes: int,
-                seed: int = 0) -> Model:
-    """Attach a scaling module sized by a dry-run at ``host_layer``.
+def insert_ewas(model: Model, host_layer: str, seed: int = 0) -> Model:
+    """Attach a scaling module with one column per model class, sized by a
+    dry-run at ``host_layer``.
 
     Multiple insertions are kept in list order; a repeated host name
     scales the already-scaled activation.
     """
-    if num_classes != model.num_classes:
-        raise ConfigError(
-            f"ALC class count {num_classes} must match the model's {model.num_classes}"
-        )
     shape = model.activation_shape(host_layer)  # validates the host name
     flat = int(np.prod(shape))
     rng = np.random.default_rng(seed)
-    params = AlcParams.create(flat, num_classes, rng, dtype=model.dtype)
+    params = AlcParams.create(flat, model.num_classes, rng, dtype=model.dtype)
     module_id = host_layer
     existing = {m.module_id for m in model.ewas_modules}
     n = 1
@@ -457,10 +434,11 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
     """Write all parameters and running stats to a checkpoint file.
 
     Payloads are little-endian float32 unless ``float64`` is set. The
-    metadata block embeds the architecture config so ``load_checkpoint``
-    can rebuild the model without outside information. Metadata fields
-    left as ``None`` keep the values carried over from a loaded
-    checkpoint, so save -> load -> save is byte-stable.
+    metadata block embeds the model's ``ModelSection``, with the insertion
+    points of its attached modules, so ``load_checkpoint`` can rebuild the
+    model without outside information. Metadata fields left as ``None``
+    keep the values carried over from a loaded checkpoint, so save ->
+    load -> save is byte-stable.
     """
     carried = model.checkpoint_meta
     meta = {
@@ -469,7 +447,8 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
         "config_digest": str(
             config_digest if config_digest is not None else carried.get("config_digest", "")
         ),
-        "model": model.arch_config(),
+        "model": asdict(replace(model.spec, insertion_points=tuple(
+            m.host for m in model.ewas_modules))),
     }
     payload_dtype = "<f8" if float64 else "<f4"
     buf = bytearray()
@@ -549,13 +528,7 @@ def load_checkpoint(path) -> Model:
 
     try:
         meta = json.loads(meta_raw.decode())
-        cfg = meta["model"]
-        model = build_model(
-            cfg["arch"], cfg["input_shape"], cfg["num_classes"],
-            width=cfg["width"], dtype=np.dtype(cfg["dtype"]).type,
-        )
-        for host in cfg["insertion_points"]:
-            insert_ewas(model, host, cfg["num_classes"])
+        model = ModelSection(**meta["model"]).build(0)
         model.checkpoint_meta = {key: meta[key] for key in ("epoch", "seed", "config_digest")}
         names = [name.decode() for name, _, _ in records]
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError

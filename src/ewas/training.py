@@ -180,33 +180,19 @@ def _loss_terms(method: str, model: Model, x, x_adv, y, lam: float, beta: float,
     return terms
 
 
-def _at_terms(model: Model, x_adv, y, lam: float, train: bool) -> dict[str, Tensor]:
-    return _loss_terms("at", model, None, x_adv, y, lam, 0.0, train)
-
-
-def _trades_terms(model: Model, x, x_adv, y, lam: float, beta: float,
-                  train: bool) -> dict[str, Tensor]:
-    return _loss_terms("trades", model, x, x_adv, y, lam, beta, train)
-
-
-def _mart_terms(model: Model, x, x_adv, y, lam: float, beta: float,
-                train: bool) -> dict[str, Tensor]:
-    return _loss_terms("mart", model, x, x_adv, y, lam, beta, train)
-
-
 def at_loss_ewas(model: Model, x_adv, y, lam: float) -> Tensor:
     """Adversarial cross-entropy plus lam times the module classifier CE."""
-    return _at_terms(model, x_adv, y, lam, train=True)["total"]
+    return _loss_terms("at", model, None, x_adv, y, lam, 0.0, True)["total"]
 
 
 def trades_loss_ewas(model: Model, x, x_adv, y, lam: float, beta: float) -> Tensor:
     """Natural CE + beta KL(nat || adv), with matching module terms."""
-    return _trades_terms(model, x, x_adv, y, lam, beta, train=True)["total"]
+    return _loss_terms("trades", model, x, x_adv, y, lam, beta, True)["total"]
 
 
 def mart_loss_ewas(model: Model, x, x_adv, y, lam: float, beta: float) -> Tensor:
     """Boosted CE + misclassification-weighted KL, with module terms."""
-    return _mart_terms(model, x, x_adv, y, lam, beta, train=True)["total"]
+    return _loss_terms("mart", model, x, x_adv, y, lam, beta, True)["total"]
 
 
 _TERM_FNS = {method: partial(_loss_terms, method) for method in METHODS}
@@ -300,6 +286,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
           out_dir=None, config_digest: str = "") -> tuple[Model, TrainLog]:
     """Run adversarial training; returns the trained model and per-epoch log.
 
+    The inner attack on batch ``bi`` of epoch ``e`` is seeded with
+    ``SeedSequence([config.attack.seed, e, bi])``.
+
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
     model computes in float64, so the saved model reproduces evaluation
@@ -341,7 +330,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                 if not np.isfinite(natural_acc):
                     raise TrainingDivergedError(epoch, bi, natural_acc, "natural accuracy")
                 adv = _checked_pgd(model, xb, yb, config.attack,
-                                   _derived_seed(config.seed, epoch, bi), bi)
+                                   _derived_seed(config.attack.seed, epoch, bi), bi)
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam,
                                 config.beta, True)
                 loss = terms["total"]

@@ -42,8 +42,8 @@ def criterion(name):
 
 
 def build_instance(seed):
-    model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=seed)
-    M.insert_ewas(model, "block4", 3, seed=seed + 1000)
+    model = M.ModelSection(width=2).build(seed)
+    M.insert_ewas(model, "block4", seed=seed + 1000)
     rng = np.random.default_rng(seed + 2000)
     x = rng.uniform(0.05, 0.95, (2, 1, 8, 8))
     x_adv = np.clip(x + rng.uniform(-0.08, 0.08, x.shape), 0, 1)
@@ -152,9 +152,9 @@ def test_selection_semantics():
         assert m_inf.data[1].tobytes() == theta[:, 0].reshape(shape).tobytes()
 
         x = rng.uniform(0, 1, (4, 1, 8, 8))
-        plain = M.build_small_cnn((1, 8, 8), 3, width=4, seed=31)
-        wrapped = M.build_small_cnn((1, 8, 8), 3, width=4, seed=31)
-        M.insert_ewas(wrapped, "block3", 3)
+        plain = M.ModelSection(width=4).build(31)
+        wrapped = M.ModelSection(width=4).build(31)
+        M.insert_ewas(wrapped, "block3")
         wrapped.ewas_modules[0].params.weight.data[...] = 1.0
         a = plain.forward(x).logits.data
         for mode, labels in (("inference", None), ("training", np.array([0, 1, 2, 0]))):
@@ -168,8 +168,8 @@ def test_attack_invariants():
     bit-identical to one-step PGD; the zero-lambda objective is the
     backbone loss bit-exactly; PGD solves the linear model in one step."""
     with criterion("attack invariants (ball/box, FGSM==PGD1, lambda=0, corner)"):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=41)
-        M.insert_ewas(model, "block4", 3, seed=42)
+        model = M.ModelSection(width=2).build(41)
+        M.insert_ewas(model, "block4", seed=42)
         rng = np.random.default_rng(4242)
         total = 0
         for trial in range(100):
@@ -223,8 +223,8 @@ def test_attack_invariants():
 def test_loss_reductions():
     """Documented special cases are bit-exact; KL terms vanish at x_adv=x."""
     with criterion("loss reductions (lambda/beta zero cases, zero KL)"):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=51)
-        M.insert_ewas(model, "block4", 3, seed=52)
+        model = M.ModelSection(width=2).build(51)
+        M.insert_ewas(model, "block4", seed=52)
         rng = np.random.default_rng(53)
         x = rng.uniform(0, 1, (4, 1, 8, 8))
         x_adv = np.clip(x + rng.uniform(-0.1, 0.1, x.shape), 0, 1)
@@ -243,10 +243,10 @@ def test_loss_reductions():
         expect = T.boosted_cross_entropy(T.softmax(out.logits), y)
         assert ma.data.tobytes() == expect.data.tobytes()
 
-        terms = TR._trades_terms(model, x, x, y, 0.01, 6.0, True)
+        terms = TR._loss_terms("trades", model, x, x, y, 0.01, 6.0, True)
         assert float(terms["kl"].data) == 0.0
         assert float(terms["alc_kl"].data) == 0.0
-        terms = TR._mart_terms(model, x, x, y, 0.01, 6.0, True)
+        terms = TR._loss_terms("mart", model, x, x, y, 0.01, 6.0, True)
         assert float(terms["kl"].data) == 0.0
         assert float(terms["alc_kl"].data) == 0.0
 
@@ -294,9 +294,9 @@ TOY = dict(num_classes=3, train_per_class=200, test_per_class=100,
 
 
 def run_toy(out_dir):
-    model = M.build_small_cnn(TOY["shape"], TOY["num_classes"],
-                              width=TOY["width"], seed=0)
-    M.insert_ewas(model, "block4", TOY["num_classes"], seed=1)
+    model = M.ModelSection(width=TOY["width"], input_shape=TOY["shape"],
+                           num_classes=TOY["num_classes"]).build(0)
+    M.insert_ewas(model, "block4", seed=1)
     train_set = synth_dataset(TOY["num_classes"], TOY["train_per_class"],
                               TOY["shape"], seed=TOY["data_seed"])
     inner = A.AttackConfig(epsilon=TOY["eps"], step_size=TOY["step"],
@@ -398,8 +398,8 @@ def test_ablation_structure_and_signature(tmp_path):
 def test_persistence(tmp_path):
     """Checkpoint round trip is byte-identical; one flipped byte is caught."""
     with criterion("persistence (byte-identical round trip, corruption)"):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=71)
-        M.insert_ewas(model, "block4", 3, seed=72)
+        model = M.ModelSection(width=2).build(71)
+        M.insert_ewas(model, "block4", seed=72)
         model.forward(np.random.default_rng(73).uniform(0, 1, (4, 1, 8, 8)),
                       train=True, mask_mode="inference")
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

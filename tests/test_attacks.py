@@ -1,14 +1,19 @@
 """Attack semantics: projection, objectives, FGSM/PGD/margin equivalences."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ewas import attacks as A
 from ewas import models as M
 from ewas import tensor as T
+from ewas.config import load_run_config
 from ewas.errors import ConfigError, ShapeError
 
 from _gradcheck import assert_grad_matches
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class LinearModel:
@@ -31,8 +36,8 @@ class LinearModel:
 
 
 def small_ewas_model(seed=0, width=2):
-    model = M.build_small_cnn((1, 8, 8), 3, width=width, seed=seed)
-    M.insert_ewas(model, "block4", 3, seed=seed + 1)
+    model = M.ModelSection(width=width).build(seed)
+    M.insert_ewas(model, "block4", seed=seed + 1)
     return model
 
 
@@ -143,15 +148,15 @@ class TestAttackObjective:
             assert total - lam * alc == pytest.approx(backbone, rel=1e-9)
 
     def test_lambda_without_module_rejected(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2)
+        model = M.ModelSection(width=2).build(0)
         with pytest.raises(ConfigError):
             A.attack_objective(model, T.Tensor(np.zeros((2, 1, 8, 8))),
                                np.array([0, 1]), "cross_entropy", 0.5)
 
     def test_two_modules_each_weighted_by_lambda(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=16)
-        M.insert_ewas(model, "block3", 3, seed=17)
-        M.insert_ewas(model, "block4", 3, seed=18)
+        model = M.ModelSection(width=2).build(16)
+        M.insert_ewas(model, "block3", seed=17)
+        M.insert_ewas(model, "block4", seed=18)
         x = np.random.default_rng(19).uniform(0, 1, (4, 1, 8, 8))
         y = np.array([0, 1, 2, 1])
         out = model.forward(x, labels=y, train=False, mask_mode="inference")
@@ -328,10 +333,10 @@ class TestCwAttack:
         assert all(b < a for a, b in zip(margins, margins[1:]))
 
     def test_default_preset_matches_reference_settings(self):
-        cfg = A.cw_preset(8 / 255, steps=30, step_size=(8 / 255) / 10)
-        assert cfg.steps == 30
+        cfg = load_run_config(CONFIGS / "cifar10-at-ewas.json").attack_presets["cw30"]
+        assert cfg.steps == 30 and not cfg.random_start
         assert cfg.epsilon == pytest.approx(8 / 255)
-        assert cfg.step_size == pytest.approx((8 / 255) / 10)
+        assert cfg.step_size == pytest.approx(2 / 255)
         assert cfg.loss_kind == "cw_margin"
 
 

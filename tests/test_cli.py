@@ -165,6 +165,18 @@ class TestEval:
         rows = list(csv.DictReader(open(out / "eval.csv")))
         assert [r["attack"] for r in rows] == ["natural", "pgd2"]
 
+    def test_checkpoint_class_count_must_fit_the_data(self, trained, tmp_path, capsys):
+        cfg_path, ckpt = trained  # a 3-class model
+        cfg = json.loads(cfg_path.read_text())
+        cfg["data"]["num_classes"] = 4
+        cfg2 = tmp_path / "cfg4.json"
+        cfg2.write_text(json.dumps(cfg))
+        out = tmp_path / "eval_k4"
+        assert main(["eval", "--config", str(cfg2), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: model.num_classes: ")
+        assert not out.exists()
+
     def test_empty_preset_list_natural_only(self, trained, tmp_path):
         cfg_path, ckpt = trained
         cfg = json.loads(cfg_path.read_text())
@@ -276,6 +288,15 @@ class TestAblate:
                      "--values", "block3,block4", "--out", str(out)]) == EXIT_OK
         rows = list(csv.reader(open(out / "ablation.csv")))
         assert [r[0] for r in rows[1:]] == ["block3", "block4"]
+
+    def test_unknown_position_fails_before_any_training(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "pos_bad"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "position",
+                     "--values", "block4,blockX", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: --values: ")
+        assert not out.exists()
 
     def test_attack_lambda_reuses_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

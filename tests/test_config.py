@@ -30,6 +30,15 @@ MALFORMED = [
     (("data", "noise_std"), NAN, "data.noise_std"),
     (("data", "samples_per_class"), 1.5, "data.samples_per_class"),
     (("attack_presets", "fgsm", "steps"), True, "attack_presets.fgsm.steps"),
+    (("model", "width"), 0, "model.width"),
+    (("model",), {"arch": "resnet18_like", "width": 2}, "model.width"),
+    (("model", "input_shape"), [1, 0, 8], "model.input_shape"),
+    (("model", "num_classes"), 1, "model.num_classes"),
+    (("model", "insertion_points"), ["blockX"], "model.insertion_points"),
+    (("data", "num_classes"), 1, "data.num_classes"),
+    # these two fit no 3-class 8x8 data
+    (("model", "input_shape"), [1, 16, 16], "model.input_shape"),
+    (("model", "num_classes"), 4, "model.num_classes"),
 ]
 
 

@@ -138,10 +138,6 @@ class TestSynthDataset:
         predictions = d2.argmin(axis=1)
         assert (predictions == ds.labels).mean() >= 0.99
 
-    def test_needs_two_classes(self):
-        with pytest.raises(ConfigError):
-            D.synth_dataset(1, 5, (1, 8, 8))
-
     def test_pixels_clamped(self):
         ds = D.synth_dataset(3, 50, (1, 8, 8), seed=9, noise_std=0.5)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0

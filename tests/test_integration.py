@@ -16,8 +16,8 @@ from ewas.errors import ConfigError
 
 def test_attack_mask_mode_training_is_selectable():
     """The inner-attack mask mode flag switches the attacked path."""
-    model = M.build_small_cnn((1, 8, 8), 3, width=4, seed=1)
-    M.insert_ewas(model, "block4", 3, seed=2)
+    model = M.ModelSection(width=4).build(1)
+    M.insert_ewas(model, "block4", seed=2)
     # make the two selection modes disagree: train a couple of steps first
     ds = synth_dataset(3, 16, (1, 8, 8), seed=3)
     cfg = TR.TrainConfig(
@@ -37,8 +37,8 @@ def test_attack_mask_mode_training_is_selectable():
 
 
 def test_float32_selectable_end_to_end():
-    model = M.build_small_cnn((1, 8, 8), 3, width=4, seed=5, dtype=np.float32)
-    M.insert_ewas(model, "block4", 3, seed=6)
+    model = M.ModelSection(width=4, dtype="float32").build(5)
+    M.insert_ewas(model, "block4", seed=6)
     assert all(t.data.dtype == np.float32 for _, t in model.parameters())
     ds = synth_dataset(3, 8, (1, 8, 8), seed=7)
     cfg = TR.TrainConfig(
@@ -53,8 +53,8 @@ def test_float32_selectable_end_to_end():
 
 
 def test_resnet_with_module_trains_and_checkpoints(tmp_path):
-    model = M.build_resnet18_like((1, 8, 8), 3, width=4, seed=9)
-    M.insert_ewas(model, "layer15", 3, seed=10)
+    model = M.ModelSection(arch="resnet18_like", width=4).build(9)
+    M.insert_ewas(model, "layer15", seed=10)
     ds = synth_dataset(3, 8, (1, 8, 8), seed=11)
     cfg = TR.TrainConfig(
         method="trades", lam=0.01, beta=6.0, epochs=1, batch_size=8, lr=0.01,

@@ -1,5 +1,8 @@
 """Backbones, insertion points, and checkpoint persistence."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,23 +16,22 @@ from ewas.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
-    ShapeError,
 )
 
 
 class TestSmallCnn:
     def test_zero_image_gives_finite_logits(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=4, seed=0)
+        model = M.ModelSection(width=4).build(0)
         out = model.forward(np.zeros((1, 1, 8, 8)))
         assert out.logits.data.shape == (1, 3)
         assert np.all(np.isfinite(out.logits.data))
 
     def test_too_small_input_rejected(self):
-        with pytest.raises(ShapeError):
-            M.build_small_cnn((1, 4, 4), 3)
+        with pytest.raises(ConfigError, match="input_shape"):
+            M.ModelSection(input_shape=(1, 4, 4))
 
     def test_parameter_count_matches_hand_sum(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=4, seed=0)
+        model = M.ModelSection(width=4).build(0)
         # channels (4, 8, 16, 16); conv 3x3 no bias; bn gamma+beta; head w+b
         expect = (
             (4 * 1 * 9) + 8
@@ -42,32 +44,35 @@ class TestSmallCnn:
         assert total == expect == 3919
 
     def test_insertion_points(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2)
+        model = M.ModelSection(width=2).build(0)
         assert model.insertion_points() == ["block1", "block2", "block3", "block4"]
 
     def test_build_and_forward_deterministic(self):
         x = np.random.default_rng(0).uniform(0, 1, (2, 1, 8, 8))
         outs = []
         for _ in range(2):
-            model = M.build_small_cnn((1, 8, 8), 3, width=4, seed=9)
+            model = M.ModelSection(width=4).build(9)
             outs.append(model.forward(x).logits.data)
         assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_spatial_reduction(self):
-        model = M.build_small_cnn((1, 16, 16), 3, width=2)
+        model = M.ModelSection(width=2, input_shape=(1, 16, 16)).build(0)
         out = model.forward(np.zeros((1, 1, 16, 16)), capture=("block4",))
         assert out.captured["block4"].data.shape == (1, 8, 4, 4)
 
 
+RESNET = M.ModelSection(arch="resnet18_like", width=4, input_shape=(3, 8, 8), num_classes=5)
+
+
 class TestResNetLike:
     def test_zero_input_finite_logits(self):
-        model = M.build_resnet18_like((3, 8, 8), 5, width=4, seed=1)
+        model = RESNET.build(1)
         out = model.forward(np.zeros((1, 3, 8, 8)))
         assert out.logits.data.shape == (1, 5)
         assert np.all(np.isfinite(out.logits.data))
 
     def test_seventeen_conv_ordinals_plus_head(self):
-        model = M.build_resnet18_like((3, 8, 8), 5, width=4)
+        model = RESNET.build(0)
         points = model.insertion_points()
         assert points == [f"layer{i}" for i in range(1, 18)]
         assert any(name.startswith("head") for name, _ in model.parameters())
@@ -75,12 +80,12 @@ class TestResNetLike:
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):
-            M.build_resnet18_like((3, 8, 8), 5, width=2)
+            replace(RESNET, width=2)
 
     def test_basic_block_skip_identity(self):
         """Zero conv weights + identity BN reduce a block to ReLU(x) = x."""
         rng = np.random.default_rng(2)
-        block = M.BasicBlock("blk", 3, 3, 1, rng, np.float64, "t1", "t2")
+        block = M.BasicBlock(RESNET.build(0), "blk", 3, 3, 1, rng, "t1", "t2")
         block.conv1.weight.data[...] = 0.0
         block.conv2.weight.data[...] = 0.0
 
@@ -95,43 +100,38 @@ class TestResNetLike:
 
 class TestInsertEwas:
     def test_forward_returns_scores(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=3)
-        M.insert_ewas(model, "block4", 3, seed=4)
+        model = M.ModelSection(width=2).build(3)
+        M.insert_ewas(model, "block4", seed=4)
         out = model.forward(np.zeros((2, 1, 8, 8)), labels=np.array([0, 1]),
                             mask_mode="training")
         assert set(out.alc_scores) == {"block4"}
         assert out.alc_scores["block4"].data.shape == (2, 3)
 
     def test_two_insertions_two_score_sets(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=3)
-        M.insert_ewas(model, "block3", 3, seed=4)
-        M.insert_ewas(model, "block4", 3, seed=5)
+        model = M.ModelSection(width=2).build(3)
+        M.insert_ewas(model, "block3", seed=4)
+        M.insert_ewas(model, "block4", seed=5)
         out = model.forward(np.zeros((1, 1, 8, 8)), mask_mode="inference")
         assert set(out.alc_scores) == {"block3", "block4"}
 
     def test_unknown_layer_lists_valid_points(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2)
+        model = M.ModelSection(width=2).build(0)
         with pytest.raises(ConfigError, match="block1, block2, block3, block4"):
-            M.insert_ewas(model, "blockX", 3)
-
-    def test_class_count_must_match(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2)
-        with pytest.raises(ConfigError):
-            M.insert_ewas(model, "block4", 5)
+            M.insert_ewas(model, "blockX")
 
     def test_identity_mask_equals_uninserted_model(self):
         x = np.random.default_rng(6).uniform(0, 1, (3, 1, 8, 8))
-        plain = M.build_small_cnn((1, 8, 8), 3, width=4, seed=7)
-        wrapped = M.build_small_cnn((1, 8, 8), 3, width=4, seed=7)
-        M.insert_ewas(wrapped, "block2", 3)
+        plain = M.ModelSection(width=4).build(7)
+        wrapped = M.ModelSection(width=4).build(7)
+        M.insert_ewas(wrapped, "block2")
         wrapped.ewas_modules[0].params.weight.data[...] = 1.0
         a = plain.forward(x).logits.data
         b = wrapped.forward(x, mask_mode="inference").logits.data
         assert a.tobytes() == b.tobytes()
 
     def test_eval_forward_is_pure(self):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=8)
-        M.insert_ewas(model, "block4", 3, seed=9)
+        model = M.ModelSection(width=2).build(8)
+        M.insert_ewas(model, "block4", seed=9)
         x = np.random.default_rng(10).uniform(0, 1, (4, 1, 8, 8))
         before = [(n, t.data.copy()) for n, t in model.parameters()]
         stats_before = [(n, a.copy()) for n, a in model.state_arrays()]
@@ -146,8 +146,8 @@ class TestInsertEwas:
 
 class TestCheckpoint:
     def _trained_like_model(self, dtype=np.float64):
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=11, dtype=dtype)
-        M.insert_ewas(model, "block4", 3, seed=12)
+        model = M.ModelSection(width=2, dtype=np.dtype(dtype).name).build(11)
+        M.insert_ewas(model, "block4", seed=12)
         # dirty the BN running stats so persistence of state is exercised
         x = np.random.default_rng(13).uniform(0, 1, (4, 1, 8, 8)).astype(dtype)
         model.forward(x, train=True, mask_mode="inference")
@@ -254,3 +254,19 @@ class TestCheckpoint:
         a = model.forward(x, mask_mode="inference").logits.data
         b = loaded.forward(x, mask_mode="inference").logits.data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec,seed,modules,float64,digest", [
+        (M.ModelSection(width=2), 11, [("block3", 12), ("block4", 13)], True,
+         "cdf5cc9e34432f792d06e6e6affc569efc3301a7e3153aede7969dd71b7aad4f"),
+        (replace(RESNET, dtype="float32"), 1, [("layer15", 2)], False,
+         "505f10ae2bcea6852b677c0e337535601666cdb27391c69584adf317c2ee24b7"),
+    ], ids=["small_cnn", "resnet18_like"])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, spec, seed, modules, float64,
+                                         digest):
+        """Initial weights, record order and metadata of both architectures."""
+        model = spec.build(seed)
+        for host, module_seed in modules:
+            M.insert_ewas(model, host, seed=module_seed)
+        path = tmp_path / "p.ckpt"
+        M.save_checkpoint(model, path, epoch=2, seed=7, config_digest="d", float64=float64)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

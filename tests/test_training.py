@@ -66,9 +66,9 @@ class TinyScaledNet:
 
 
 def small_model(seed=0, with_ewas=True):
-    model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=seed)
+    model = M.ModelSection(width=2).build(seed)
     if with_ewas:
-        M.insert_ewas(model, "block4", 3, seed=seed + 1)
+        M.insert_ewas(model, "block4", seed=seed + 1)
     return model
 
 
@@ -124,7 +124,7 @@ class TestTradesLoss:
     def test_identical_inputs_zero_kl(self, batch):
         x, _, y = batch
         model = small_model(seed=6)
-        terms = TR._trades_terms(model, x, x, y, 0.01, 6.0, True)
+        terms = TR._loss_terms("trades", model, x, x, y, 0.01, 6.0, True)
         assert float(terms["kl"].data) == pytest.approx(0.0, abs=1e-14)
         assert float(terms["alc_kl"].data) == pytest.approx(0.0, abs=1e-14)
 
@@ -167,7 +167,7 @@ class TestMartLoss:
         net.w.data[:, 1] = -500.0  # saturates p_0 to exactly 1.0
         out = net.forward(x, labels=y, train=True, mask_mode="training")
         assert np_softmax(out.logits.data)[0, 0] == 1.0
-        terms = TR._mart_terms(net, x, x, y, 0.0, 6.0, True)
+        terms = TR._loss_terms("mart", net, x, x, y, 0.0, 6.0, True)
         assert float(terms["kl"].data) == 0.0
 
     def test_two_class_single_sample_oracle(self):
@@ -205,7 +205,7 @@ class TestMartLoss:
         weights = 1 - p_nat[np.arange(3), y]
         per_sample = float((rows * weights).mean())
         batch_mean = float(rows.mean() * weights.mean())
-        terms = TR._mart_terms(net, x, x_adv, y, 0.0, 1.0, True)
+        terms = TR._loss_terms("mart", net, x, x_adv, y, 0.0, 1.0, True)
         assert float(terms["kl"].data) == pytest.approx(per_sample, rel=1e-12)
         assert per_sample != pytest.approx(batch_mean, rel=1e-6)
 
@@ -220,23 +220,23 @@ class TestTwoModules:
     def test_alc_terms_sum_over_both_modules(self, batch, method):
         x, x_adv, y = batch
         lam, beta = 0.05, 6.0
-        model = M.build_small_cnn((1, 8, 8), 3, width=2, seed=60)
-        M.insert_ewas(model, "block3", 3, seed=61)
-        M.insert_ewas(model, "block4", 3, seed=62)
+        model = M.ModelSection(width=2).build(60)
+        M.insert_ewas(model, "block3", seed=61)
+        M.insert_ewas(model, "block4", seed=62)
         o_nat = model.forward(x, labels=y, train=True, mask_mode="training")
         o_adv = model.forward(x_adv, labels=y, train=True, mask_mode="training")
         nat = [o_nat.alc_scores[h].data for h in ("block3", "block4")]
         adv = [o_adv.alc_scores[h].data for h in ("block3", "block4")]
         if method == "at":
-            terms = TR._at_terms(model, x_adv, y, lam, True)
+            terms = TR._loss_terms("at", model, None, x_adv, y, lam, 0.0, True)
             alc = sum(np_ce(s, y) for s in adv)
             alc_kl = None
         elif method == "trades":
-            terms = TR._trades_terms(model, x, x_adv, y, lam, beta, True)
+            terms = TR._loss_terms("trades", model, x, x_adv, y, lam, beta, True)
             alc = sum(np_ce(s, y) for s in nat)
             alc_kl = sum(np_kl(np_softmax(a), np_softmax(b)) for a, b in zip(nat, adv))
         else:
-            terms = TR._mart_terms(model, x, x_adv, y, lam, beta, True)
+            terms = TR._loss_terms("mart", model, x, x_adv, y, lam, beta, True)
             alc = sum(np_bce(np_softmax(b), y) for b in adv)
             alc_kl = sum(np_weighted_kl(np_softmax(a), np_softmax(b), y)
                          for a, b in zip(nat, adv))
@@ -254,9 +254,9 @@ class TestNonnegativity:
         for seed in range(3):
             model = small_model(seed=20 + seed)
             for terms in (
-                TR._at_terms(model, x_adv, y, 0.01, True),
-                TR._trades_terms(model, x, x_adv, y, 0.01, 6.0, True),
-                TR._mart_terms(model, x, x_adv, y, 0.01, 6.0, True),
+                TR._loss_terms("at", model, None, x_adv, y, 0.01, 0.0, True),
+                TR._loss_terms("trades", model, x, x_adv, y, 0.01, 6.0, True),
+                TR._loss_terms("mart", model, x, x_adv, y, 0.01, 6.0, True),
             ):
                 for key, tensor in terms.items():
                     assert float(tensor.data) >= -1e-12, f"{key} negative"
