@@ -174,11 +174,7 @@ def cmd_export_activations(args) -> int:
         raise ConfigError("analysis: required section is missing for export-activations")
     model = load_checkpoint(args.checkpoint)
     layer = cfg.analysis.layer
-    if layer not in model.insertion_points():
-        raise ConfigError(
-            f"analysis.layer: unknown hook {layer!r}; valid hooks: "
-            f"{', '.join(model.insertion_points())}"
-        )
+    model.spec.check_hooks("analysis.layer", [layer])
     dataset = _load_split(cfg, cfg.analysis.split, model.spec)
     keep = dataset.labels == cfg.analysis.class_label
     images, labels = dataset.images[keep], dataset.labels[keep]

@@ -252,8 +252,11 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> RunConfig:
                                         "attack_presets").items()}
     analysis = (read_section(AnalysisSection, raw["analysis"], "analysis")
                 if "analysis" in raw else None)
-    if analysis is not None and analysis.attack not in (None, *presets):
-        raise ConfigError(f"analysis.attack: {analysis.attack!r} is not an attack preset name")
+    if analysis is not None:
+        model.check_hooks("analysis.layer", [analysis.layer])
+        if analysis.attack not in (None, *presets):
+            raise ConfigError(f"analysis.attack: {analysis.attack!r} is not an attack "
+                              f"preset name")
     return RunConfig(
         seed=seed,
         output_dir=_typed(str, raw.get("output_dir", "runs/run"), "output_dir"),

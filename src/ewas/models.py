@@ -19,6 +19,11 @@ embed it. Two architectures are provided:
 Any number of scaling modules can be attached at insertion points; the
 forward pass then also returns their classifier scores.
 
+Every conv feeds a batch norm. In eval mode, when grad mode is off or no
+pair parameter requires grad (every attack step), the pair runs as one
+conv with the norm folded into its weight and bias, and keeps nothing for
+a gamma gradient; this rounds differently from conv then batch norm.
+
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the
 order the layers were built (little-endian float32 payloads by default,
@@ -46,8 +51,10 @@ from .errors import (
     ConfigError,
     ShapeError,
 )
+from . import tensor
 from .scaling import AlcParams, EwasModule, ewas_forward
 from .tensor import (
+    BN_EPS,
     RunningStats,
     Tensor,
     add,
@@ -69,26 +76,22 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 class Conv2dLayer:
+    """A bias-free conv: every conv here feeds a batch norm, whose beta is the bias."""
+
     def __init__(self, name: str, cin: int, cout: int, kernel: int, stride: int,
-                 padding: int, rng: np.random.Generator, dtype, bias: bool = False):
+                 padding: int, rng: np.random.Generator, dtype):
         self.name = name
         self.stride = stride
         self.padding = padding
         fan_in = cin * kernel * kernel
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, kernel, kernel))
         self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
-        self.bias = None
-        if bias:
-            self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return conv2d(x, self.weight, None, self.stride, self.padding)
 
     def parameters(self):
-        out = [(f"{self.name}.weight", self.weight)]
-        if self.bias is not None:
-            out.append((f"{self.name}.bias", self.bias))
-        return out
+        return [(f"{self.name}.weight", self.weight)]
 
 
 class BatchNorm2dLayer:
@@ -98,8 +101,18 @@ class BatchNorm2dLayer:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.create(channels, dtype=dtype)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm2d(x, self.gamma, self.beta, self.stats, training)
+    def forward(self, conv: Conv2dLayer, x: Tensor, training: bool) -> Tensor:
+        """``conv`` then this batch norm. In eval mode, when no gradient can reach
+        the pair's parameters, one conv of weight W·s and bias β − mean·s,
+        s = γ / sqrt(var + eps), recomputed on every call."""
+        live = tensor._grad_enabled and any(
+            p.requires_grad for p in (conv.weight, self.gamma, self.beta))
+        if training or live:
+            return batch_norm2d(conv.forward(x), self.gamma, self.beta, self.stats, training)
+        s = self.gamma.data / np.sqrt(self.stats.var + BN_EPS)
+        weight = Tensor(conv.weight.data * s[:, None, None, None])
+        bias = Tensor(self.beta.data - self.stats.mean * s)
+        return conv2d(x, weight, bias, conv.stride, conv.padding)
 
     def parameters(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -163,12 +176,17 @@ class ModelSection:
         if self.width < arch.MIN_WIDTH:
             raise ConfigError(f"width: must be >= {arch.MIN_WIDTH} for {self.arch}, "
                               f"got {self.width}")
-        unknown = [p for p in self.insertion_points if p not in arch.INSERTION_POINTS]
-        if unknown:
-            raise ConfigError(f"insertion_points: unknown {unknown}; valid points: "
-                              f"{', '.join(arch.INSERTION_POINTS)}")
+        self.check_hooks("insertion_points", self.insertion_points)
         if self.num_classes < 2:
             raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
+
+    def check_hooks(self, key: str, names) -> None:
+        """Each of ``names`` must be an insertion point of the arch, or a
+        ``ConfigError`` names ``key`` and lists the valid points."""
+        hooks = _ARCHS[self.arch].INSERTION_POINTS
+        unknown = [name for name in names if name not in hooks]
+        if unknown:
+            raise ConfigError(f"{key}: unknown {unknown}; valid points: {', '.join(hooks)}")
 
     def build(self, seed: int) -> Model:
         """The described model: backbone weights drawn from ``seed``, the scaling
@@ -252,11 +270,7 @@ class Model:
 
     def activation_shape(self, host: str) -> tuple[int, int, int]:
         """Dry-run a zero input to find the activation shape at a tap."""
-        if host not in self.insertion_points():
-            raise ConfigError(
-                f"unknown insertion point {host!r}; valid points: "
-                f"{', '.join(self.insertion_points())}"
-            )
+        self.spec.check_hooks("insertion point", [host])
         with no_grad():
             probe = np.zeros((1, *self.spec.input_shape), dtype=self.dtype)
             out = self.forward(probe, train=False, capture=(host,))
@@ -313,7 +327,7 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, conv, bn in self.blocks:
-            h = relu(bn.forward(conv.forward(h), training))
+            h = relu(bn.forward(conv, h, training))
             h = ctx.tap(name, h)
         return self.head.forward(global_avg_pool(h))
 
@@ -345,11 +359,11 @@ class BasicBlock:
             self.down_bn = keep(BatchNorm2dLayer(f"{name}.down_bn", cout, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.bn1.forward(self.conv1.forward(x), training))
+        h = relu(self.bn1.forward(self.conv1, x, training))
         h = ctx.tap(self.tap1, h)
-        h = self.bn2.forward(self.conv2.forward(h), training)
+        h = self.bn2.forward(self.conv2, h, training)
         if self.down_conv is not None:
-            shortcut = self.down_bn.forward(self.down_conv.forward(x), training)
+            shortcut = self.down_bn.forward(self.down_conv, x, training)
         else:
             shortcut = x
         out = relu(add(h, shortcut))
@@ -387,7 +401,7 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.stem_bn.forward(self.stem_conv.forward(x), training))
+        h = relu(self.stem_bn.forward(self.stem_conv, x, training))
         h = ctx.tap(self.stem_tap, h)
         for block in self.blocks:
             h = block.forward(h, training, ctx)
@@ -415,6 +429,8 @@ def insert_ewas(model: Model, host_layer: str, seed: int = 0) -> Model:
         module_id = f"{host_layer}#{n}"
         n += 1
     model.ewas_modules.append(EwasModule(host_layer, params, module_id))
+    model.spec = replace(model.spec, insertion_points=tuple(
+        m.host for m in model.ewas_modules))
     return model
 
 
@@ -434,8 +450,8 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
     """Write all parameters and running stats to a checkpoint file.
 
     Payloads are little-endian float32 unless ``float64`` is set. The
-    metadata block embeds the model's ``ModelSection``, with the insertion
-    points of its attached modules, so ``load_checkpoint`` can rebuild the
+    metadata block embeds the model's ``ModelSection``, whose insertion
+    points are its modules' hosts, so ``load_checkpoint`` can rebuild the
     model without outside information. Metadata fields left as ``None``
     keep the values carried over from a loaded checkpoint, so save ->
     load -> save is byte-stable.
@@ -447,8 +463,7 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
         "config_digest": str(
             config_digest if config_digest is not None else carried.get("config_digest", "")
         ),
-        "model": asdict(replace(model.spec, insertion_points=tuple(
-            m.host for m in model.ewas_modules))),
+        "model": asdict(model.spec),
     }
     payload_dtype = "<f8" if float64 else "<f4"
     buf = bytearray()

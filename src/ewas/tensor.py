@@ -31,6 +31,7 @@ from .errors import (
 )
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+BN_EPS = 1e-5  # batch norm's variance offset, also used where models fold it into a conv
 _grad_enabled = True
 
 
@@ -194,10 +195,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; both operands receive gradients."""
+    """Elementwise product; each operand that requires grad receives its gradient."""
     _check_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _result(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return _result(ad * bd, (a, b), lambda g: (g * bd if a.requires_grad else None,
+                                               g * ad if b.requires_grad else None))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -261,14 +263,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
         )
     ad, bd = a.data, b.data
-    return _result(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _result(ad @ bd, (a, b), lambda g: (g @ bd.T if a.requires_grad else None,
+                                               ad.T @ g if b.requires_grad else None))
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Add a length-K vector to every row of a (B, K) tensor."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[1] != v.data.shape[0]:
         raise ShapeError(f"add_rowvec: got {x.data.shape} and {v.data.shape}")
-    return _result(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
+    return _result(x.data + v.data, (x, v),
+                   lambda g: (g, g.sum(axis=0) if v.requires_grad else None))
 
 
 def gather_labels(x: Tensor, labels: np.ndarray) -> Tensor:
@@ -435,7 +439,7 @@ class RunningStats:
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                 training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
     """Channelwise batch normalization over a (B, C, H, W) tensor.
 
     Training mode normalizes by batch statistics (biased variance) and

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from ewas import attacks
 from ewas.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from ewas.models import load_checkpoint, save_checkpoint
+from ewas.models import ModelSection, load_checkpoint, save_checkpoint
+from ewas.tensor import backward
 
 
 def write_config(path, **overrides):
@@ -44,16 +46,26 @@ def nan_conv(model):
     dict(model.parameters())["block1.conv.weight"].data[0, 0, 0, 0] = np.nan
 
 
-def nan_gradient(model):
-    """A finite clean pass whose input gradient is NaN.
+def nan_gradient(monkeypatch):
+    """Finite clean passes, but every attack step's input gradient is NaN.
 
-    Channel 0 of ``block1.bn`` gets gamma -inf over a running mean of
-    -1e300, so in eval mode its output is -inf and ReLU turns it into 0.
-    In the backward pass ReLU's zero gradient times gamma is NaN, which
-    PGD spreads into the adversarial input.
+    The attack's backward runs on its objective times NaN, so the model
+    stays finite and PGD spreads the NaN gradient into the adversarial
+    input.
     """
-    dict(model.parameters())["block1.bn.gamma"].data[0] = -np.inf
-    dict(model.state_arrays())["block1.bn.running_mean"][0] = -1e300
+    monkeypatch.setattr(attacks, "backward", lambda loss: backward(loss * np.nan))
+
+
+def nan_conv_build(monkeypatch):
+    """Every model built gets ``nan_conv``."""
+    build = ModelSection.build
+
+    def poisoned_build(section, seed):
+        model = build(section, seed)
+        nan_conv(model)
+        return model
+
+    monkeypatch.setattr(ModelSection, "build", poisoned_build)
 
 
 def poisoned_checkpoint(ckpt, path, poison):
@@ -114,21 +126,12 @@ class TestTrain:
         assert cfg_path.read_bytes() == before
 
     @pytest.mark.parametrize("poison,message", [
-        (nan_conv, "natural accuracy nan at epoch 0, batch 0"),
+        (nan_conv_build, "natural accuracy nan at epoch 0, batch 0"),
         (nan_gradient, "under attack 'inner', batch 0"),
     ], ids=["nan_conv", "nan_gradient"])
     def test_non_finite_model_aborts_without_checkpoint(self, poison, message, tmp_path,
                                                        monkeypatch, capsys):
-        from ewas.config import ModelSection
-
-        build = ModelSection.build
-
-        def poisoned_build(section, seed):
-            model = build(section, seed)
-            poison(model)
-            return model
-
-        monkeypatch.setattr(ModelSection, "build", poisoned_build)
+        poison(monkeypatch)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
         out = tmp_path / "run_nan"
@@ -231,11 +234,12 @@ class TestEval:
         assert code == EXIT_ABORT
         assert not (out / "eval.csv").exists()
 
-    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
+    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys,
+                                                      monkeypatch):
         cfg_path, ckpt = trained
-        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_grad.ckpt", nan_gradient)
+        nan_gradient(monkeypatch)
         out = tmp_path / "eval_nan_conv"
-        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                      "--out", str(out)])
         assert code == EXIT_ABORT
         assert not (out / "eval.csv").exists()
@@ -375,12 +379,13 @@ class TestExportActivations:
             outs.append((out / "activations.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys):
+    def test_nan_adversarial_input_aborts_without_csv(self, trained, tmp_path, capsys,
+                                                      monkeypatch):
         cfg_path, ckpt = trained
-        bad = poisoned_checkpoint(ckpt, tmp_path / "nan_grad.ckpt", nan_gradient)
+        nan_gradient(monkeypatch)
         out = tmp_path / "act_nan_conv"
         code = main(["export-activations", "--config", str(cfg_path),
-                     "--checkpoint", str(bad), "--out", str(out)])
+                     "--checkpoint", str(ckpt), "--out", str(out)])
         assert code == EXIT_ABORT
         assert not (out / "activations.csv").exists()
         err = capsys.readouterr().err

@@ -27,6 +27,7 @@ MALFORMED = [
     (("model", "input_shape"), 5, "model.input_shape"),
     (("model", "width"), "eight", "model.width"),
     (("analysis", "class_label"), "a", "analysis.class_label"),
+    (("analysis", "layer"), "blockX", "analysis.layer"),
     (("data", "noise_std"), NAN, "data.noise_std"),
     (("data", "samples_per_class"), 1.5, "data.samples_per_class"),
     (("attack_presets", "fgsm", "steps"), True, "attack_presets.fgsm.steps"),

@@ -1,6 +1,7 @@
 """Backbones, insertion points, and checkpoint persistence."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ewas import models as M
 from ewas import tensor as T
+from ewas.attacks import AttackConfig, frozen_params, pgd
 from ewas.errors import (
     CheckpointChecksumError,
     CheckpointContentError,
@@ -98,6 +100,126 @@ class TestResNetLike:
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
+def randomize_batch_norms(model, seed):
+    """Non-trivial gamma, beta and running stats, so a fold has work to do."""
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        if isinstance(layer, M.BatchNorm2dLayer):
+            c = layer.gamma.data.shape[0]
+            layer.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+            layer.beta.data[...] = rng.normal(0.0, 0.2, c)
+            layer.stats.mean[...] = rng.normal(0.0, 0.2, c)
+            layer.stats.var[...] = rng.uniform(0.5, 2.0, c)
+    return model
+
+
+def batch_norms(model):
+    return [layer for layer in model.layers if isinstance(layer, M.BatchNorm2dLayer)]
+
+
+FOLD_SPECS = {"small_cnn": M.ModelSection(width=4, input_shape=(2, 8, 8)),
+              "resnet18_like": RESNET}
+
+
+class TestFrozenBatchNormFold:
+    """Eval-mode conv-BN pairs whose parameters get no gradient run as one conv."""
+
+    def logits_and_input_grad(self, model, x, y):
+        xt = T.Tensor(x, requires_grad=True)
+        logits = model.forward(xt, train=False).logits
+        T.backward(T.softmax_cross_entropy(logits, y))
+        return logits.data, xt.grad
+
+    @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_matches_unfolded_logits_and_input_gradient(self, arch, dtype, tol):
+        spec = replace(FOLD_SPECS[arch], dtype=dtype)
+        model = randomize_batch_norms(spec.build(3), 4)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, (6, *spec.input_shape)).astype(dtype)
+        y = rng.integers(0, spec.num_classes, 6)
+        with frozen_params(model):
+            folded = self.logits_and_input_grad(model, x, y)
+            for bn in batch_norms(model):
+                bn.gamma.requires_grad = True  # a gradient can reach gamma: no fold
+            reference = self.logits_and_input_grad(model, x, y)
+        for got, want in zip(folded, reference):
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        assert folded[1].tobytes() != reference[1].tobytes()  # the fold did run
+
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_batch_norm_runs_only_where_a_gradient_can_reach(self, arch, monkeypatch):
+        spec = FOLD_SPECS[arch]
+        model = randomize_batch_norms(spec.build(6), 7)
+        x = np.random.default_rng(8).uniform(0, 1, (4, *spec.input_shape))
+        n = len(batch_norms(model))
+        calls = []
+        monkeypatch.setattr(M, "batch_norm2d",
+                            lambda *args: calls.append(args) or T.batch_norm2d(*args))
+
+        def bn_calls(inputs, train=False):
+            calls.clear()
+            model.forward(inputs, train=train)
+            return len(calls)
+
+        with frozen_params(model):
+            assert bn_calls(T.Tensor(x, requires_grad=True)) == 0
+            batch_norms(model)[0].gamma.requires_grad = True
+            assert bn_calls(x) == 1
+        with T.no_grad():
+            assert bn_calls(x) == 0
+            assert bn_calls(x, train=True) == n
+        assert bn_calls(x) == n
+        assert bn_calls(x, train=True) == n
+
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_pgd_leaves_parameters_and_stats_bit_identical(self, arch):
+        spec = FOLD_SPECS[arch]
+        model = randomize_batch_norms(spec.build(9), 10)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0, 1, (4, *spec.input_shape))
+        before = [a.copy() for _, a in M._param_records(model)]
+        pgd(model, x, rng.integers(0, spec.num_classes, 4),
+            AttackConfig(epsilon=0.1, step_size=0.05, steps=2, random_start=True))
+        for old, (_, new) in zip(before, M._param_records(model)):
+            assert old.tobytes() == new.tobytes()
+
+    def test_frozen_resnet_forward_keeps_under_three_conv_outputs(self, monkeypatch):
+        """What a frozen forward's live graph keeps, measured by tracemalloc.
+
+        Per conv: its output, the ReLU or residual sum that follows it, and
+        a ReLU mask, plus the folded weight its closure needs for the input
+        gradient. Unfolded eval batch norm would also keep its normalized
+        input and its output, about 4.4 conv outputs in all.
+        """
+        spec = replace(RESNET, input_shape=(3, 32, 32))
+        model = randomize_batch_norms(spec.build(12), 13)
+        x = T.Tensor(np.random.default_rng(14).uniform(0, 1, (8, 3, 32, 32)),
+                     requires_grad=True)
+        weight_bytes = sum(layer.weight.data.nbytes for layer in model.layers
+                           if isinstance(layer, M.Conv2dLayer))
+        out_bytes = []
+
+        def conv2d(*args):
+            out = T.conv2d(*args)
+            out_bytes.append(out.data.nbytes)
+            return out
+
+        with frozen_params(model):
+            with monkeypatch.context() as patch:
+                patch.setattr(M, "conv2d", conv2d)
+                model.forward(x)
+            tracemalloc.start()
+            try:
+                logits = model.forward(x).logits
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert logits._grad_fn is not None  # the graph is still alive here
+        assert kept <= 3 * sum(out_bytes) + weight_bytes
+
+
 class TestInsertEwas:
     def test_forward_returns_scores(self):
         model = M.ModelSection(width=2).build(3)
@@ -113,6 +235,15 @@ class TestInsertEwas:
         M.insert_ewas(model, "block4", seed=5)
         out = model.forward(np.zeros((1, 1, 8, 8)), mask_mode="inference")
         assert set(out.alc_scores) == {"block3", "block4"}
+
+    def test_spec_lists_every_host_and_survives_a_round_trip(self, tmp_path):
+        section = M.ModelSection(width=2, insertion_points=("block4",))
+        model = section.build(5)
+        M.insert_ewas(model, "block3", seed=6)
+        assert model.spec.insertion_points == ("block4", "block3")
+        assert section.insertion_points == ("block4",)  # a new object, not a mutation
+        M.save_checkpoint(model, tmp_path / "m.ckpt")
+        assert M.load_checkpoint(tmp_path / "m.ckpt").spec == model.spec
 
     def test_unknown_layer_lists_valid_points(self):
         model = M.ModelSection(width=2).build(0)

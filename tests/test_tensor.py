@@ -50,6 +50,20 @@ class TestMatmul:
         assert_grad_matches(loss_fn, b.data, b.grad, what="matmul/b")
 
 
+@pytest.mark.parametrize("op,w_shape", [(T.matmul, (4, 2)), (T.mul, (3, 4)),
+                                        (T.add_rowvec, (4,))],
+                         ids=["matmul", "mul", "add_rowvec"])
+def test_frozen_operand_gets_no_gradient_computed(op, w_shape):
+    """A parent without requires_grad gets None; the input gradient is unchanged."""
+    rng = np.random.default_rng(1)
+    x_data, w_data = rng.normal(size=(3, 4)), rng.normal(size=w_shape)
+    g = rng.normal(size=op(t(x_data), t(w_data)).data.shape)
+    live = op(t(x_data), t(w_data))._grad_fn(g)
+    frozen = op(t(x_data), t(w_data, rg=False))._grad_fn(g)
+    assert live[1] is not None and frozen[1] is None
+    assert frozen[0].tobytes() == live[0].tobytes()
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = t(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3))
