@@ -236,9 +236,6 @@ class Model:
         self.layers.append(layer)
         return layer
 
-    def insertion_points(self) -> list[str]:
-        return list(self.INSERTION_POINTS)
-
     def forward(self, x, labels=None, train: bool = False,
                 mask_mode: str = "inference", capture=()) -> ForwardOut:
         """Run the network. ``train`` controls batch-norm behavior only;

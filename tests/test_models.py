@@ -47,7 +47,7 @@ class TestSmallCnn:
 
     def test_insertion_points(self):
         model = M.ModelSection(width=2).build(0)
-        assert model.insertion_points() == ["block1", "block2", "block3", "block4"]
+        assert model.INSERTION_POINTS == ("block1", "block2", "block3", "block4")
 
     def test_build_and_forward_deterministic(self):
         x = np.random.default_rng(0).uniform(0, 1, (2, 1, 8, 8))
@@ -75,8 +75,8 @@ class TestResNetLike:
 
     def test_seventeen_conv_ordinals_plus_head(self):
         model = RESNET.build(0)
-        points = model.insertion_points()
-        assert points == [f"layer{i}" for i in range(1, 18)]
+        points = model.INSERTION_POINTS
+        assert points == tuple(f"layer{i}" for i in range(1, 18))
         assert any(name.startswith("head") for name, _ in model.parameters())
         assert model.DEFAULT_INSERTION in points
 
