@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ABORT = 2
 EXIT_IO = 3
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,7 +243,29 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Ask glibc, once per process, to keep freed buffers for reuse.
+
+    ``backward`` frees each graph as it goes and the next step allocates
+    the same buffers again. By default glibc returns freed heap to the
+    system and faults it back in page by page; here buffers up to 32 MiB
+    come from the heap and up to 1 GiB of free heap top is kept. Where
+    the C library cannot be opened by ``ctypes`` (Windows) or has no
+    ``mallopt`` (macOS, other non-glibc libcs), this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,12 @@ Conventions that tests rely on:
 * flattening a (B, C, H, W) tensor is channel-major, then row, then
   column (numpy C order) -- the single contract shared with the scaling
   module's mask reformat,
-* a graph may be backpropagated exactly once.
+* a graph may be backpropagated exactly once, and ``backward`` frees it
+  node by node as it goes,
+* no backward closure keeps a copy of an activation: ``conv2d``,
+  ``batch_norm2d``, ``relu`` and ``maximum_scalar`` recompute what they
+  need from their operands' ``data`` or their own output (Chen et al.
+  2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates.
 """
 
 from __future__ import annotations
@@ -135,7 +140,10 @@ def backward(loss: Tensor) -> None:
 
     The graph below ``loss`` is consumed; a second call raises
     ``GraphConsumedError``. Gradient accumulation into leaves is additive
-    across separate graphs.
+    across separate graphs. Each node is released as soon as its gradient
+    has been routed: its closure and parent links are dropped, so the
+    activations it held are freed while the walk goes on. A consumed
+    tensor keeps its ``data``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -158,7 +166,8 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
     grad_map = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grad_map.pop(id(node), None)
         if g is None:
             continue
@@ -170,7 +179,9 @@ def backward(loss: Tensor) -> None:
             continue
         node._consumed = True
         parent_grads = node._grad_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        parents = node._parents
+        node._grad_fn, node._parents = None, ()
+        for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
@@ -212,14 +223,17 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0."""
-    mask = x.data > 0
-    return _result(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
+    out = np.maximum(x.data, 0.0)
+    return _result(out, (x,), lambda g: (g * (out > 0),))
 
 
 def maximum_scalar(x: Tensor, c: float) -> Tensor:
-    """Elementwise max(x, c), NaN where x is NaN; gradient flows only where x > c."""
-    mask = x.data > c
-    return _result(np.maximum(x.data, c), (x,), lambda g: (g * mask,))
+    """Elementwise max(x, c), NaN where x is NaN; gradient flows only where x > c.
+
+    The mask is read off the output: ``out > c`` is ``x > c``, NaN included.
+    """
+    out = np.maximum(x.data, c)
+    return _result(out, (x,), lambda g: (g * (out > c),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -364,9 +378,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     small feature maps. With the gradient as g_c = (Cout, Ho·Wo·B),
     ``dw = g_c @ cols.T`` and ``dx`` is ``W.T @ g_c`` folded back by kh·kw
     slice-adds (col2im), the forward's multiply-adds at every stride. The
-    closure keeps no column matrix; it keeps the padded input, to rebuild
-    cols, only when grad mode is on and ``weight.requires_grad``, so
-    frozen-weight attack steps keep nothing.
+    closure keeps no array of its own: for ``dw`` the backward rebuilds
+    the padded buffer from ``x.data``, which the graph holds anyway, and
+    only if ``weight.requires_grad`` was set at forward time.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -381,20 +395,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    xp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
-    xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(1, 2, 3, 0)
+    def padded():
+        xp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(1, 2, 3, 0)
+        return xp
+
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = wmat @ _im2col(xp, kh, kw, stride, ho, wo)
+    out = wmat @ _im2col(padded(), kh, kw, stride, ho, wo)
     if bias is not None:
         out += bias.data[:, None]
     out = np.ascontiguousarray(out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2))
-    kept_xp = xp if _grad_enabled and weight.requires_grad else None
+    need_dw = weight.requires_grad  # frozen_params may flip it before backward
 
     def grad_fn(g):
         g_c = g.transpose(1, 2, 3, 0).reshape(cout, ho * wo * b)
         dw = db = dx = None
-        if kept_xp is not None:
-            dw = (g_c @ _im2col(kept_xp, kh, kw, stride, ho, wo).T).reshape(cout, cin, kh, kw)
+        if need_dw:
+            dw = (g_c @ _im2col(padded(), kh, kw, stride, ho, wo).T).reshape(cout, cin, kh, kw)
         if bias is not None and bias.requires_grad:
             db = g_c.sum(axis=1)
         if x.requires_grad:
@@ -445,10 +462,14 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     Training mode normalizes by batch statistics (biased variance) and
     updates ``stats`` in place with the given momentum (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
+    The closure keeps only the per-channel mean and inverse standard
+    deviation: the backward recomputes ``xhat`` from ``x.data`` with the
+    forward's expression, so it gets the same bits.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d needs rank-4 input, got {x.data.shape}")
     b, c, h, w = x.data.shape
+    n = b * h * w
     gd = gamma.data.reshape(1, c, 1, 1)
 
     if training:
@@ -456,7 +477,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             raise DegenerateBatchError(
                 f"batch norm in train mode needs batch >= 2, got {b}"
             )
-        n = b * h * w
         mean = x.data.mean(axis=(0, 2, 3))
         centered = x.data - mean.reshape(1, c, 1, 1)
         var = (centered * centered).mean(axis=(0, 2, 3))
@@ -464,30 +484,26 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         xhat = centered * inv_std.reshape(1, c, 1, 1)
         stats.mean += momentum * (mean - stats.mean)
         stats.var += momentum * (var * n / (n - 1) - stats.var)
-        out = xhat * gd + beta.data.reshape(1, c, 1, 1)
-
-        def grad_fn(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            dx = None
-            if x.requires_grad:
-                dxhat = g * gd
-                ivs = inv_std.reshape(1, c, 1, 1)
-                sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                dx = (ivs / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-            return (dx, dgamma, dbeta)
-
-        return _result(out, (x, gamma, beta), grad_fn)
-
-    inv_std = 1.0 / np.sqrt(stats.var + eps)
-    xhat = (x.data - stats.mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    else:
+        mean = stats.mean.copy()  # a later train-mode forward updates stats in place
+        inv_std = 1.0 / np.sqrt(stats.var + eps)
+        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
     out = xhat * gd + beta.data.reshape(1, c, 1, 1)
+    ivs = inv_std.reshape(1, c, 1, 1)
 
     def grad_fn(g):
+        need_xhat = gamma.requires_grad or (training and x.requires_grad)
+        xhat = (x.data - mean.reshape(1, c, 1, 1)) * ivs if need_xhat else None
         dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
         dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        dx = g * gd * inv_std.reshape(1, c, 1, 1) if x.requires_grad else None
+        dx = None
+        if x.requires_grad and training:
+            dxhat = g * gd
+            sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            dx = (ivs / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        elif x.requires_grad:
+            dx = g * gd * ivs
         return (dx, dgamma, dbeta)
 
     return _result(out, (x, gamma, beta), grad_fn)

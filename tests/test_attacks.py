@@ -1,5 +1,6 @@
 """Attack semantics: projection, objectives, FGSM/PGD/margin equivalences."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,28 @@ class TestPgd:
                              loss_kind=loss_kind, lambda_attack=lam)
         adv = A.pgd(model, x, y, cfg)
         assert not np.isfinite(adv.loss).any()
+
+
+    def test_second_step_does_not_hold_the_first_steps_graph(self):
+        model = M.ModelSection(arch="resnet18_like", width=4, input_shape=(3, 16, 16),
+                               num_classes=5, insertion_points=("layer15",)).build(2)
+        x = np.random.default_rng(4).uniform(0, 1, (16, 3, 16, 16))
+        y = np.arange(16) % 5
+
+        def peak(steps):
+            cfg = A.AttackConfig(epsilon=8 / 255, step_size=2 / 255, steps=steps,
+                                 random_start=False)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                A.pgd(model, x, y, cfg)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(1), peak(2)
+        # Holding step 1's graph through step 2 adds a third of ``one`` or more.
+        assert two <= 1.1 * one
 
 
 class TestCwAttack:

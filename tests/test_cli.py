@@ -1,12 +1,14 @@
 """Command-line behavior: artifacts, exit codes, config validation."""
 
 import csv
+import ctypes
+import ctypes.util
 import json
 
 import numpy as np
 import pytest
 
-from ewas import attacks
+from ewas import attacks, cli
 from ewas.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from ewas.models import ModelSection, load_checkpoint, save_checkpoint
 from ewas.tensor import backward
@@ -73,6 +75,68 @@ def poisoned_checkpoint(ckpt, path, poison):
     poison(model)
     save_checkpoint(model, path, float64=True)
     return path
+
+
+class FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class FakeLibc:
+    def __init__(self):
+        self.mallopt = FakeMallopt()
+
+
+class TestKeepFreedPages:
+    """``main`` asks glibc, once per process, to keep freed heap pages."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        cli._keep_freed_pages.cache_clear()
+        yield
+        cli._keep_freed_pages.cache_clear()
+
+    @staticmethod
+    def train_zero_epochs(tmp_path, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["train"]["epochs"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        return main(["train", "--config", str(cfg_path), "--out", str(tmp_path / name)])
+
+    def test_sets_both_thresholds_once_per_process(self, tmp_path, monkeypatch):
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            return libc
+
+        def find_library(name):
+            raise AssertionError("find_library spawns a subprocess")
+
+        libc = FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(ctypes.util, "find_library", find_library)
+        assert self.train_zero_epochs(tmp_path, "a") == EXIT_OK
+        assert self.train_zero_epochs(tmp_path, "b") == EXIT_OK
+        assert opened == [None]
+        assert libc.mallopt.calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_, M_TRIM_THRESHOLD
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    def test_no_libc_does_nothing(self, tmp_path, monkeypatch):
+        def cdll(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self.train_zero_epochs(tmp_path, "run") == EXIT_OK
+
+    def test_no_mallopt_symbol_does_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no mallopt attribute
+        assert self.train_zero_epochs(tmp_path, "run") == EXIT_OK
 
 
 class TestTrain:

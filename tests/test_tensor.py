@@ -206,6 +206,25 @@ class TestConv2dKernelParity:
                                         np.ones((2, 4, 3, 3)), 2, 1)[1], rtol=1e-12)
 
 
+def retained(op):
+    """Run ``op()`` under tracemalloc; returns (bytes it left allocated, its result).
+
+    The result is still referenced when the count is taken, so whatever
+    its graph keeps alive is counted.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, out
+
+
+SLACK = 4096  # the result's Tensor, closure and small per-op objects
+
+
 class TestConv2dRetainedMemory:
     """What a live graph keeps after a conv forward, measured by tracemalloc."""
 
@@ -216,13 +235,7 @@ class TestConv2dRetainedMemory:
         x = t(rng.normal(size=(self.B, self.CIN, self.H, self.W)))
         w = t(rng.normal(size=(self.COUT, self.CIN, self.K, self.K)), rg=weight_grad)
         b = t(rng.normal(size=self.COUT), rg=weight_grad)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = T.conv2d(x, w, b, stride=1, padding=1)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        kept, out = retained(lambda: T.conv2d(x, w, b, stride=1, padding=1))
         assert out._grad_fn is not None  # the graph is still alive here
         return kept, out.data.nbytes
 
@@ -230,13 +243,41 @@ class TestConv2dRetainedMemory:
         return self.B * self.H * self.W * self.CIN * self.K * self.K * 8
 
     def test_keeps_under_half_the_column_matrix(self):
-        kept, _ = self.retained_bytes(weight_grad=True)
+        # With a weight gradient the backward rebuilds the padded input
+        # from x.data, so the closure keeps nothing beside the output.
+        kept, out_bytes = self.retained_bytes(weight_grad=True)
         assert kept < self.im2col_bytes() / 2
+        assert kept <= out_bytes + SLACK
 
     def test_frozen_weights_keep_only_the_output(self):
         kept, out_bytes = self.retained_bytes(weight_grad=False)
         x_bytes = self.B * self.CIN * self.H * self.W * 8
         assert kept <= out_bytes + x_bytes + 4096
+
+
+class TestOpRetainedMemory:
+    """Elementwise ops and batch norm keep their output and O(C) numbers, no copy of x."""
+
+    @staticmethod
+    def x():
+        return t(np.random.default_rng(5).normal(size=(8, 16, 16, 16)))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_keeps_output_plus_per_channel_stats(self, training):
+        c = 16
+        x = self.x()
+        gamma, beta = t(np.full(c, 1.5)), t(np.full(c, 0.25))
+        stats = T.RunningStats(np.full(c, 0.1), np.full(c, 2.0))
+        kept, out = retained(lambda: T.batch_norm2d(x, gamma, beta, stats, training))
+        assert kept <= out.data.nbytes + 8 * 8 * c + SLACK
+
+    @pytest.mark.parametrize("op", [lambda x: T.relu(x), lambda x: T.maximum_scalar(x, -0.5)],
+                             ids=["relu", "maximum_scalar"])
+    def test_elementwise_max_keeps_only_its_output(self, op):
+        x = self.x()
+        kept, out = retained(lambda: op(x))
+        assert out._grad_fn is not None
+        assert kept <= out.data.nbytes + SLACK
 
 
 class TestRelu:
@@ -471,6 +512,39 @@ class TestBackward:
         T.backward(loss)
         with pytest.raises(GraphConsumedError):
             T.backward(loss)
+
+    def test_new_loss_over_a_consumed_node_raises(self):
+        x = t([1.0, -2.0])
+        hidden = T.relu(T.mul_scalar(x, 3.0))
+        T.backward(T.tsum(hidden))
+        with pytest.raises(GraphConsumedError):
+            T.backward(T.tsum(T.mul_scalar(hidden, 2.0)))
+
+    def test_consumed_nodes_keep_their_data(self):
+        x = t([1.0, -2.0])
+        hidden = T.relu(T.mul_scalar(x, 3.0))
+        loss = T.tsum(hidden)
+        T.backward(loss)
+        np.testing.assert_array_equal(hidden.data, [3.0, 0.0])
+        assert loss.item() == 3.0
+
+    def test_frees_the_graph_while_the_loss_is_referenced(self):
+        rng = np.random.default_rng(2)
+        x = t(rng.normal(size=(4, 3, 8, 8)))
+        w = t(rng.normal(size=(6, 3, 3, 3)))
+        gamma, beta = t(np.ones(6)), t(np.zeros(6))
+        stats = T.RunningStats.create(6)
+        leaves = (x, w, gamma, beta)
+
+        def forward_and_backward():
+            h = T.relu(T.batch_norm2d(T.conv2d(x, w, padding=1), gamma, beta, stats, True))
+            loss = T.tmean(T.mul(h, h))
+            T.backward(loss)
+            return loss
+
+        kept, loss = retained(forward_and_backward)
+        assert kept <= sum(leaf.grad.nbytes for leaf in leaves) + SLACK
+        assert loss._grad_fn is None and loss._parents == ()
 
     def test_accumulation_is_additive(self):
         x = t([1.0, 2.0])

@@ -1,5 +1,6 @@
 """Composite losses, optimizer, schedule, training loop, evaluation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -444,3 +445,58 @@ class TestEvaluate:
         r2 = TR.evaluate(model, ds, [cfg])
         assert r1.rows[0].robust_acc == r2.rows[0].robust_acc
         assert r1.csv_rows() == r2.csv_rows()
+
+
+class TestTapeMemory:
+    """The outer loss graph holds each activation once and backward frees it."""
+
+    @staticmethod
+    def trades_inputs():
+        model = M.ModelSection(arch="resnet18_like", width=4, input_shape=(3, 16, 16),
+                               num_classes=5, insertion_points=("layer15",)).build(3)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 1, (16, 3, 16, 16))
+        x_adv = np.clip(x + rng.uniform(-0.03, 0.03, x.shape), 0, 1)
+        y = np.arange(16) % 5
+        return model, x, x_adv, y
+
+    @staticmethod
+    def graph_nodes(root):
+        nodes, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        return nodes.values()
+
+    def test_trades_graph_keeps_each_activation_once(self):
+        model, x, x_adv, y = self.trades_inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            terms = TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        buffers = {}  # the arrays node data live in; a view counts its base once
+        ops = 0
+        for node in self.graph_nodes(terms["total"]):
+            if node._grad_fn is None:
+                continue  # leaves: the parameters, and the inputs wrapped without a copy
+            ops += 1
+            base = node.data
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            buffers[id(base)] = base.nbytes
+        # Per op, its Tensor, closure cells and O(C) or O(B·K) numbers: about
+        # 1.1 KiB here, where the smallest activation takes 16 KiB.
+        assert kept <= sum(buffers.values()) + 2048 * ops
+
+    def test_terms_stay_readable_after_backward(self):
+        model, x, x_adv, y = self.trades_inputs()
+        terms = TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+        values = {key: float(term.data) for key, term in terms.items()}
+        T.backward(terms["total"])
+        assert {key: float(term.data) for key, term in terms.items()} == values
+        assert terms["total"]._parents == () and terms["cls"]._parents == ()
