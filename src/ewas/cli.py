@@ -249,8 +249,11 @@ def _keep_freed_pages() -> None:
 
     ``backward`` frees each graph as it goes and the next step allocates
     the same buffers again. By default glibc returns freed heap to the
-    system and faults it back in page by page; here buffers up to 32 MiB
-    come from the heap and up to 1 GiB of free heap top is kept. Where
+    system and faults it back in page by page; here buffers up to 32 MiB,
+    the largest mmap threshold glibc accepts, come from the heap and up to
+    1 GiB of free heap top is kept. A buffer above 32 MiB is still mapped
+    and faulted in afresh each time; since ``conv2d`` builds its column
+    matrices in row blocks, its largest buffer is the padded input. Where
     the C library cannot be opened by ``ctypes`` (Windows) or has no
     ``mallopt`` (macOS, other non-glibc libcs), this does nothing.
     """

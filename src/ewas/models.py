@@ -76,15 +76,19 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 class Conv2dLayer:
-    """A bias-free conv: every conv here feeds a batch norm, whose beta is the bias."""
+    """A bias-free conv: every conv here feeds a batch norm, whose beta is the bias.
+
+    Without a generator (``rng=None``) the weight is zeros, for a caller
+    that overwrites it."""
 
     def __init__(self, name: str, cin: int, cout: int, kernel: int, stride: int,
-                 padding: int, rng: np.random.Generator, dtype):
+                 padding: int, rng: np.random.Generator | None, dtype):
         self.name = name
         self.stride = stride
         self.padding = padding
         fan_in = cin * kernel * kernel
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, kernel, kernel))
+        shape = (cout, cin, kernel, kernel)
+        w = np.zeros(shape) if rng is None else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
         self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -125,12 +129,17 @@ class BatchNorm2dLayer:
 
 
 class LinearLayer:
+    """x @ W + b; zeros without a generator, like ``Conv2dLayer``."""
+
     def __init__(self, name: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator, dtype):
+                 rng: np.random.Generator | None, dtype):
         self.name = name
         bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = rng.uniform(-bound, bound, size=fan_out)
+        if rng is None:
+            w, b = np.zeros((fan_in, fan_out)), np.zeros(fan_out)
+        else:
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            b = rng.uniform(-bound, bound, size=fan_out)
         self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
         self.bias = Tensor(b.astype(dtype), requires_grad=True, dtype=dtype)
 
@@ -188,12 +197,14 @@ class ModelSection:
         if unknown:
             raise ConfigError(f"{key}: unknown {unknown}; valid points: {', '.join(hooks)}")
 
-    def build(self, seed: int) -> Model:
+    def build(self, seed: int | None) -> Model:
         """The described model: backbone weights drawn from ``seed``, the scaling
-        module at ``insertion_points[i]`` from ``seed + i + 1``."""
+        module at ``insertion_points[i]`` from ``seed + i + 1``. With
+        ``seed=None`` every weight is zeros and nothing is drawn, for a
+        caller that overwrites them (``load_checkpoint``)."""
         model = _ARCHS[self.arch](self, seed)
         for i, host in enumerate(self.insertion_points):
-            insert_ewas(model, host, seed=seed + i + 1)
+            insert_ewas(model, host, seed=None if seed is None else seed + i + 1)
         return model
 
 
@@ -213,7 +224,8 @@ class ForwardOut:
 class Model:
     """Shared machinery: the layer list, insertion-point taps, scaling modules.
 
-    An architecture's constructor takes ``(spec, seed)`` and registers
+    An architecture's constructor takes ``(spec, seed)``, draws its
+    weights from ``seed`` (zeros if it is ``None``) and registers
     each layer with ``_add`` as it builds it; that order is the order of
     ``parameters()``, ``state_arrays()`` and the checkpoint records.
     """
@@ -305,9 +317,9 @@ class SmallCnn(Model):
 
     STRIDES = (1, 2, 2, 1)
 
-    def __init__(self, spec: ModelSection, seed: int):
+    def __init__(self, spec: ModelSection, seed: int | None):
         super().__init__(spec)
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         width = spec.width
         channels = (width, 2 * width, 4 * width, 4 * width)
         self.blocks = []
@@ -339,7 +351,7 @@ class BasicBlock:
     Its layers are registered with ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
-                 rng: np.random.Generator, tap1: str, tap2: str):
+                 rng: np.random.Generator | None, tap1: str, tap2: str):
         keep, dtype = model._add, model.dtype
         self.name = name
         self.tap1 = tap1
@@ -374,10 +386,10 @@ class ResNetLike(Model):
 
     DEFAULT_INSERTION = "layer15"
 
-    def __init__(self, spec: ModelSection, seed: int):
+    def __init__(self, spec: ModelSection, seed: int | None):
         super().__init__(spec)
         width = spec.width
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         taps = iter(self.INSERTION_POINTS)
         self.stem_conv = self._add(Conv2dLayer("stem.conv", spec.input_shape[0], width,
                                                3, 1, 1, rng, self.dtype))
@@ -408,17 +420,22 @@ class ResNetLike(Model):
 _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}
 
 
-def insert_ewas(model: Model, host_layer: str, seed: int = 0) -> Model:
+def _generator(seed: int | None) -> np.random.Generator | None:
+    """The generator weights are drawn from; none for ``seed=None`` (zeros)."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
     """Attach a scaling module with one column per model class, sized by a
-    dry-run at ``host_layer``.
+    dry-run at ``host_layer``; its weights are drawn from ``seed``, or
+    zeros if it is ``None``.
 
     Multiple insertions are kept in list order; a repeated host name
     scales the already-scaled activation.
     """
     shape = model.activation_shape(host_layer)  # validates the host name
     flat = int(np.prod(shape))
-    rng = np.random.default_rng(seed)
-    params = AlcParams.create(flat, model.num_classes, rng, dtype=model.dtype)
+    params = AlcParams.create(flat, model.num_classes, _generator(seed), dtype=model.dtype)
     module_id = host_layer
     existing = {m.module_id for m in model.ewas_modules}
     n = 1
@@ -540,7 +557,7 @@ def load_checkpoint(path) -> Model:
 
     try:
         meta = json.loads(meta_raw.decode())
-        model = ModelSection(**meta["model"]).build(0)
+        model = ModelSection(**meta["model"]).build(None)  # zeros: every array is read below
         model.checkpoint_meta = {key: meta[key] for key in ("epoch", "seed", "config_digest")}
         names = [name.decode() for name, _, _ in records]
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError

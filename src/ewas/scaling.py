@@ -46,11 +46,14 @@ class AlcParams:
         return self.weight.data.shape[1]
 
     @classmethod
-    def create(cls, flat_size: int, num_classes: int, rng: np.random.Generator,
+    def create(cls, flat_size: int, num_classes: int, rng: np.random.Generator | None,
                dtype=np.float64) -> "AlcParams":
-        """Uniform fan-in initialization, bound +-1/sqrt(C*H*W)."""
+        """Uniform fan-in initialization, bound +-1/sqrt(C*H*W); zeros without
+        a generator, for a caller that overwrites them."""
         bound = 1.0 / np.sqrt(flat_size)
-        w = rng.uniform(-bound, bound, size=(flat_size, num_classes)).astype(dtype)
+        shape = (flat_size, num_classes)
+        w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
+        w = w.astype(dtype)
         return cls(Tensor(w, requires_grad=True, dtype=dtype))
 
 

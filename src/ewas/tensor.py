@@ -351,13 +351,61 @@ def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
 # convolution, pooling, normalization
 # ---------------------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(Cin·kh·kw, Ho·Wo·B) column matrix of a batch-innermost padded input."""
+_BLOCK_BYTES = 1 << 20  # most bytes a block's column matrix may hold, at least one output row
+
+
+def _pad_batch_inner(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(C, H+2ph, W+2pw, B) zero-padded copy of a (B, C, H, W) array; a negative pad crops."""
+    b, c, h, w = a.shape
+    out = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=a.dtype)
+    ch, cw, oh, ow = max(-ph, 0), max(-pw, 0), max(ph, 0), max(pw, 0)
+    out[:, oh:out.shape[1] - oh, ow:out.shape[2] - ow] = (
+        a[:, :, ch:h - ch, cw:w - cw].transpose(1, 2, 3, 0))
+    return out
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, row0: int,
+            ho: int, wo: int) -> np.ndarray:
+    """(Cin·kh·kw, Ho·Wo·B) column matrix of output rows row0 .. row0+ho-1,
+    read from a batch-innermost padded input (Cin, Hp, Wp, B)."""
     cin, b = xp.shape[0], xp.shape[3]
     s0, s1, s2, s3 = xp.strides
-    view = np.ndarray((cin, kh, kw, ho, wo, b), xp.dtype, xp,
+    view = np.ndarray((cin, kh, kw, ho, wo, b), xp.dtype, xp, offset=row0 * stride * s1,
                       strides=(s0, s1, s2, s1 * stride, s2 * stride, s3))
     return view.reshape(cin * kh * kw, ho * wo * b)
+
+
+def _row_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
+    """Yield (i0, i1, cols): the column matrix of output rows i0 .. i1-1, in
+    blocks of as many rows as fit in ``_BLOCK_BYTES``, and at least one."""
+    row_bytes = xp.shape[0] * kh * kw * wo * xp.shape[3] * xp.itemsize
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    for i0 in range(0, ho, rows):
+        i1 = min(i0 + rows, ho)
+        yield i0, i1, _im2col(xp, kh, kw, stride, i0, i1 - i0, wo)
+
+
+def _correlate(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, stride: int,
+               ho: int, wo: int) -> np.ndarray:
+    """(Cout, Ho, Wo, B) cross-correlation of a batch-innermost padded input
+    with a (Cout, Cin·kh·kw) weight matrix, one block of output rows at a time."""
+    cout = wmat.shape[0]
+    out = np.empty((cout, ho, wo, xp.shape[3]), dtype=np.result_type(wmat, xp))
+    for i0, i1, cols in _row_blocks(xp, kh, kw, stride, ho, wo):
+        np.matmul(wmat, cols, out=out[:, i0:i1].reshape(cout, -1))
+    return out
+
+
+def _weight_grad(g_c: np.ndarray, xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(Cout, Cin·kh·kw) sum over row blocks of ``g_block @ cols_block.T``,
+    for a (Cout, Ho, Wo, B) gradient and the forward's padded input."""
+    cout, ho, wo = g_c.shape[:3]
+    parts = (g_c[:, i0:i1].reshape(cout, -1) @ cols.T
+             for i0, i1, cols in _row_blocks(xp, kh, kw, stride, ho, wo))
+    dw = next(parts)
+    for part in parts:
+        dw += part
+    return dw
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -368,19 +416,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2p - kh) / stride) + 1.
 
     Batch-innermost: the input is copied once into a zeroed (Cin, H+2p,
-    W+2p, B) buffer whose strided view reshapes to the column matrix
-    cols = (Cin·kh·kw, Ho·Wo·B); the forward is ``W(Cout, Cin·kh·kw) @ cols``
-    plus one transpose to (B, Cout, Ho, Wo). With the batch axis innermost,
-    every run the im2col gather and the col2im slice-adds move is at
-    least B contiguous elements (Wo·B at stride 1); with the batch outside
-    the spatial axes a run is one output row, Wo elements, or a single
-    element at stride 2, which leaves numpy's inner loops nearly empty on
-    small feature maps. With the gradient as g_c = (Cout, Ho·Wo·B),
-    ``dw = g_c @ cols.T`` and ``dx`` is ``W.T @ g_c`` folded back by kh·kw
-    slice-adds (col2im), the forward's multiply-adds at every stride. The
-    closure keeps no array of its own: for ``dw`` the backward rebuilds
-    the padded buffer from ``x.data``, which the graph holds anyway, and
-    only if ``weight.requires_grad`` was set at forward time.
+    W+2p, B) buffer. A strided view of a band of its rows reshapes to the
+    column matrix of a block of output rows, (Cin·kh·kw, rows·Wo·B), and
+    the forward is ``W(Cout, Cin·kh·kw) @ cols`` block by block, written
+    into one (Cout, Ho, Wo, B) array, plus one transpose to (B, Cout, Ho,
+    Wo). A block holds as many output rows as fit in ``_BLOCK_BYTES``,
+    and at least one, so no whole-input column matrix is ever built (Cho
+    & Brand 2017, MEC); block edges depend only on shapes and dtype. With
+    the batch axis innermost, every run the gather moves is at least B
+    contiguous elements (Wo·B at stride 1). With the gradient as g_c =
+    (Cout, Ho, Wo, B), ``dw`` is the sum over the same row blocks of
+    ``g_block @ cols_block.T``. At stride 1, ``dx`` is itself a blocked
+    correlation: the gradient padded by k − 1 − p (cropped where that is
+    negative) correlated with the flipped, transposed kernel. At larger
+    strides that would multiply zeros, so ``dx`` is ``W.T @ g_c`` folded
+    back by kh·kw slice-adds (col2im). The closure keeps no array of its
+    own: for ``dw`` the backward rebuilds the padded buffer from
+    ``x.data``, which the graph holds anyway, and only if
+    ``weight.requires_grad`` was set at forward time.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -395,27 +448,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    def padded():
-        xp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(1, 2, 3, 0)
-        return xp
-
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = wmat @ _im2col(padded(), kh, kw, stride, ho, wo)
+    out = _correlate(wmat, _pad_batch_inner(x.data, padding, padding), kh, kw, stride, ho, wo)
     if bias is not None:
-        out += bias.data[:, None]
-    out = np.ascontiguousarray(out.reshape(cout, ho, wo, b).transpose(3, 0, 1, 2))
+        out += bias.data[:, None, None, None]
+    out = np.ascontiguousarray(out.transpose(3, 0, 1, 2))
     need_dw = weight.requires_grad  # frozen_params may flip it before backward
 
     def grad_fn(g):
-        g_c = g.transpose(1, 2, 3, 0).reshape(cout, ho * wo * b)
         dw = db = dx = None
+        need_db = bias is not None and bias.requires_grad
+        if need_dw or need_db or (x.requires_grad and stride > 1):
+            g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
         if need_dw:
-            dw = (g_c @ _im2col(padded(), kh, kw, stride, ho, wo).T).reshape(cout, cin, kh, kw)
-        if bias is not None and bias.requires_grad:
-            db = g_c.sum(axis=1)
-        if x.requires_grad:
-            dcols = (wmat.T @ g_c).reshape(cin, kh, kw, ho, wo, b)
+            xp = _pad_batch_inner(x.data, padding, padding)
+            dw = _weight_grad(g_c, xp, kh, kw, stride).reshape(cout, cin, kh, kw)
+            del xp  # freed before dx is computed
+        if need_db:
+            db = g_c.reshape(cout, -1).sum(axis=1)
+        if x.requires_grad and stride == 1:
+            wflip = wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gp = _pad_batch_inner(g, kh - 1 - padding, kw - 1 - padding)
+            dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)
+            dx = np.ascontiguousarray(dx_c.transpose(3, 0, 1, 2))
+        elif x.requires_grad:
+            dcols = (wmat.T @ g_c.reshape(cout, -1)).reshape(cin, kh, kw, ho, wo, b)
             dxp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):

@@ -311,6 +311,24 @@ class TestCheckpoint:
         M.save_checkpoint(M.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("spec,host", [(M.ModelSection(width=2), "block4"),
+                                           (RESNET, "layer15")],
+                             ids=["small_cnn", "resnet18_like"])
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, spec, host):
+        """The file overwrites every array, so loading builds with zeros."""
+        model = spec.build(21)
+        M.insert_ewas(model, host, seed=22)
+        path = tmp_path / "n.ckpt"
+        M.save_checkpoint(model, path, float64=True)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = M.load_checkpoint(path)
+        for (n1, t1), (n2, t2) in zip(model.parameters(), loaded.parameters(), strict=True):
+            assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
+
     def test_single_byte_corruption_detected(self, tmp_path):
         model = self._trained_like_model()
         path = tmp_path / "c.ckpt"

@@ -173,27 +173,32 @@ CONV_CASES = [
 ]
 
 
+def check_against_loop_reference(case, dtype, tol):
+    """conv2d's output and gradients for one CONV_CASES case, against the loop oracle."""
+    bs, cin, h, w, cout, k, s, p = case
+    rng = np.random.default_rng(sum(case))
+    x = T.Tensor(rng.normal(size=(bs, cin, h, w)).astype(dtype), requires_grad=True)
+    wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype), requires_grad=True)
+    bt = T.Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
+    x_before = x.data.copy()
+    out = T.conv2d(x, wt, bt, stride=s, padding=p)
+    assert out.data.dtype == dtype and out.data.flags.c_contiguous
+    g = rng.normal(size=out.data.shape).astype(dtype)
+    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    assert x.data.tobytes() == x_before.tobytes()
+    ref = loop_conv_reference(x.data, wt.data, bt.data, g, s, p)
+    for name, got, want in zip(("out", "dx", "dw", "db"),
+                               (out.data, x.grad, wt.grad, bt.grad), ref):
+        assert got.shape == want.shape, name
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= tol, f"{name}: relative error {err:.3g} > {tol}"
+
+
 class TestConv2dKernelParity:
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("case", CONV_CASES)
     def test_matches_loop_reference(self, case, dtype, tol):
-        bs, cin, h, w, cout, k, s, p = case
-        rng = np.random.default_rng(sum(case))
-        x = T.Tensor(rng.normal(size=(bs, cin, h, w)).astype(dtype), requires_grad=True)
-        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype), requires_grad=True)
-        bt = T.Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
-        x_before = x.data.copy()
-        out = T.conv2d(x, wt, bt, stride=s, padding=p)
-        assert out.data.dtype == dtype and out.data.flags.c_contiguous
-        g = rng.normal(size=out.data.shape).astype(dtype)
-        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
-        assert x.data.tobytes() == x_before.tobytes()
-        ref = loop_conv_reference(x.data, wt.data, bt.data, g, s, p)
-        for name, got, want in zip(("out", "dx", "dw", "db"),
-                                   (out.data, x.grad, wt.grad, bt.grad), ref):
-            assert got.shape == want.shape, name
-            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-            assert err <= tol, f"{name}: relative error {err:.3g} > {tol}"
+        check_against_loop_reference(case, dtype, tol)
 
     def test_frozen_weight_gets_no_gradient(self):
         rng = np.random.default_rng(3)
@@ -204,6 +209,60 @@ class TestConv2dKernelParity:
         np.testing.assert_allclose(
             x.grad, loop_conv_reference(x.data, w.data, np.zeros(4),
                                         np.ones((2, 4, 3, 3)), 2, 1)[1], rtol=1e-12)
+
+
+class TestConv2dRowBlocks:
+    """With ``_BLOCK_BYTES`` at 1 every block is one output row."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_one_row_blocks_match_loop_reference(self, case, dtype, tol, monkeypatch):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        check_against_loop_reference(case, dtype, tol)
+
+    # every conv shape of a width-16 resnet18_like on 3x32x32 inputs, batch 30:
+    # (Cin, H, Cout, k, stride, padding)
+    RESNET_W16_CONVS = [(3, 32, 16, 3, 1, 1), (16, 32, 16, 3, 1, 1), (16, 32, 32, 3, 2, 1),
+                        (16, 32, 32, 1, 2, 0), (32, 16, 32, 3, 1, 1), (32, 16, 64, 3, 2, 1),
+                        (32, 16, 64, 1, 2, 0), (64, 8, 64, 3, 1, 1), (64, 8, 128, 3, 2, 1),
+                        (64, 8, 128, 1, 2, 0), (128, 4, 128, 3, 1, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", RESNET_W16_CONVS)
+    def test_forward_bytes_match_one_block(self, shape, dtype, monkeypatch):
+        """Row blocks leave the forward's bytes as one whole GEMM made them.
+
+        This holds for these shapes, not for every shape: BLAS may pick
+        another kernel for a GEMM of few columns, so one-row blocks of the
+        small CONV_CASES can differ in the last bit."""
+        cin, h, cout, k, s, p = shape
+        rng = np.random.default_rng(sum(shape))
+        x = T.Tensor(rng.normal(size=(30, cin, h, h)).astype(dtype))
+        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype))
+        bt = T.Tensor(rng.normal(size=cout).astype(dtype))
+        blocked = T.conv2d(x, wt, bt, stride=s, padding=p).data
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1 << 62)
+        assert T.conv2d(x, wt, bt, stride=s, padding=p).data.tobytes() == blocked.tobytes()
+
+    def test_peak_stays_under_the_column_matrix(self):
+        """Forward plus backward with a weight gradient, measured by tracemalloc."""
+        b, c, h, w, k = 8, 16, 32, 32, 3
+        rng = np.random.default_rng(17)
+        x = t(rng.normal(size=(b, c, h, w)))
+        wt = t(rng.normal(size=(c, c, k, k)))
+        g = rng.normal(size=(b, c, h, w))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, wt, stride=1, padding=1)
+            dx, dw = out._grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape and dw.shape == wt.shape
+        padded = c * (h + 2) * (w + 2) * b * 8
+        activation = b * c * h * w * 8  # the output, and dx
+        assert peak < c * k * k * h * w * b * 8  # the whole column matrix, 9.4 MB
+        assert peak <= 2 * padded + 2 * activation + 2 * T._BLOCK_BYTES
 
 
 def retained(op):
