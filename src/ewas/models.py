@@ -336,7 +336,7 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, conv, bn in self.blocks:
-            h = relu(bn.forward(conv, h, training))
+            h = relu(bn.forward(conv, h, training), inplace=True)
             h = ctx.tap(name, h)
         return self.head.forward(global_avg_pool(h))
 
@@ -348,6 +348,10 @@ class SmallCnn(Model):
 class BasicBlock:
     """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU.
 
+    Both ReLUs and the add run in place, in the fresh output of the batch
+    norm (or folded conv) before them, which no backward reads: the tape
+    keeps 4 activation-sized buffers per identity block, not 7. The block
+    input, the shortcut and every tapped activation are never written.
     Its layers are registered with ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
@@ -368,14 +372,14 @@ class BasicBlock:
             self.down_bn = keep(BatchNorm2dLayer(f"{name}.down_bn", cout, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.bn1.forward(self.conv1, x, training))
+        h = relu(self.bn1.forward(self.conv1, x, training), inplace=True)
         h = ctx.tap(self.tap1, h)
         h = self.bn2.forward(self.conv2, h, training)
         if self.down_conv is not None:
             shortcut = self.down_bn.forward(self.down_conv, x, training)
         else:
             shortcut = x
-        out = relu(add(h, shortcut))
+        out = relu(add(h, shortcut, inplace=True), inplace=True)
         return ctx.tap(self.tap2, out)
 
 
@@ -410,7 +414,7 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.stem_bn.forward(self.stem_conv, x, training))
+        h = relu(self.stem_bn.forward(self.stem_conv, x, training), inplace=True)
         h = ctx.tap(self.stem_tap, h)
         for block in self.blocks:
             h = block.forward(h, training, ctx)

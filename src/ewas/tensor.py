@@ -18,7 +18,13 @@ Conventions that tests rely on:
 * no backward closure keeps a copy of an activation: ``conv2d``,
   ``batch_norm2d``, ``relu`` and ``maximum_scalar`` recompute what they
   need from their operands' ``data`` or their own output (Chen et al.
-  2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates.
+  2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates,
+* ``relu(x, inplace=True)`` and ``add(a, b, inplace=True)`` write their
+  result into the first operand's ``data``. That is legal only when the
+  operand is a fresh op result whose producer's backward does not read
+  its own output (``batch_norm2d``, ``conv2d``, ``add``), and nothing
+  else reads the operand afterwards; a leaf that requires grad (a
+  parameter, an attack input) raises.
 """
 
 from __future__ import annotations
@@ -200,9 +206,21 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise and scalar ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _check_inplace(x: Tensor, op: str) -> None:
+    """An in-place op may not overwrite a parameter or an attack input."""
+    if x.requires_grad and x._grad_fn is None:
+        raise ValueError(f"{op}(inplace=True) would overwrite a leaf that requires grad")
+
+
+def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
+    """a + b; with ``inplace`` the sum is written into ``a.data``."""
     _check_same_shape(a, b, "add")
-    return _result(a.data + b.data, (a, b), lambda g: (g, g))
+    if inplace:
+        _check_inplace(a, "add")
+        out = np.add(a.data, b.data, out=a.data)
+    else:
+        out = a.data + b.data
+    return _result(out, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -221,9 +239,14 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), lambda g: (g * c,))
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0."""
-    out = np.maximum(x.data, 0.0)
+def relu(x: Tensor, inplace: bool = False) -> Tensor:
+    """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0.
+
+    With ``inplace`` the result is written into ``x.data``; the mask is read
+    off the output either way."""
+    if inplace:
+        _check_inplace(x, "relu")
+    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
     return _result(out, (x,), lambda g: (g * (out > 0),))
 
 
@@ -426,13 +449,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     the batch axis innermost, every run the gather moves is at least B
     contiguous elements (Wo·B at stride 1). With the gradient as g_c =
     (Cout, Ho, Wo, B), ``dw`` is the sum over the same row blocks of
-    ``g_block @ cols_block.T``. At stride 1, ``dx`` is itself a blocked
-    correlation: the gradient padded by k − 1 − p (cropped where that is
-    negative) correlated with the flipped, transposed kernel. At larger
-    strides that would multiply zeros, so ``dx`` is ``W.T @ g_c`` folded
-    back by kh·kw slice-adds (col2im). The closure keeps no array of its
-    own: for ``dw`` the backward rebuilds the padded buffer from
-    ``x.data``, which the graph holds anyway, and only if
+    ``g_block @ cols_block.T``. At stride 1 with Cin ≥ Cout, ``dx`` is
+    itself a blocked correlation: the gradient padded by k − 1 − p
+    (cropped where that is negative) correlated with the flipped,
+    transposed kernel. At larger strides that would multiply zeros, and
+    with Cin < Cout it would gather Cout·kh·kw rows where col2im writes
+    Cin·kh·kw, so there ``dx`` is ``W.T @ g_c`` folded back by kh·kw
+    slice-adds (col2im); the choice depends on shapes only. The closure
+    keeps no array of its own: for ``dw`` the backward rebuilds the padded
+    buffer from ``x.data``, which the graph holds anyway, and only if
     ``weight.requires_grad`` was set at forward time.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -454,11 +479,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out += bias.data[:, None, None, None]
     out = np.ascontiguousarray(out.transpose(3, 0, 1, 2))
     need_dw = weight.requires_grad  # frozen_params may flip it before backward
+    col2im = stride > 1 or cin < cout
 
     def grad_fn(g):
         dw = db = dx = None
         need_db = bias is not None and bias.requires_grad
-        if need_dw or need_db or (x.requires_grad and stride > 1):
+        if need_dw or need_db or (x.requires_grad and col2im):
             g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
         if need_dw:
             xp = _pad_batch_inner(x.data, padding, padding)
@@ -466,7 +492,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             del xp  # freed before dx is computed
         if need_db:
             db = g_c.reshape(cout, -1).sum(axis=1)
-        if x.requires_grad and stride == 1:
+        if x.requires_grad and not col2im:
             wflip = wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gp = _pad_batch_inner(g, kh - 1 - padding, kw - 1 - padding)
             dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)

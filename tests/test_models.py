@@ -220,6 +220,66 @@ class TestFrozenBatchNormFold:
         assert kept <= 3 * sum(out_bytes) + weight_bytes
 
 
+class TestInplaceActivations:
+    """ReLUs and the residual add write into the batch norm output before them."""
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval_fold"])
+    def test_relu_and_residual_share_the_batch_norm_buffer(self, train, monkeypatch):
+        model = randomize_batch_norms(RESNET.build(15), 16)
+        bn_out = {}
+        forward = M.BatchNorm2dLayer.forward
+
+        def record(bn, conv, x, training):
+            bn_out[bn.name] = out = forward(bn, conv, x, training)
+            return out
+
+        monkeypatch.setattr(M.BatchNorm2dLayer, "forward", record)
+        x = T.Tensor(np.random.default_rng(17).uniform(0, 1, (4, *RESNET.input_shape)),
+                     requires_grad=True)
+        if train:
+            taps = model.forward(x, train=True, capture=model.INSERTION_POINTS).captured
+        else:
+            with frozen_params(model):  # an attack step: every pair folded
+                taps = model.forward(x, capture=model.INSERTION_POINTS).captured
+        assert np.shares_memory(taps["layer1"].data, bn_out["stem.bn"].data)
+        for block in model.blocks:
+            assert np.shares_memory(taps[block.tap1].data, bn_out[f"{block.name}.bn1"].data)
+            assert np.shares_memory(taps[block.tap2].data, bn_out[f"{block.name}.bn2"].data)
+
+    @pytest.mark.parametrize("spec,hosts", [
+        (M.ModelSection(width=4, input_shape=(2, 8, 8)), ("block1", "block2", "block4")),
+        (RESNET, ("layer1", "layer4", "layer5", "layer5", "layer15")),
+    ], ids=["small_cnn", "resnet18_like"])
+    def test_taps_and_alc_inputs_keep_their_bytes(self, spec, hosts, monkeypatch):
+        """Nothing later in the forward writes over a tapped activation."""
+        model = replace(spec, insertion_points=hosts).build(18)
+        tapped, alc_inputs = {}, []
+        tap, ewas_forward = M._ForwardCtx.tap, M.ewas_forward
+
+        def record_tap(ctx, name, h):
+            out = tap(ctx, name, h)
+            tapped[name] = out.data.tobytes()
+            return out
+
+        def record_alc(z, *args):
+            alc_inputs.append((z, z.data.tobytes()))
+            return ewas_forward(z, *args)
+
+        monkeypatch.setattr(M._ForwardCtx, "tap", record_tap)
+        monkeypatch.setattr(M, "ewas_forward", record_alc)
+        rng = np.random.default_rng(19)
+        x = T.Tensor(rng.uniform(0, 1, (4, *spec.input_shape)))
+        y = rng.integers(0, spec.num_classes, 4)
+        out = model.forward(x, labels=y, train=True, mask_mode="training",
+                            capture=model.INSERTION_POINTS)
+        assert sorted(out.captured) == sorted(model.INSERTION_POINTS)
+        for name, h in out.captured.items():
+            assert h.data.tobytes() == tapped[name], name
+        assert len(alc_inputs) == len(hosts)
+        for z, before in alc_inputs:
+            assert z.data.tobytes() == before
+
+
 class TestInsertEwas:
     def test_forward_returns_scores(self):
         model = M.ModelSection(width=2).build(3)

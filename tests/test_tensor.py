@@ -166,8 +166,10 @@ CONV_CASES = [
     # (B, Cin, H, W, Cout, k, stride, padding); H and W are odd or
     # non-square, so (H + 2p - k) is not always divisible by the stride;
     # batch 5 catches a kernel that mixes the batch axis with a spatial
-    # one, which batches of 1 and 2 can miss
-    (b, 3, h, w, 4, k, s, p)
+    # one, which batches of 1 and 2 can miss. Cin < Cout takes col2im for
+    # dx at every stride; Cin > Cout takes the correlation at stride 1.
+    (b, cin, h, w, cout, k, s, p)
+    for (cin, cout) in [(3, 4), (4, 3)]
     for (b, h, w) in [(2, 7, 6), (1, 5, 8), (5, 9, 4)]
     for k in (1, 3) for s in (1, 2) for p in (0, 1)
 ]
@@ -315,7 +317,8 @@ class TestConv2dRetainedMemory:
 
 
 class TestOpRetainedMemory:
-    """Elementwise ops and batch norm keep their output and O(C) numbers, no copy of x."""
+    """Elementwise ops and batch norm keep their output and O(C) numbers, no copy of
+    x; an in-place op keeps neither."""
 
     @staticmethod
     def x():
@@ -330,13 +333,65 @@ class TestOpRetainedMemory:
         kept, out = retained(lambda: T.batch_norm2d(x, gamma, beta, stats, training))
         assert kept <= out.data.nbytes + 8 * 8 * c + SLACK
 
-    @pytest.mark.parametrize("op", [lambda x: T.relu(x), lambda x: T.maximum_scalar(x, -0.5)],
-                             ids=["relu", "maximum_scalar"])
-    def test_elementwise_max_keeps_only_its_output(self, op):
-        x = self.x()
-        kept, out = retained(lambda: op(x))
+    @pytest.mark.parametrize("op,inplace", [
+        (lambda x, b: T.relu(x), False),
+        (lambda x, b: T.maximum_scalar(x, -0.5), False),
+        (lambda x, b: T.relu(x, inplace=True), True),
+        (lambda x, b: T.add(x, b, inplace=True), True),
+    ], ids=["relu", "maximum_scalar", "relu_inplace", "add_inplace"])
+    def test_elementwise_max_keeps_only_its_output(self, op, inplace):
+        """An in-place op's output is its operand's buffer: it keeps no new one."""
+        x = T.mul_scalar(self.x(), 1.0)  # a fresh op result, as in-place operands are
+        b = t(np.ones(x.shape))
+        kept, out = retained(lambda: op(x, b))
         assert out._grad_fn is not None
-        assert kept <= out.data.nbytes + SLACK
+        assert (out.data is x.data) == inplace
+        assert kept <= (0 if inplace else out.data.nbytes) + SLACK
+
+
+class TestInplaceOps:
+    """``relu`` and ``add`` with ``inplace=True`` write into the first operand."""
+
+    @staticmethod
+    def fresh(x):
+        """A non-leaf copy of ``x``: the kind of operand ``inplace`` is for."""
+        return T.mul_scalar(x, 1.0)
+
+    def test_relu_matches_out_of_place_bytes_and_gradient(self):
+        data = np.random.default_rng(6).normal(size=(3, 4, 5, 5))
+        data[0, 0, 0, :3] = (0.0, np.nan, -0.0)
+        coef = T.Tensor(np.random.default_rng(7).normal(size=data.shape))
+        results = []
+        for inplace in (False, True):
+            x = t(data)
+            out = T.relu(self.fresh(x), inplace=inplace)
+            T.backward(T.tsum(T.mul(out, coef)))
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_add_matches_out_of_place_bytes_and_gradient(self):
+        rng = np.random.default_rng(8)
+        a_data, b_data = rng.normal(size=(3, 4, 5, 5)), rng.normal(size=(3, 4, 5, 5))
+        coef = T.Tensor(rng.normal(size=a_data.shape))
+        results = []
+        for inplace in (False, True):
+            a, b = t(a_data), t(b_data)
+            out = T.relu(T.add(self.fresh(a), b, inplace=inplace), inplace=inplace)
+            T.backward(T.tsum(T.mul(out, coef)))
+            results.append((out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
+            assert b.data.tobytes() == b_data.tobytes()
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("op", [lambda x: T.relu(x, inplace=True),
+                                    lambda x: T.add(x, t(np.ones(3)), inplace=True)],
+                             ids=["relu", "add"])
+    def test_leaf_that_requires_grad_raises(self, op):
+        x = t([-1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match="leaf"):
+            op(x)
+        with T.no_grad(), pytest.raises(ValueError, match="leaf"):
+            op(x)
+        np.testing.assert_array_equal(x.data, [-1.0, 0.5, 2.0])
 
 
 class TestRelu:

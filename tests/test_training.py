@@ -493,6 +493,37 @@ class TestTapeMemory:
         # 1.1 KiB here, where the smallest activation takes 16 KiB.
         assert kept <= sum(buffers.values()) + 2048 * ops
 
+    def test_identity_block_keeps_four_activation_buffers(self, monkeypatch):
+        """conv1, bn1 = ReLU, conv2, bn2 = add = ReLU: both ReLUs and the add
+        run in place, where out-of-place ops would keep 7 buffers."""
+        model, x, x_adv, y = self.trades_inputs()
+        calls = []
+        forward = M.BasicBlock.forward
+
+        def record(block, h, training, ctx):
+            out = forward(block, h, training, ctx)
+            if block.down_conv is None:
+                calls.append((h, out))
+            return out
+
+        monkeypatch.setattr(M.BasicBlock, "forward", record)
+        TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+        assert len(calls) == 10  # 5 identity blocks, natural and adversarial forward
+        for block_in, block_out in calls:
+            buffers, seen, stack = set(), {id(block_in)}, [block_out]
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                stack.extend(node._parents)
+                if node._grad_fn is not None and node.data.nbytes == block_in.data.nbytes:
+                    base = node.data
+                    while isinstance(base.base, np.ndarray):
+                        base = base.base
+                    buffers.add(id(base))
+            assert len(buffers) <= 4
+
     def test_terms_stay_readable_after_backward(self):
         model, x, x_adv, y = self.trades_inputs()
         terms = TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
