@@ -8,9 +8,7 @@ from .attacks import (
     AdversarialBatch,
     AttackConfig,
     attack_objective,
-    cw_attack,
     cw_margin_loss,
-    fgsm,
     pgd,
     project_linf_box,
 )
@@ -33,12 +31,9 @@ from .scaling import (
 from .tensor import Tensor, backward, no_grad
 from .training import (
     TrainConfig,
-    at_loss_ewas,
     evaluate,
+    loss_terms,
     lr_schedule,
-    mart_loss_ewas,
-    sgd_step,
-    trades_loss_ewas,
     train,
 )
 
@@ -47,10 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversarialBatch", "AlcParams", "AttackConfig", "Dataset", "ForwardOut",
     "Model", "ModelSection", "Tensor", "TrainConfig", "alc_score",
-    "apply_scaling", "at_loss_ewas", "attack_objective", "backward", "batches",
-    "cw_attack", "cw_margin_loss", "evaluate", "ewas_forward", "fgsm",
-    "insert_ewas", "load_cifar_binary", "load_checkpoint", "load_idx",
-    "lr_schedule", "mart_loss_ewas", "no_grad", "pgd", "project_linf_box",
-    "save_checkpoint", "select_mask", "sgd_step", "synth_dataset",
-    "trades_loss_ewas", "train",
+    "apply_scaling", "attack_objective", "backward", "batches",
+    "cw_margin_loss", "evaluate", "ewas_forward", "insert_ewas",
+    "load_cifar_binary", "load_checkpoint", "load_idx", "loss_terms",
+    "lr_schedule", "no_grad", "pgd", "project_linf_box", "save_checkpoint",
+    "select_mask", "synth_dataset", "train",
 ]

@@ -1,10 +1,11 @@
 """White-box l-infinity attacks: FGSM, PGD-k, and margin-loss (C&W style).
 
-All attacks share one driver, ``pgd``: signed-gradient ascent on an
-objective, projected after every step onto the intersection of the
-epsilon-ball around the clean input and the [0, 1] pixel box. FGSM is
-exactly ``pgd`` with one full-epsilon step and no random start; the
-margin attack is ``pgd`` ascending the negated margin.
+Every attack is one ``AttackConfig`` run by the one attack loop, ``pgd``:
+signed-gradient ascent on an objective, projected after every step onto
+the intersection of the epsilon-ball around the clean input and the
+[0, 1] pixel box. FGSM is the preset ``steps: 1, step_size: epsilon``
+without a random start; the C&W attack is the preset
+``loss_kind: "cw_margin"``, which ascends the negated margin.
 
 When the model carries scaling modules, the objective can include their
 classifier losses weighted by ``lambda_attack``; with ``lambda_attack``
@@ -20,7 +21,7 @@ batch-norm statistics are never mutated by an attack.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +37,17 @@ from .tensor import (
     tmean,
 )
 
-LOSS_KINDS = ("cross_entropy", "combined", "cw_margin")
+LOSS_KINDS = ("cross_entropy", "cw_margin")
 
 
 @dataclass
 class AttackConfig:
     """Attack hyperparameters; ``name`` labels rows in evaluation output.
 
-    ``loss_kind="combined"`` is an alias of ``"cross_entropy"``: both add
-    ``lambda_attack`` times the scaling modules' classifier loss to the
-    backbone loss, and reduce to the backbone loss at lambda 0. In a run
-    config ``seed`` defaults to the run seed and ``name`` to the preset's
-    name, or ``"inner"`` for the training attack.
+    Either ``loss_kind`` adds ``lambda_attack`` times the scaling modules'
+    classifier loss to the backbone loss, and reduces to the backbone loss
+    at lambda 0. In a run config ``seed`` defaults to the run seed and
+    ``name`` to the preset's name, or ``"inner"`` for the training attack.
     """
 
     epsilon: float
@@ -147,7 +147,7 @@ def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
                      kappa: float = 0.0, mask_mode: str = "inference") -> Tensor:
     """Combined attack objective of the backbone and any scaling modules.
 
-    cross_entropy/combined: CE(logits, y) + lambda * sum CE(scores, y).
+    cross_entropy: CE(logits, y) + lambda * sum CE(scores, y).
     cw_margin: margin(logits, y) + lambda * sum margin(scores, y); an
     ascending attacker negates this.
     """
@@ -213,16 +213,3 @@ def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
     success, final_loss = _final_metrics(model, x_adv, y, config)
     return AdversarialBatch(x_adv, success, final_loss)
 
-
-def fgsm(model, x, y, config: AttackConfig) -> AdversarialBatch:
-    """Single full-epsilon signed-gradient step; ``config.steps`` is ignored."""
-    one_step = replace(
-        config, steps=1, step_size=max(config.epsilon, np.finfo(float).tiny),
-        random_start=False,
-    )
-    return pgd(model, x, y, one_step)
-
-
-def cw_attack(model, x, y, config: AttackConfig) -> AdversarialBatch:
-    """PGD ascending the negated class margin (l-infinity C&W variant)."""
-    return pgd(model, x, y, replace(config, loss_kind="cw_margin"))

@@ -66,6 +66,28 @@ def _load_split(cfg: RunConfig, split: str, spec: ModelSection) -> Dataset:
     return data
 
 
+def _require_modules(spec: ModelSection, lambdas) -> None:
+    """A positive lambda needs a scaling module: if ``spec`` describes none, the
+    first positive one of the ``(key, lambda)`` pairs is a ``ConfigError``
+    naming its key."""
+    if spec.insertion_points:
+        return
+    for key, lam in lambdas:
+        if lam > 0:
+            raise ConfigError(f"{key}: {lam:g} > 0 requires a scaling module, but the "
+                              f"model has no insertion_points")
+
+
+def _train_lambdas(point: TrainConfig):
+    return [("train.lambda", point.lam),
+            ("train.attack.lambda_attack", point.attack.lambda_attack)]
+
+
+def _preset_lambdas(cfg: RunConfig, names):
+    return [(f"attack_presets.{name}.lambda_attack", cfg.attack_presets[name].lambda_attack)
+            for name in names]
+
+
 def _trained(cfg: RunConfig, spec: ModelSection, point: TrainConfig,
              train_set: Dataset, out_dir: Path):
     """The model ``spec`` describes, built from the run seed and trained as ``point``."""
@@ -78,6 +100,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     if cfg.train is None:
         raise ConfigError("train: required section is missing")
+    _require_modules(cfg.model, _train_lambdas(cfg.train))
     train_set = _load_split(cfg, "train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
     _trained(cfg, cfg.model, cfg.train, train_set, out_dir)
@@ -88,6 +111,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     model = load_checkpoint(args.checkpoint)
+    _require_modules(model.spec, _preset_lambdas(cfg, cfg.attack_presets))
     test_set = _load_split(cfg, "test", model.spec)
     out_dir = _prepare_out(cfg, args.out)
     report = evaluate(model, test_set, list(cfg.attack_presets.values()))
@@ -116,15 +140,21 @@ def cmd_ablate(args) -> int:
     model = None
     if args.axis == "attack_lambda" and args.checkpoint:
         model = load_checkpoint(args.checkpoint)  # evaluated, not trained
-    test_set = _load_split(cfg, "test", model.spec if model else cfg.model)
-    train_set = None if model else _load_split(cfg, "train", cfg.model)
+    spec = model.spec if model else cfg.model
+    preset_names = sorted(cfg.attack_presets)
+    swept = [("--values", v) for v in values]
     if args.axis == "position":  # every point is checked before any is trained
         try:
             specs = [replace(cfg.model, insertion_points=(v,)) for v in values]
         except ConfigError as exc:
             raise ConfigError(f"--values: {exc}") from exc
+    elif args.axis == "lambda":  # each point trains and attacks with lambda v
+        _require_modules(spec, swept + _preset_lambdas(cfg, preset_names))
+    else:  # the checkpoint, or one model trained as cfg.train, attacked with lambda v
+        _require_modules(spec, ([] if model else _train_lambdas(cfg.train)) + swept)
+    test_set = _load_split(cfg, "test", spec)
+    train_set = None if model else _load_split(cfg, "train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
-    preset_names = sorted(cfg.attack_presets)
     presets = [cfg.attack_presets[n] for n in preset_names]
     if args.axis == "attack_lambda" and model is None:
         # one trained model; sweep only the evaluation attack's lambda
@@ -179,6 +209,8 @@ def cmd_export_activations(args) -> int:
     model = load_checkpoint(args.checkpoint)
     layer = cfg.analysis.layer
     model.spec.check_hooks("analysis.layer", [layer])
+    if cfg.analysis.attack is not None:
+        _require_modules(model.spec, _preset_lambdas(cfg, [cfg.analysis.attack]))
     dataset = _load_split(cfg, cfg.analysis.split, model.spec)
     keep = dataset.labels == cfg.analysis.class_label
     images, labels = dataset.images[keep], dataset.labels[keep]

@@ -26,9 +26,9 @@ a gamma gradient; this rounds differently from conv then batch norm.
 
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the
-order the layers were built (little-endian float32 payloads by default,
-float64 behind a flag), and a trailing CRC-32. Loading rebuilds the model
-from the embedded description and restores every parameter and
+order the layers were built (little-endian payloads in the model's
+float32 or float64 dtype), and a trailing CRC-32. Loading rebuilds the
+model from the embedded description and restores every parameter and
 batch-norm running statistic.
 """
 
@@ -75,61 +75,55 @@ CHECKPOINT_VERSION = 1
 # layers
 # ---------------------------------------------------------------------------
 
-class Conv2dLayer:
-    """A bias-free conv: every conv here feeds a batch norm, whose beta is the bias.
+class ConvBnLayer:
+    """A bias-free conv and the batch norm it feeds, whose beta is the bias.
 
+    Its records keep the two halves' names: ``{conv_name}.weight``, then
+    ``{bn_name}.gamma``, ``.beta``, ``.running_mean`` and ``.running_var``.
     Without a generator (``rng=None``) the weight is zeros, for a caller
     that overwrites it."""
 
-    def __init__(self, name: str, cin: int, cout: int, kernel: int, stride: int,
-                 padding: int, rng: np.random.Generator | None, dtype):
-        self.name = name
+    def __init__(self, conv_name: str, bn_name: str, cin: int, cout: int, kernel: int,
+                 stride: int, padding: int, rng: np.random.Generator | None, dtype):
+        self.conv_name = conv_name
+        self.bn_name = bn_name
         self.stride = stride
         self.padding = padding
         fan_in = cin * kernel * kernel
         shape = (cout, cin, kernel, kernel)
         w = np.zeros(shape) if rng is None else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
         self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
+        self.gamma = Tensor(np.ones(cout, dtype=dtype), requires_grad=True, dtype=dtype)
+        self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
+        self.stats = RunningStats.create(cout, dtype=dtype)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, None, self.stride, self.padding)
-
-    def parameters(self):
-        return [(f"{self.name}.weight", self.weight)]
-
-
-class BatchNorm2dLayer:
-    def __init__(self, name: str, channels: int, dtype):
-        self.name = name
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.stats = RunningStats.create(channels, dtype=dtype)
-
-    def forward(self, conv: Conv2dLayer, x: Tensor, training: bool) -> Tensor:
-        """``conv`` then this batch norm. In eval mode, when no gradient can reach
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        """The conv then the batch norm. In eval mode, when no gradient can reach
         the pair's parameters, one conv of weight W·s and bias β − mean·s,
         s = γ / sqrt(var + eps), recomputed on every call."""
         live = tensor._grad_enabled and any(
-            p.requires_grad for p in (conv.weight, self.gamma, self.beta))
+            p.requires_grad for p in (self.weight, self.gamma, self.beta))
         if training or live:
-            return batch_norm2d(conv.forward(x), self.gamma, self.beta, self.stats, training)
+            h = conv2d(x, self.weight, None, self.stride, self.padding)
+            return batch_norm2d(h, self.gamma, self.beta, self.stats, training)
         s = self.gamma.data / np.sqrt(self.stats.var + BN_EPS)
-        weight = Tensor(conv.weight.data * s[:, None, None, None])
+        weight = Tensor(self.weight.data * s[:, None, None, None])
         bias = Tensor(self.beta.data - self.stats.mean * s)
-        return conv2d(x, weight, bias, conv.stride, conv.padding)
+        return conv2d(x, weight, bias, self.stride, self.padding)
 
     def parameters(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
+        return [(f"{self.conv_name}.weight", self.weight),
+                (f"{self.bn_name}.gamma", self.gamma), (f"{self.bn_name}.beta", self.beta)]
 
     def state_arrays(self):
         return [
-            (f"{self.name}.running_mean", self.stats.mean),
-            (f"{self.name}.running_var", self.stats.var),
+            (f"{self.bn_name}.running_mean", self.stats.mean),
+            (f"{self.bn_name}.running_var", self.stats.var),
         ]
 
 
 class LinearLayer:
-    """x @ W + b; zeros without a generator, like ``Conv2dLayer``."""
+    """x @ W + b; zeros without a generator, like ``ConvBnLayer``."""
 
     def __init__(self, name: str, fan_in: int, fan_out: int,
                  rng: np.random.Generator | None, dtype):
@@ -274,7 +268,7 @@ class Model:
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Non-trained arrays persisted in checkpoints (BN running stats)."""
-        return [rec for layer in self.layers if isinstance(layer, BatchNorm2dLayer)
+        return [rec for layer in self.layers if isinstance(layer, ConvBnLayer)
                 for rec in layer.state_arrays()]
 
     def activation_shape(self, host: str) -> tuple[int, int, int]:
@@ -325,18 +319,16 @@ class SmallCnn(Model):
         self.blocks = []
         cin = spec.input_shape[0]
         for name, cout, stride in zip(self.INSERTION_POINTS, channels, self.STRIDES):
-            conv = self._add(Conv2dLayer(f"{name}.conv", cin, cout, 3, stride, 1, rng,
-                                         self.dtype))
-            bn = self._add(BatchNorm2dLayer(f"{name}.bn", cout, self.dtype))
-            self.blocks.append((name, conv, bn))
+            self.blocks.append((name, self._add(ConvBnLayer(
+                f"{name}.conv", f"{name}.bn", cin, cout, 3, stride, 1, rng, self.dtype))))
             cin = cout
         self.head = self._add(LinearLayer("head", channels[-1], spec.num_classes, rng,
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
-        for name, conv, bn in self.blocks:
-            h = relu(bn.forward(conv, h, training), inplace=True)
+        for name, layer in self.blocks:
+            h = relu(layer.forward(h, training), inplace=True)
             h = ctx.tap(name, h)
         return self.head.forward(global_avg_pool(h))
 
@@ -360,25 +352,20 @@ class BasicBlock:
         self.name = name
         self.tap1 = tap1
         self.tap2 = tap2
-        self.conv1 = keep(Conv2dLayer(f"{name}.conv1", cin, cout, 3, stride, 1, rng, dtype))
-        self.bn1 = keep(BatchNorm2dLayer(f"{name}.bn1", cout, dtype))
-        self.conv2 = keep(Conv2dLayer(f"{name}.conv2", cout, cout, 3, 1, 1, rng, dtype))
-        self.bn2 = keep(BatchNorm2dLayer(f"{name}.bn2", cout, dtype))
-        self.down_conv = None
-        self.down_bn = None
+        self.conv1 = keep(ConvBnLayer(f"{name}.conv1", f"{name}.bn1", cin, cout, 3, stride,
+                                      1, rng, dtype))
+        self.conv2 = keep(ConvBnLayer(f"{name}.conv2", f"{name}.bn2", cout, cout, 3, 1, 1,
+                                      rng, dtype))
+        self.down = None
         if stride != 1 or cin != cout:
-            self.down_conv = keep(Conv2dLayer(f"{name}.down", cin, cout, 1, stride, 0, rng,
-                                              dtype))
-            self.down_bn = keep(BatchNorm2dLayer(f"{name}.down_bn", cout, dtype))
+            self.down = keep(ConvBnLayer(f"{name}.down", f"{name}.down_bn", cin, cout, 1,
+                                         stride, 0, rng, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.bn1.forward(self.conv1, x, training), inplace=True)
+        h = relu(self.conv1.forward(x, training), inplace=True)
         h = ctx.tap(self.tap1, h)
-        h = self.bn2.forward(self.conv2, h, training)
-        if self.down_conv is not None:
-            shortcut = self.down_bn.forward(self.down_conv, x, training)
-        else:
-            shortcut = x
+        h = self.conv2.forward(h, training)
+        shortcut = x if self.down is None else self.down.forward(x, training)
         out = relu(add(h, shortcut, inplace=True), inplace=True)
         return ctx.tap(self.tap2, out)
 
@@ -395,9 +382,8 @@ class ResNetLike(Model):
         width = spec.width
         rng = _generator(seed)
         taps = iter(self.INSERTION_POINTS)
-        self.stem_conv = self._add(Conv2dLayer("stem.conv", spec.input_shape[0], width,
-                                               3, 1, 1, rng, self.dtype))
-        self.stem_bn = self._add(BatchNorm2dLayer("stem.bn", width, self.dtype))
+        self.stem = self._add(ConvBnLayer("stem.conv", "stem.bn", spec.input_shape[0], width,
+                                          3, 1, 1, rng, self.dtype))
         self.stem_tap = next(taps)
         self.blocks: list[BasicBlock] = []
         cin = width
@@ -414,7 +400,7 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.stem_bn.forward(self.stem_conv, x, training), inplace=True)
+        h = relu(self.stem.forward(x, training), inplace=True)
         h = ctx.tap(self.stem_tap, h)
         for block in self.blocks:
             h = block.forward(h, training, ctx)
@@ -463,14 +449,14 @@ def _param_records(model: Model) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(model: Model, path, epoch: int | None = None,
-                    seed: int | None = None, config_digest: str | None = None,
-                    float64: bool = False) -> None:
+                    seed: int | None = None, config_digest: str | None = None) -> None:
     """Write all parameters and running stats to a checkpoint file.
 
-    Payloads are little-endian float32 unless ``float64`` is set. The
-    metadata block embeds the model's ``ModelSection``, whose insertion
-    points are its modules' hosts, so ``load_checkpoint`` can rebuild the
-    model without outside information. Metadata fields left as ``None``
+    Payloads are little-endian in the model's dtype, so a loaded model
+    computes exactly as the saved one did. The metadata block embeds the
+    model's ``ModelSection``, whose insertion points are its modules'
+    hosts, so ``load_checkpoint`` can rebuild the model without outside
+    information. Metadata fields left as ``None``
     keep the values carried over from a loaded checkpoint, so save ->
     load -> save is byte-stable.
     """
@@ -483,6 +469,7 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
         ),
         "model": asdict(model.spec),
     }
+    float64 = np.dtype(model.dtype) == np.float64
     payload_dtype = "<f8" if float64 else "<f4"
     buf = bytearray()
     buf += CHECKPOINT_MAGIC

@@ -146,17 +146,18 @@ def _head_terms(method: str, s_nat, s_adv, y, beta: float):
     return bce, tmean(mul(row_kl, 1.0 - gather_labels(p_nat, y)))
 
 
-def _loss_terms(method: str, model: Model, x, x_adv, y, lam: float, beta: float,
-                train: bool) -> dict[str, Tensor]:
-    """Terms of ``method``'s loss, the backbone with weight 1 and each module with lam.
+def loss_terms(method: str, model: Model, x, x_adv, y, lam: float,
+               beta: float) -> dict[str, Tensor]:
+    """Terms of ``method``'s loss, the backbone with weight 1 and each module with lam;
+    ``"total"`` is their sum. ``x`` is unused by AT.
 
-    TRADES and MART run the natural forward first: each train-mode
-    forward updates the batch-norm running statistics.
+    Both forwards run in train mode, TRADES and MART the natural one
+    first: each updates the batch-norm running statistics.
     """
     _require_ewas(model, lam)
 
     def heads(inputs):
-        out = model.forward(inputs, labels=y, train=train, mask_mode="training")
+        out = model.forward(inputs, labels=y, train=True, mask_mode="training")
         return loss_heads(model, out, lam)
 
     nat = heads(x) if method != "at" else None
@@ -180,37 +181,12 @@ def _loss_terms(method: str, model: Model, x, x_adv, y, lam: float, beta: float,
     return terms
 
 
-def at_loss_ewas(model: Model, x_adv, y, lam: float) -> Tensor:
-    """Adversarial cross-entropy plus lam times the module classifier CE."""
-    return _loss_terms("at", model, None, x_adv, y, lam, 0.0, True)["total"]
-
-
-def trades_loss_ewas(model: Model, x, x_adv, y, lam: float, beta: float) -> Tensor:
-    """Natural CE + beta KL(nat || adv), with matching module terms."""
-    return _loss_terms("trades", model, x, x_adv, y, lam, beta, True)["total"]
-
-
-def mart_loss_ewas(model: Model, x, x_adv, y, lam: float, beta: float) -> Tensor:
-    """Boosted CE + misclassification-weighted KL, with module terms."""
-    return _loss_terms("mart", model, x, x_adv, y, lam, beta, True)["total"]
-
-
-_TERM_FNS = {method: partial(_loss_terms, method) for method in METHODS}
+_TERM_FNS = {method: partial(loss_terms, method) for method in METHODS}
 
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 # ---------------------------------------------------------------------------
-
-def sgd_step(params: list[Tensor], grads: list[np.ndarray],
-             velocities: list[np.ndarray], lr: float, momentum: float,
-             weight_decay: float) -> None:
-    """v <- momentum v + (grad + wd param); param <- param - lr v. In place."""
-    for p, g, v in zip(params, grads, velocities):
-        v *= momentum
-        v += g + weight_decay * p.data
-        p.data -= lr * v
-
 
 class SGD:
     def __init__(self, named_params, lr: float, momentum: float, weight_decay: float):
@@ -221,11 +197,12 @@ class SGD:
         self.velocities = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in self.params]
-        sgd_step(self.params, grads, self.velocities, self.lr,
-                 self.momentum, self.weight_decay)
-        for p in self.params:
+        """v <- momentum v + (grad + wd param); param <- param - lr v, in place,
+        then clear every gradient. A parameter without a gradient has grad 0."""
+        for p, v in zip(self.params, self.velocities):
+            v *= self.momentum
+            v += (p.grad if p.grad is not None else 0.0) + self.weight_decay * p.data
+            p.data -= self.lr * v
             p.zero_grad()
 
 
@@ -331,8 +308,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                     raise TrainingDivergedError(epoch, bi, natural_acc, "natural accuracy")
                 adv = _checked_pgd(model, xb, yb, config.attack,
                                    _derived_seed(config.attack.seed, epoch, bi), bi)
-                terms = term_fn(model, xb, adv.x_adv, yb, config.lam,
-                                config.beta, True)
+                terms = term_fn(model, xb, adv.x_adv, yb, config.lam, config.beta)
                 loss = terms["total"]
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
@@ -366,7 +342,6 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
         save_checkpoint(
             model, out_dir / "checkpoint.ckpt", epoch=config.epochs,
             seed=config.seed, config_digest=config_digest,
-            float64=(np.dtype(model.dtype) == np.float64),
         )
     return model, log
 

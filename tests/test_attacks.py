@@ -171,23 +171,18 @@ class TestAttackObjective:
         total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", lam)
         assert float(total.data) == pytest.approx(expect, rel=1e-12)
 
-    def test_combined_is_alias_of_cross_entropy(self):
-        model = small_ewas_model(seed=7)
-        x = np.random.default_rng(3).uniform(0, 1, (2, 1, 8, 8))
-        y = np.array([0, 2])
-        a = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", 0.3)
-        b = A.attack_objective(model, T.Tensor(x), y, "combined", 0.3)
-        assert a.data.tobytes() == b.data.tobytes()
-
 
 class TestFgsm:
+    """FGSM is the ``pgd`` preset of one full-epsilon step without a random start,
+    the ``AttackConfig`` defaults when ``step_size`` is ``epsilon``."""
+
     def test_zero_gradient_keeps_input(self):
         # uniform logits regardless of input: weights all zero
         model = LinearModel(np.zeros((64, 2)))
         x = np.random.default_rng(4).uniform(0.2, 0.8, (3, 1, 8, 8))
         y = np.array([0, 1, 0])
         cfg = A.AttackConfig(epsilon=0.1, step_size=0.1)
-        adv = A.fgsm(model, x, y, cfg)
+        adv = A.pgd(model, x, y, cfg)
         assert adv.x_adv.tobytes() == x.tobytes()
 
     def test_positive_gradient_full_step(self):
@@ -196,20 +191,8 @@ class TestFgsm:
         model = LinearModel(w)
         x = np.full((1, 1, 8, 8), 0.5)
         cfg = A.AttackConfig(epsilon=0.1, step_size=0.1)
-        adv = A.fgsm(model, x, np.array([0]), cfg)
+        adv = A.pgd(model, x, np.array([0]), cfg)
         assert adv.x_adv[0, 0, 0, 0] == pytest.approx(0.6)
-
-    def test_bit_identical_to_single_step_pgd(self):
-        model = small_ewas_model(seed=8)
-        x = np.random.default_rng(5).uniform(0, 1, (4, 1, 8, 8))
-        y = np.array([0, 1, 2, 0])
-        cfg = A.AttackConfig(epsilon=8 / 255, step_size=1e-3, steps=7,
-                             random_start=True, lambda_attack=0.01, seed=3)
-        via_fgsm = A.fgsm(model, x, y, cfg)
-        manual = A.pgd(model, x, y, A.AttackConfig(
-            epsilon=8 / 255, step_size=8 / 255, steps=1, random_start=False,
-            lambda_attack=0.01, seed=3))
-        assert via_fgsm.x_adv.tobytes() == manual.x_adv.tobytes()
 
 
 class TestPgd:
@@ -332,12 +315,14 @@ class TestPgd:
 
 
 class TestCwAttack:
+    """The C&W attack is the ``pgd`` preset ``loss_kind="cw_margin"``."""
+
     def test_epsilon_zero_identity(self):
         model = small_ewas_model(seed=14)
         x = np.random.default_rng(12).uniform(0, 1, (2, 1, 8, 8))
         y = np.array([0, 1])
-        cfg = A.AttackConfig(epsilon=0.0, step_size=0.01, steps=3)
-        adv = A.cw_attack(model, x, y, cfg)
+        cfg = A.AttackConfig(epsilon=0.0, step_size=0.01, steps=3, loss_kind="cw_margin")
+        adv = A.pgd(model, x, y, cfg)
         assert adv.x_adv.tobytes() == x.tobytes()
 
     def test_margin_decreases_monotonically_on_linear_model(self):
@@ -350,7 +335,7 @@ class TestCwAttack:
         for steps in range(1, 6):
             cfg = A.AttackConfig(epsilon=0.2, step_size=0.02, steps=steps,
                                  loss_kind="cw_margin", kappa=50.0)
-            adv = A.cw_attack(model, x, y, cfg)
+            adv = A.pgd(model, x, y, cfg)
             logits = adv.x_adv.reshape(1, -1) @ w
             margins.append(float(logits[0, 0] - logits[0, 1]))
         assert all(b < a for a, b in zip(margins, margins[1:]))

@@ -73,7 +73,7 @@ def nan_conv_build(monkeypatch):
 def poisoned_checkpoint(ckpt, path, poison):
     model = load_checkpoint(ckpt)
     poison(model)
-    save_checkpoint(model, path, float64=True)
+    save_checkpoint(model, path)
     return path
 
 
@@ -291,7 +291,7 @@ class TestEval:
         model = load_checkpoint(ckpt)
         dict(model.parameters())["head.weight"].data[0, 0] = np.nan
         bad = tmp_path / "nan.ckpt"
-        save_checkpoint(model, bad, float64=True)
+        save_checkpoint(model, bad)
         out = tmp_path / "eval_nan"
         code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
                      "--out", str(out)])
@@ -392,6 +392,65 @@ class TestAblate:
 
         vals = _parse_values("lambda", "0.01,0.05,0.1,0.5,1,2")
         assert vals == [0.01, 0.05, 0.1, 0.5, 1.0, 2.0]
+
+
+class TestLambdaNeedsModule:
+    """A positive lambda on a model without a scaling module exits 1 naming its
+    key, before the output directory is made."""
+
+    @pytest.fixture
+    def bare(self, tmp_path):
+        """A config whose model has no insertion points and whose lambdas are 0,
+        and the 0-epoch checkpoint it trains."""
+        cfg_path = tmp_path / "bare.json"
+        cfg = write_config(cfg_path)
+        cfg["model"]["insertion_points"] = []
+        cfg["train"].update(epochs=0, **{"lambda": 0.0})
+        cfg["train"]["attack"]["lambda_attack"] = 0.0
+        cfg["analysis"] = {"layer": "block4", "attack": "pgd2"}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "t")]) == EXIT_OK
+        return cfg, tmp_path / "t" / "checkpoint.ckpt"
+
+    @pytest.mark.parametrize("argv,edit,key", [
+        (["train"], ("train", "lambda"), "train.lambda: 0.5 > 0"),
+        (["train"], ("train", "attack", "lambda_attack"),
+         "train.attack.lambda_attack: 0.5 > 0"),
+        (["eval", "--checkpoint"], ("attack_presets", "pgd2", "lambda_attack"),
+         "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
+        (["export-activations", "--checkpoint"], ("attack_presets", "pgd2", "lambda_attack"),
+         "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
+        (["ablate", "--axis", "lambda", "--values", "0,0.25"], None, "--values: 0.25 > 0"),
+        (["ablate", "--axis", "lambda", "--values", "0"],
+         ("attack_presets", "pgd2", "lambda_attack"),
+         "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
+        (["ablate", "--axis", "attack_lambda", "--values", "0,0.25"], None,
+         "--values: 0.25 > 0"),
+        (["ablate", "--axis", "attack_lambda", "--values", "0,0.25", "--checkpoint"], None,
+         "--values: 0.25 > 0"),
+        (["ablate", "--axis", "attack_lambda", "--values", "0"], ("train", "lambda"),
+         "train.lambda: 0.5 > 0"),
+    ], ids=["train", "train_attack", "eval", "export", "ablate_lambda", "ablate_preset",
+            "ablate_attack_lambda", "ablate_attack_lambda_ckpt", "ablate_train"])
+    def test_exits_before_any_output(self, bare, argv, edit, key, tmp_path, capsys):
+        cfg, ckpt = bare
+        if edit is not None:
+            *path, last = edit
+            section = cfg
+            for name in path:
+                section = section[name]
+            section[last] = 0.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        if argv[-1] == "--checkpoint":
+            argv = argv + [str(ckpt)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config error: {key} requires a "
+                                                  "scaling module")
+        assert not out.exists()
 
 
 class TestExportActivations:

@@ -31,6 +31,7 @@ MALFORMED = [
     (("data", "noise_std"), NAN, "data.noise_std"),
     (("data", "samples_per_class"), 1.5, "data.samples_per_class"),
     (("attack_presets", "fgsm", "steps"), True, "attack_presets.fgsm.steps"),
+    (("attack_presets", "fgsm", "loss_kind"), "combined", "attack_presets.fgsm.loss_kind"),
     (("model", "width"), 0, "model.width"),
     (("model",), {"arch": "resnet18_like", "width": 2}, "model.width"),
     (("model", "input_shape"), [1, 0, 8], "model.input_shape"),

@@ -1,7 +1,9 @@
 """Backbones, insertion points, and checkpoint persistence."""
 
 import hashlib
+import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -104,7 +106,7 @@ def randomize_batch_norms(model, seed):
     """Non-trivial gamma, beta and running stats, so a fold has work to do."""
     rng = np.random.default_rng(seed)
     for layer in model.layers:
-        if isinstance(layer, M.BatchNorm2dLayer):
+        if isinstance(layer, M.ConvBnLayer):
             c = layer.gamma.data.shape[0]
             layer.gamma.data[...] = rng.uniform(0.5, 1.5, c)
             layer.beta.data[...] = rng.normal(0.0, 0.2, c)
@@ -114,7 +116,7 @@ def randomize_batch_norms(model, seed):
 
 
 def batch_norms(model):
-    return [layer for layer in model.layers if isinstance(layer, M.BatchNorm2dLayer)]
+    return [layer for layer in model.layers if isinstance(layer, M.ConvBnLayer)]
 
 
 FOLD_SPECS = {"small_cnn": M.ModelSection(width=4, input_shape=(2, 8, 8)),
@@ -198,7 +200,7 @@ class TestFrozenBatchNormFold:
         x = T.Tensor(np.random.default_rng(14).uniform(0, 1, (8, 3, 32, 32)),
                      requires_grad=True)
         weight_bytes = sum(layer.weight.data.nbytes for layer in model.layers
-                           if isinstance(layer, M.Conv2dLayer))
+                           if isinstance(layer, M.ConvBnLayer))
         out_bytes = []
 
         def conv2d(*args):
@@ -227,13 +229,13 @@ class TestInplaceActivations:
     def test_relu_and_residual_share_the_batch_norm_buffer(self, train, monkeypatch):
         model = randomize_batch_norms(RESNET.build(15), 16)
         bn_out = {}
-        forward = M.BatchNorm2dLayer.forward
+        forward = M.ConvBnLayer.forward
 
-        def record(bn, conv, x, training):
-            bn_out[bn.name] = out = forward(bn, conv, x, training)
+        def record(layer, x, training):
+            bn_out[layer.bn_name] = out = forward(layer, x, training)
             return out
 
-        monkeypatch.setattr(M.BatchNorm2dLayer, "forward", record)
+        monkeypatch.setattr(M.ConvBnLayer, "forward", record)
         x = T.Tensor(np.random.default_rng(17).uniform(0, 1, (4, *RESNET.input_shape)),
                      requires_grad=True)
         if train:
@@ -359,10 +361,24 @@ class TestCheckpoint:
     def test_round_trip_bit_exact_float64_flag(self, tmp_path):
         model = self._trained_like_model()
         path = tmp_path / "m64.ckpt"
-        M.save_checkpoint(model, path, float64=True)
+        M.save_checkpoint(model, path)
         loaded = M.load_checkpoint(path)
         for (_, t1), (_, t2) in zip(model.parameters(), loaded.parameters()):
             assert t1.data.tobytes() == t2.data.tobytes()
+
+    def test_float32_payload_of_a_float64_model_still_loads(self, tmp_path):
+        """Older files stored float64 models in float32; they load, widened."""
+        model = self._trained_like_model(dtype=np.float32)
+        path = tmp_path / "old.ckpt"
+        M.save_checkpoint(model, path)
+        blob = path.read_bytes()[:-4].replace(b'"dtype":"float32"', b'"dtype":"float64"')
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        loaded = M.load_checkpoint(path)
+        assert loaded.dtype is np.float64
+        for (n1, a1), (n2, a2) in zip(M._param_records(model), M._param_records(loaded),
+                                      strict=True):
+            assert n1 == n2 and a2.dtype == np.float64
+            assert a2.tobytes() == a1.astype(np.float64).tobytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model = self._trained_like_model()
@@ -379,7 +395,7 @@ class TestCheckpoint:
         model = spec.build(21)
         M.insert_ewas(model, host, seed=22)
         path = tmp_path / "n.ckpt"
-        M.save_checkpoint(model, path, float64=True)
+        M.save_checkpoint(model, path)
 
         def no_draws(*args, **kwargs):
             raise AssertionError("load_checkpoint drew initial weights")
@@ -411,8 +427,6 @@ class TestCheckpoint:
         M.save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
         blob[8] = 99  # version field follows the magic
-        import struct
-        import zlib
         body = bytes(blob[:-4])
         blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
         path.write_bytes(bytes(blob))
@@ -432,7 +446,7 @@ class TestCheckpoint:
     def test_every_flipped_byte_raises_checkpoint_error(self, tmp_path, mask):
         model = self._trained_like_model()
         path = tmp_path / "f.ckpt"
-        M.save_checkpoint(model, path, float64=True)
+        M.save_checkpoint(model, path)
         blob = path.read_bytes()
         bad = tmp_path / "flipped.ckpt"
         for i in range(len(blob)):
@@ -458,24 +472,24 @@ class TestCheckpoint:
         model = self._trained_like_model()
         x = np.random.default_rng(14).uniform(0, 1, (8, 1, 8, 8))
         path = tmp_path / "e.ckpt"
-        M.save_checkpoint(model, path, float64=True)
+        M.save_checkpoint(model, path)
         loaded = M.load_checkpoint(path)
         a = model.forward(x, mask_mode="inference").logits.data
         b = loaded.forward(x, mask_mode="inference").logits.data
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("spec,seed,modules,float64,digest", [
-        (M.ModelSection(width=2), 11, [("block3", 12), ("block4", 13)], True,
+    @pytest.mark.parametrize("spec,seed,modules,digest", [
+        (M.ModelSection(width=2), 11, [("block3", 12), ("block4", 13)],
          "cdf5cc9e34432f792d06e6e6affc569efc3301a7e3153aede7969dd71b7aad4f"),
-        (replace(RESNET, dtype="float32"), 1, [("layer15", 2)], False,
+        (replace(RESNET, dtype="float32"), 1, [("layer15", 2)],
          "505f10ae2bcea6852b677c0e337535601666cdb27391c69584adf317c2ee24b7"),
     ], ids=["small_cnn", "resnet18_like"])
-    def test_checkpoint_bytes_are_pinned(self, tmp_path, spec, seed, modules, float64,
-                                         digest):
-        """Initial weights, record order and metadata of both architectures."""
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, spec, seed, modules, digest):
+        """Initial weights, record order and metadata of both architectures; the
+        float64 model's payload is float64, the float32 model's float32."""
         model = spec.build(seed)
         for host, module_seed in modules:
             M.insert_ewas(model, host, seed=module_seed)
         path = tmp_path / "p.ckpt"
-        M.save_checkpoint(model, path, epoch=2, seed=7, config_digest="d", float64=float64)
+        M.save_checkpoint(model, path, epoch=2, seed=7, config_digest="d")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,0 +1,36 @@
+"""The package's public names: each exported one resolves, and each job has one."""
+
+import inspect
+
+import pytest
+
+import ewas
+from ewas import attacks, models, training
+
+
+def test_every_exported_name_resolves():
+    assert len(ewas.__all__) == len(set(ewas.__all__))
+    namespace = {}
+    exec("from ewas import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(ewas.__all__)
+
+
+@pytest.mark.parametrize("module,name", [
+    (attacks, "fgsm"),  # the preset steps: 1, step_size: epsilon of ``pgd``
+    (attacks, "cw_attack"),  # the preset loss_kind: "cw_margin" of ``pgd``
+    (training, "at_loss_ewas"),  # loss_terms("at", ...)["total"]
+    (training, "trades_loss_ewas"),
+    (training, "mart_loss_ewas"),
+    (training, "_loss_terms"),
+    (training, "sgd_step"),  # SGD.step
+    (models, "Conv2dLayer"),  # ConvBnLayer
+    (models, "BatchNorm2dLayer"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_second_spellings_are_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(ewas, name)
+
+
+def test_loss_core_takes_no_mode_argument():
+    params = list(inspect.signature(training.loss_terms).parameters)
+    assert params == ["method", "model", "x", "x_adv", "y", "lam", "beta"]

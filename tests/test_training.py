@@ -86,7 +86,7 @@ class TestAtLoss:
     def test_lambda_zero_is_plain_ce_bitexact(self, batch):
         _, x_adv, y = batch
         model = small_model(seed=1)
-        loss = TR.at_loss_ewas(model, x_adv, y, 0.0)
+        loss = TR.loss_terms("at", model, None, x_adv, y, 0.0, 0.0)["total"]
         out = model.forward(x_adv, labels=y, train=True, mask_mode="training")
         expect = T.softmax_cross_entropy(out.logits, y)
         assert loss.data.tobytes() == expect.data.tobytes()
@@ -98,26 +98,26 @@ class TestAtLoss:
         out = net.forward(x_adv, labels=y, train=True, mask_mode="training")
         expect = np_ce(out.logits.data, y) + 0.01 * np_ce(
             out.alc_scores["input"].data, y)
-        loss = TR.at_loss_ewas(net, x_adv, y, 0.01)
+        loss = TR.loss_terms("at", net, None, x_adv, y, 0.01, 0.0)["total"]
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
     def test_svhn_preset_lambda_accepted(self, batch):
         _, x_adv, y = batch
         model = small_model(seed=4)
-        loss = TR.at_loss_ewas(model, x_adv, y, 0.05)
+        loss = TR.loss_terms("at", model, None, x_adv, y, 0.05, 0.0)["total"]
         assert np.isfinite(float(loss.data))
 
     def test_lambda_without_module_rejected(self, batch):
         _, x_adv, y = batch
         with pytest.raises(ConfigError):
-            TR.at_loss_ewas(small_model(with_ewas=False), x_adv, y, 0.01)
+            TR.loss_terms("at", small_model(with_ewas=False), None, x_adv, y, 0.01, 0.0)
 
 
 class TestTradesLoss:
     def test_beta_lambda_zero_is_natural_ce(self, batch):
         x, x_adv, y = batch
         model = small_model(seed=5)
-        loss = TR.trades_loss_ewas(model, x, x_adv, y, 0.0, 0.0)
+        loss = TR.loss_terms("trades", model, x, x_adv, y, 0.0, 0.0)["total"]
         out = model.forward(x, labels=y, train=True, mask_mode="training")
         expect = T.softmax_cross_entropy(out.logits, y)
         assert loss.data.tobytes() == expect.data.tobytes()
@@ -125,7 +125,7 @@ class TestTradesLoss:
     def test_identical_inputs_zero_kl(self, batch):
         x, _, y = batch
         model = small_model(seed=6)
-        terms = TR._loss_terms("trades", model, x, x, y, 0.01, 6.0, True)
+        terms = TR.loss_terms("trades", model, x, x, y, 0.01, 6.0)
         assert float(terms["kl"].data) == pytest.approx(0.0, abs=1e-14)
         assert float(terms["alc_kl"].data) == pytest.approx(0.0, abs=1e-14)
 
@@ -145,7 +145,7 @@ class TestTradesLoss:
             + lam * np_ce(s_nat, y)
             + lam * beta * np_kl(np_softmax(s_nat), np_softmax(s_adv))
         )
-        loss = TR.trades_loss_ewas(net, x, x_adv, y, lam, beta)
+        loss = TR.loss_terms("trades", net, x, x_adv, y, lam, beta)["total"]
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
 
@@ -153,7 +153,7 @@ class TestMartLoss:
     def test_beta_lambda_zero_is_boosted_ce(self, batch):
         x, x_adv, y = batch
         model = small_model(seed=9)
-        loss = TR.mart_loss_ewas(model, x, x_adv, y, 0.0, 0.0)
+        loss = TR.loss_terms("mart", model, x, x_adv, y, 0.0, 0.0)["total"]
         out = model.forward(x_adv, labels=y, train=True, mask_mode="training")
         expect = T.boosted_cross_entropy(T.softmax(out.logits), y)
         assert loss.data.tobytes() == expect.data.tobytes()
@@ -168,7 +168,7 @@ class TestMartLoss:
         net.w.data[:, 1] = -500.0  # saturates p_0 to exactly 1.0
         out = net.forward(x, labels=y, train=True, mask_mode="training")
         assert np_softmax(out.logits.data)[0, 0] == 1.0
-        terms = TR._loss_terms("mart", net, x, x, y, 0.0, 6.0, True)
+        terms = TR.loss_terms("mart", net, x, x, y, 0.0, 6.0)
         assert float(terms["kl"].data) == 0.0
 
     def test_two_class_single_sample_oracle(self):
@@ -189,7 +189,7 @@ class TestMartLoss:
             + lam * np_bce(ps_adv, y)
             + lam * beta * np_kl(ps_nat, ps_adv) * (1 - ps_nat[0, y[0]])
         )
-        loss = TR.mart_loss_ewas(net, x, x_adv, y, lam, beta)
+        loss = TR.loss_terms("mart", net, x, x_adv, y, lam, beta)["total"]
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
     def test_per_sample_weighting_not_batch_mean(self):
@@ -206,7 +206,7 @@ class TestMartLoss:
         weights = 1 - p_nat[np.arange(3), y]
         per_sample = float((rows * weights).mean())
         batch_mean = float(rows.mean() * weights.mean())
-        terms = TR._loss_terms("mart", net, x, x_adv, y, 0.0, 1.0, True)
+        terms = TR.loss_terms("mart", net, x, x_adv, y, 0.0, 1.0)
         assert float(terms["kl"].data) == pytest.approx(per_sample, rel=1e-12)
         assert per_sample != pytest.approx(batch_mean, rel=1e-6)
 
@@ -229,15 +229,15 @@ class TestTwoModules:
         nat = [o_nat.alc_scores[h].data for h in ("block3", "block4")]
         adv = [o_adv.alc_scores[h].data for h in ("block3", "block4")]
         if method == "at":
-            terms = TR._loss_terms("at", model, None, x_adv, y, lam, 0.0, True)
+            terms = TR.loss_terms("at", model, None, x_adv, y, lam, 0.0)
             alc = sum(np_ce(s, y) for s in adv)
             alc_kl = None
         elif method == "trades":
-            terms = TR._loss_terms("trades", model, x, x_adv, y, lam, beta, True)
+            terms = TR.loss_terms("trades", model, x, x_adv, y, lam, beta)
             alc = sum(np_ce(s, y) for s in nat)
             alc_kl = sum(np_kl(np_softmax(a), np_softmax(b)) for a, b in zip(nat, adv))
         else:
-            terms = TR._loss_terms("mart", model, x, x_adv, y, lam, beta, True)
+            terms = TR.loss_terms("mart", model, x, x_adv, y, lam, beta)
             alc = sum(np_bce(np_softmax(b), y) for b in adv)
             alc_kl = sum(np_weighted_kl(np_softmax(a), np_softmax(b), y)
                          for a, b in zip(nat, adv))
@@ -255,27 +255,34 @@ class TestNonnegativity:
         for seed in range(3):
             model = small_model(seed=20 + seed)
             for terms in (
-                TR._loss_terms("at", model, None, x_adv, y, 0.01, 0.0, True),
-                TR._loss_terms("trades", model, x, x_adv, y, 0.01, 6.0, True),
-                TR._loss_terms("mart", model, x, x_adv, y, 0.01, 6.0, True),
+                TR.loss_terms("at", model, None, x_adv, y, 0.01, 0.0),
+                TR.loss_terms("trades", model, x, x_adv, y, 0.01, 6.0),
+                TR.loss_terms("mart", model, x, x_adv, y, 0.01, 6.0),
             ):
                 for key, tensor in terms.items():
                     assert float(tensor.data) >= -1e-12, f"{key} negative"
 
 
+def sgd_steps(p0, grads, lr, momentum, weight_decay):
+    """The parameter ``p0`` after one ``SGD.step`` per gradient in ``grads``
+    (``None``: the parameter got no gradient)."""
+    p = T.Tensor(np.array(p0, dtype=float), requires_grad=True)
+    opt = TR.SGD([("p", p)], lr, momentum, weight_decay)
+    for g in grads:
+        p.grad = None if g is None else np.array(g, dtype=float)
+        opt.step()
+        assert p.grad is None
+    return p.data
+
+
 class TestSgd:
     def test_plain_gradient_descent(self):
-        p = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        v = [np.zeros(2)]
-        TR.sgd_step([p], [np.array([0.5, -0.5])], v, lr=0.1, momentum=0.0,
-                    weight_decay=0.0)
-        np.testing.assert_allclose(p.data, [0.95, 2.05])
+        p = sgd_steps([1.0, 2.0], [[0.5, -0.5]], lr=0.1, momentum=0.0, weight_decay=0.0)
+        np.testing.assert_allclose(p, [0.95, 2.05])
 
     def test_first_step_from_rest(self):
-        p = T.Tensor(np.array([3.0]), requires_grad=True)
-        TR.sgd_step([p], [np.array([1.0])], [np.zeros(1)], lr=0.1,
-                    momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(p.data, [2.9])
+        p = sgd_steps([3.0], [[1.0]], lr=0.1, momentum=0.9, weight_decay=0.0)
+        np.testing.assert_allclose(p, [2.9])
 
     def test_two_steps_match_unrolled_recurrence(self):
         lr, mom, wd = 0.1, 0.9, 0.01
@@ -284,11 +291,14 @@ class TestSgd:
         p1 = p0 - lr * v1
         v2 = mom * v1 + (g2 + wd * p1)
         p2 = p1 - lr * v2
-        p = T.Tensor(np.array([p0]), requires_grad=True)
-        v = [np.zeros(1)]
-        TR.sgd_step([p], [np.array([g1])], v, lr, mom, wd)
-        TR.sgd_step([p], [np.array([g2])], v, lr, mom, wd)
-        np.testing.assert_allclose(p.data, [p2], rtol=1e-15)
+        p = sgd_steps([p0], [[g1], [g2]], lr, mom, wd)
+        np.testing.assert_allclose(p, [p2], rtol=1e-15)
+
+    def test_missing_gradient_is_zero(self):
+        """A parameter without a gradient still decays and keeps its momentum."""
+        lr, mom, wd = 0.1, 0.9, 0.01
+        assert sgd_steps([2.0], [[0.3], None], lr, mom, wd).tobytes() == \
+            sgd_steps([2.0], [[0.3], [0.0]], lr, mom, wd).tobytes()
 
 
 class TestLrSchedule:
@@ -475,7 +485,7 @@ class TestTapeMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            terms = TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+            terms = TR.loss_terms("trades", model, x, x_adv, y, 0.5, 6.0)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -502,12 +512,12 @@ class TestTapeMemory:
 
         def record(block, h, training, ctx):
             out = forward(block, h, training, ctx)
-            if block.down_conv is None:
+            if block.down is None:
                 calls.append((h, out))
             return out
 
         monkeypatch.setattr(M.BasicBlock, "forward", record)
-        TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+        TR.loss_terms("trades", model, x, x_adv, y, 0.5, 6.0)
         assert len(calls) == 10  # 5 identity blocks, natural and adversarial forward
         for block_in, block_out in calls:
             buffers, seen, stack = set(), {id(block_in)}, [block_out]
@@ -526,7 +536,7 @@ class TestTapeMemory:
 
     def test_terms_stay_readable_after_backward(self):
         model, x, x_adv, y = self.trades_inputs()
-        terms = TR._loss_terms("trades", model, x, x_adv, y, 0.5, 6.0, True)
+        terms = TR.loss_terms("trades", model, x, x_adv, y, 0.5, 6.0)
         values = {key: float(term.data) for key, term in terms.items()}
         T.backward(terms["total"])
         assert {key: float(term.data) for key, term in terms.items()} == values
