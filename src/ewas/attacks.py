@@ -121,14 +121,21 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0,
     return tmean(rows) if reduction == "mean" else rows
 
 
-def loss_heads(model, out, lam: float) -> list[Tensor]:
+def require_modules(model, key: str, lam: float) -> None:
+    """A positive ``lam`` needs a scaling module: if ``model`` has none, a
+    ``ConfigError`` names ``key``. Checked before any forward runs."""
+    if lam > 0 and not model.ewas_modules:
+        raise ConfigError(f"{key}: {lam:g} > 0 requires a scaling module, but the "
+                          f"model has none")
+
+
+def loss_heads(out, lam: float) -> list[Tensor]:
     """Score tensors a loss is taken over: the backbone logits, then each
     scaling module's classifier scores in module order when lam > 0."""
-    scores = [out.alc_scores[m.module_id] for m in model.ewas_modules] if lam > 0 else []
-    return [out.logits] + scores
+    return [out.logits] + (out.alc_scores if lam > 0 else [])
 
 
-def _objective(model, out, y, loss_kind: str, lambda_attack: float, kappa: float,
+def _objective(out, y, loss_kind: str, lambda_attack: float, kappa: float,
                reduction: str = "mean") -> Tensor:
     """loss(logits) + lambda * loss(scores) for each module, over one forward."""
     def head_loss(scores):
@@ -136,7 +143,7 @@ def _objective(model, out, y, loss_kind: str, lambda_attack: float, kappa: float
             return cw_margin_loss(scores, y, kappa, reduction)
         return softmax_cross_entropy(scores, y, reduction)
 
-    backbone, *alcs = loss_heads(model, out, lambda_attack)
+    backbone, *alcs = loss_heads(out, lambda_attack)
     loss = head_loss(backbone)
     for scores in alcs:
         loss = loss + lambda_attack * head_loss(scores)
@@ -153,10 +160,9 @@ def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
     """
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    if lambda_attack > 0 and not model.ewas_modules:
-        raise ConfigError("lambda_attack > 0 requires a model with a scaling module")
+    require_modules(model, "lambda_attack", lambda_attack)
     out = model.forward(x, labels=y, train=False, mask_mode=mask_mode)
-    return _objective(model, out, y, loss_kind, lambda_attack, kappa)
+    return _objective(out, y, loss_kind, lambda_attack, kappa)
 
 
 @contextmanager
@@ -178,7 +184,7 @@ def _final_metrics(model, x_adv: np.ndarray, y: np.ndarray,
     """Per-sample misclassification and final objective at ``x_adv``."""
     with no_grad():
         out = model.forward(x_adv, labels=y, train=False, mask_mode=config.mask_mode)
-        loss = _objective(model, out, y, config.loss_kind, config.lambda_attack,
+        loss = _objective(out, y, config.loss_kind, config.lambda_attack,
                           config.kappa, reduction="none")
     return out.logits.data.argmax(axis=1) != y, loss.data
 
@@ -196,7 +202,7 @@ def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
     direction = -1.0 if config.loss_kind == "cw_margin" else 1.0
     x_adv = x0.copy()
     if config.random_start and config.epsilon > 0:
-        rng = np.random.default_rng(np.random.PCG64(config.seed))
+        rng = np.random.default_rng(config.seed)
         noise = rng.uniform(-config.epsilon, config.epsilon, size=x0.shape)
         x_adv = project_linf_box(x0 + noise.astype(dtype), x0, config.epsilon)
     x_adv = x_adv.astype(dtype, copy=False)

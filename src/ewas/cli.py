@@ -40,12 +40,6 @@ _M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's <malloc.h>
 _M_MMAP_THRESHOLD = -3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise SystemExit((EXIT_USAGE, f"error: {message}"))
-
-
 def _prepare_out(cfg: RunConfig, out_override: str | None) -> Path:
     out_dir = Path(out_override) if out_override else Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -133,12 +127,15 @@ def _parse_values(axis: str, raw: str) -> list:
 
 
 def cmd_ablate(args) -> int:
+    if args.checkpoint and args.axis != "attack_lambda":
+        raise ConfigError(f"--checkpoint: only the attack_lambda axis reuses a checkpoint; "
+                          f"axis {args.axis!r} trains its own models")
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
     if cfg.train is None:
         raise ConfigError("train: required section is missing")
     model = None
-    if args.axis == "attack_lambda" and args.checkpoint:
+    if args.checkpoint:
         model = load_checkpoint(args.checkpoint)  # evaluated, not trained
     spec = model.spec if model else cfg.model
     preset_names = sorted(cfg.attack_presets)
@@ -240,7 +237,7 @@ def cmd_export_activations(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ewas", description=__doc__)
+    parser = argparse.ArgumentParser(prog="ewas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, checkpoint=False):
@@ -260,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.add_argument("--values", required=True,
                         help="comma-separated sweep values")
     ablate.add_argument("--checkpoint", default=None,
-                        help="reuse a trained checkpoint (attack_lambda axis)")
+                        help="reuse a trained checkpoint (attack_lambda axis only)")
     common(sub.add_parser("export-activations",
                           help="export per-channel activation statistics"),
            checkpoint=True)
@@ -305,11 +302,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:  # raised by _Parser.error
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ embed it. Two architectures are provided:
   blocks (2 per stage, 4 stages). Insertion points are named after conv
   ordinals ``layer1`` .. ``layer17`` (stem conv is ``layer1``; batch norm,
   ReLU and shortcut 1x1 convs are not counted); each tap sits after the
-  ReLU that follows its conv. ``layer15`` is designated as the default
-  insertion point for this architecture.
+  ReLU that follows its conv. The shipped CIFAR-10 and SVHN configs
+  attach their module at ``layer15``.
 
-Any number of scaling modules can be attached at insertion points; the
-forward pass then also returns their classifier scores.
+Any number of scaling modules can be attached at insertion points, the
+same point more than once included; the forward pass then also returns
+their classifier scores, entry ``i`` for ``model.ewas_modules[i]``.
 
 Every conv feeds a batch norm. In eval mode, when grad mode is off or no
 pair parameter requires grad (every attack step), the pair runs as one
@@ -52,7 +53,7 @@ from .errors import (
     ShapeError,
 )
 from . import tensor
-from .scaling import AlcParams, EwasModule, ewas_forward
+from .scaling import EwasModule, ewas_forward
 from .tensor import (
     BN_EPS,
     RunningStats,
@@ -208,10 +209,11 @@ class ModelSection:
 
 @dataclass
 class ForwardOut:
-    """Result of a model forward pass."""
+    """Result of a model forward pass; ``alc_scores[i]`` holds the classifier
+    scores of ``model.ewas_modules[i]``."""
 
     logits: Tensor
-    alc_scores: dict[str, Tensor] = field(default_factory=dict)
+    alc_scores: list[Tensor] = field(default_factory=list)
     captured: dict[str, Tensor] = field(default_factory=dict)
 
 
@@ -263,7 +265,7 @@ class Model:
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = [rec for layer in self.layers for rec in layer.parameters()]
         for i, mod in enumerate(self.ewas_modules):
-            out.append((f"ewas.{i}.{mod.host}.weight", mod.params.weight))
+            out.append((f"ewas.{i}.{mod.host}.weight", mod.weight))
         return out
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -281,21 +283,24 @@ class Model:
 
 
 class _ForwardCtx:
-    """Per-forward bookkeeping for taps: scaling, scores, captures."""
+    """Per-forward bookkeeping for taps: scaling, scores, captures.
+
+    Scores are stored by module index, not in tap order: modules listed
+    out of forward order still give ``alc_scores[i]`` for module ``i``."""
 
     def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset):
         self.model = model
         self.labels = labels
         self.mask_mode = mask_mode
         self.capture = capture
-        self.alc_scores: dict[str, Tensor] = {}
+        self.alc_scores: list[Tensor | None] = [None] * len(model.ewas_modules)
         self.captured: dict[str, Tensor] = {}
 
     def tap(self, name: str, h: Tensor) -> Tensor:
-        for mod in self.model.ewas_modules:
+        for i, mod in enumerate(self.model.ewas_modules):
             if mod.host == name:
-                h, scores = ewas_forward(h, mod.params, self.labels, self.mask_mode)
-                self.alc_scores[mod.module_id] = scores
+                h, self.alc_scores[i] = ewas_forward(h, mod.weight, self.labels,
+                                                     self.mask_mode)
         if name in self.capture:
             self.captured[name] = h
         return h
@@ -375,8 +380,6 @@ class ResNetLike(Model):
     MIN_WIDTH = 4
     INSERTION_POINTS = tuple(f"layer{i}" for i in range(1, 18))  # conv ordinals
 
-    DEFAULT_INSERTION = "layer15"
-
     def __init__(self, spec: ModelSection, seed: int | None):
         super().__init__(spec)
         width = spec.width
@@ -425,14 +428,8 @@ def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
     """
     shape = model.activation_shape(host_layer)  # validates the host name
     flat = int(np.prod(shape))
-    params = AlcParams.create(flat, model.num_classes, _generator(seed), dtype=model.dtype)
-    module_id = host_layer
-    existing = {m.module_id for m in model.ewas_modules}
-    n = 1
-    while module_id in existing:
-        module_id = f"{host_layer}#{n}"
-        n += 1
-    model.ewas_modules.append(EwasModule(host_layer, params, module_id))
+    model.ewas_modules.append(EwasModule.create(host_layer, flat, model.num_classes,
+                                                _generator(seed), dtype=model.dtype))
     model.spec = replace(model.spec, insertion_points=tuple(
         m.host for m in model.ewas_modules))
     return model

@@ -7,6 +7,9 @@ inference) is reformatted back to (C, H, W) and multiplied elementwise
 into the activation. Gradients reach the weights along two routes: the
 classification scores and the scaling path.
 
+An ``EwasModule`` is that weight plus the name of the host activation
+it scales; the functions here take the weight tensor itself.
+
 The flatten/reformat contract is numpy C order (channel-major, then row,
 then column) and is shared bit-exactly with the tensor module.
 """
@@ -24,50 +27,26 @@ MODES = ("training", "inference")
 
 
 @dataclass
-class AlcParams:
-    """Auxiliary-linear-classifier weights, shape (C*H*W, K); no bias.
+class EwasModule:
+    """One scaling module: the host activation it scales and its
+    auxiliary-linear-classifier weight, shape (C*H*W, K); no bias.
 
     Column k doubles as the scaling mask for class k. Values are
     unconstrained: masks may be negative or exceed 1.
     """
 
+    host: str
     weight: Tensor
 
-    def __post_init__(self):
-        if self.weight.data.ndim != 2:
-            raise ShapeError(f"ALC weight must be 2-d, got {self.weight.data.shape}")
-
-    @property
-    def flat_size(self) -> int:
-        return self.weight.data.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weight.data.shape[1]
-
     @classmethod
-    def create(cls, flat_size: int, num_classes: int, rng: np.random.Generator | None,
-               dtype=np.float64) -> "AlcParams":
+    def create(cls, host: str, flat_size: int, num_classes: int,
+               rng: np.random.Generator | None, dtype=np.float64) -> "EwasModule":
         """Uniform fan-in initialization, bound +-1/sqrt(C*H*W); zeros without
         a generator, for a caller that overwrites them."""
         bound = 1.0 / np.sqrt(flat_size)
         shape = (flat_size, num_classes)
         w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
-        w = w.astype(dtype)
-        return cls(Tensor(w, requires_grad=True, dtype=dtype))
-
-
-@dataclass
-class EwasModule:
-    """One scaling module attached to a named host activation."""
-
-    host: str
-    params: AlcParams
-    module_id: str = ""
-
-    def __post_init__(self):
-        if not self.module_id:
-            self.module_id = self.host
+        return cls(host, Tensor(w.astype(dtype), requires_grad=True, dtype=dtype))
 
 
 def flatten_activation(z: Tensor) -> Tensor:
@@ -78,19 +57,19 @@ def flatten_activation(z: Tensor) -> Tensor:
     return reshape(z, (b, -1))
 
 
-def alc_score(z: Tensor, params: AlcParams) -> Tensor:
+def alc_score(z: Tensor, weight: Tensor) -> Tensor:
     """Class scores: flatten(z) @ weight, shape (B, K)."""
     flat = flatten_activation(z)
-    if flat.data.shape[1] != params.flat_size:
+    if flat.data.shape[1] != weight.data.shape[0]:
         c, h, w = z.data.shape[1:]
         raise ShapeError(
             f"activation {c}x{h}x{w} flattens to {flat.data.shape[1]}, "
-            f"but the ALC expects {params.flat_size}"
+            f"but the ALC expects {weight.data.shape[0]}"
         )
-    return matmul(flat, params.weight)
+    return matmul(flat, weight)
 
 
-def select_mask(params: AlcParams, scores: Tensor | None,
+def select_mask(weight: Tensor, scores: Tensor | None,
                 labels: np.ndarray | None, mode: str,
                 activation_shape: tuple[int, int, int]) -> Tensor:
     """Pick one weight column per sample and reformat it to (C, H, W).
@@ -110,7 +89,7 @@ def select_mask(params: AlcParams, scores: Tensor | None,
         if scores is None:
             raise ModeError("inference-mode mask selection requires scores")
         idx = scores.data.argmax(axis=1)  # argmax takes the first maximum
-    cols = take_columns(params.weight, idx)
+    cols = take_columns(weight, idx)
     b = idx.shape[0]
     return reshape(cols, (b, *activation_shape))
 
@@ -125,13 +104,13 @@ def apply_scaling(z: Tensor, mask: Tensor) -> Tensor:
     return mul(z, mask)
 
 
-def ewas_forward(z: Tensor, params: AlcParams, labels: np.ndarray | None = None,
+def ewas_forward(z: Tensor, weight: Tensor, labels: np.ndarray | None = None,
                  mode: str = "training") -> tuple[Tensor, Tensor]:
     """Score, select, scale. Returns (scaled activation, ALC scores).
 
     The ALC consumes the unscaled activation; only the scaled activation
     propagates onward.
     """
-    scores = alc_score(z, params)
-    mask = select_mask(params, scores, labels, mode, z.data.shape[1:])
+    scores = alc_score(z, weight)
+    mask = select_mask(weight, scores, labels, mode, z.data.shape[1:])
     return apply_scaling(z, mask), scores

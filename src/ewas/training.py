@@ -29,7 +29,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .attacks import AttackConfig, loss_heads, pgd
+from .attacks import AttackConfig, loss_heads, pgd, require_modules
 from .data import BatchIterator, Dataset
 from .errors import ConfigError, NonFiniteError, TrainingDivergedError
 from .models import Model, save_checkpoint
@@ -58,6 +58,7 @@ class TrainConfig:
     """
 
     epochs: int
+    attack: AttackConfig
     method: str = "at"
     lam: float = 0.0
     beta: float = 0.0
@@ -67,7 +68,6 @@ class TrainConfig:
     weight_decay: float = 2e-4
     milestones: tuple[int, ...] = ()
     lr_decay: float = 0.1
-    attack: AttackConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -125,11 +125,6 @@ class TrainLog:
 # composite losses
 # ---------------------------------------------------------------------------
 
-def _require_ewas(model: Model, lam: float) -> None:
-    if lam > 0 and not model.ewas_modules:
-        raise ConfigError("lambda > 0 requires a model with a scaling module")
-
-
 def _head_terms(method: str, s_nat, s_adv, y, beta: float):
     """One head's classification term and its unweighted KL term (None if beta is 0)."""
     if method == "at":
@@ -154,11 +149,11 @@ def loss_terms(method: str, model: Model, x, x_adv, y, lam: float,
     Both forwards run in train mode, TRADES and MART the natural one
     first: each updates the batch-norm running statistics.
     """
-    _require_ewas(model, lam)
+    require_modules(model, "lambda", lam)
 
     def heads(inputs):
         out = model.forward(inputs, labels=y, train=True, mask_mode="training")
-        return loss_heads(model, out, lam)
+        return loss_heads(out, lam)
 
     nat = heads(x) if method != "at" else None
     adv = heads(x_adv)
@@ -275,11 +270,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
-    if config.attack is None:
-        raise ConfigError("train.attack: inner attack config is required")
-    _require_ewas(model, config.lam)
-    if config.attack.lambda_attack > 0 and not model.ewas_modules:
-        raise ConfigError("train.attack.lambda_attack > 0 requires a scaling module")
+    require_modules(model, "train.lambda", config.lam)
+    require_modules(model, "train.attack.lambda_attack", config.attack.lambda_attack)
     term_fn = _TERM_FNS[config.method]
 
     log = TrainLog()

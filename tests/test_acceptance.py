@@ -118,8 +118,8 @@ def test_mechanism_oracle():
             theta = rng.normal(size=(c * h * w, k))
             y = rng.integers(0, k, size=b)
             mode = "training" if trial % 2 == 0 else "inference"
-            params = S.AlcParams(T.Tensor(theta))
-            scaled, scores = S.ewas_forward(T.Tensor(z), params, y, mode)
+            weight = T.Tensor(theta)
+            scaled, scores = S.ewas_forward(T.Tensor(z), weight, y, mode)
             exp_scaled, exp_scores = scalar_oracle(z, theta, y, mode)
             assert np.abs(scores.data - exp_scores).max() <= 1e-10
             assert np.abs(scaled.data - exp_scaled).max() <= 1e-10
@@ -134,15 +134,15 @@ def test_selection_semantics():
     with criterion("selection semantics and identity-mask equivalence"):
         rng = np.random.default_rng(777)
         theta = rng.normal(size=(8, 4))
-        params = S.AlcParams(T.Tensor(theta))
+        weight = T.Tensor(theta)
         shape = (2, 2, 2)
         y = np.array([3, 1])
-        m_train = S.select_mask(params, None, y, "training", shape)
+        m_train = S.select_mask(weight, None, y, "training", shape)
         for b, label in enumerate(y):
             assert m_train.data[b].tobytes() == \
                 theta[:, label].reshape(shape).tobytes()
         scores = T.Tensor(np.array([[0.2, 0.9, 0.9, 0.1], [1.0, 1.0, 1.0, 1.0]]))
-        m_inf = S.select_mask(params, scores, None, "inference", shape)
+        m_inf = S.select_mask(weight, scores, None, "inference", shape)
         assert m_inf.data[0].tobytes() == theta[:, 1].reshape(shape).tobytes()
         assert m_inf.data[1].tobytes() == theta[:, 0].reshape(shape).tobytes()
 
@@ -150,7 +150,7 @@ def test_selection_semantics():
         plain = M.ModelSection(width=4).build(31)
         wrapped = M.ModelSection(width=4).build(31)
         M.insert_ewas(wrapped, "block3")
-        wrapped.ewas_modules[0].params.weight.data[...] = 1.0
+        wrapped.ewas_modules[0].weight.data[...] = 1.0
         a = plain.forward(x).logits.data
         for mode, labels in (("inference", None), ("training", np.array([0, 1, 2, 0]))):
             b = wrapped.forward(x, labels=labels, mask_mode=mode).logits.data

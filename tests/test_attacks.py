@@ -30,7 +30,7 @@ class LinearModel:
         if not isinstance(x, T.Tensor):
             x = T.Tensor(np.asarray(x, dtype=np.float64))
         flat = T.reshape(x, (x.data.shape[0], -1))
-        return M.ForwardOut(T.matmul(flat, self.w), {}, {})
+        return M.ForwardOut(T.matmul(flat, self.w), [], {})
 
     def parameters(self):
         return [("w", self.w)]
@@ -132,7 +132,7 @@ class TestAttackObjective:
         y = np.array([0, 1, 2])
         out = model.forward(x, labels=y, train=False, mask_mode="inference")
         ce = float(T.softmax_cross_entropy(out.logits, y).data)
-        alc_ce = float(T.softmax_cross_entropy(out.alc_scores["block4"], y).data)
+        alc_ce = float(T.softmax_cross_entropy(out.alc_scores[0], y).data)
         total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", 1.0)
         assert float(total.data) == pytest.approx(ce + alc_ce, rel=1e-12)
 
@@ -142,7 +142,7 @@ class TestAttackObjective:
         y = np.array([1, 2])
         out = model.forward(x, labels=y, train=False, mask_mode="inference")
         backbone = float(T.softmax_cross_entropy(out.logits, y).data)
-        alc = float(T.softmax_cross_entropy(out.alc_scores["block4"], y).data)
+        alc = float(T.softmax_cross_entropy(out.alc_scores[0], y).data)
         for lam in (0.5, 2.0, 10.0):
             total = float(A.attack_objective(model, T.Tensor(x), y,
                                              "cross_entropy", lam).data)
@@ -166,10 +166,20 @@ class TestAttackObjective:
             return float(T.softmax_cross_entropy(scores, y).data)
 
         lam = 0.5
-        expect = ce(out.logits) + lam * (ce(out.alc_scores["block3"])
-                                         + ce(out.alc_scores["block4"]))
+        expect = ce(out.logits) + lam * (ce(out.alc_scores[0])
+                                         + ce(out.alc_scores[1]))
         total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", lam)
         assert float(total.data) == pytest.approx(expect, rel=1e-12)
+
+
+class TestRequireModules:
+    def test_zero_lambda_reads_no_modules(self):
+        A.require_modules(object(), "lambda", 0.0)
+
+    def test_positive_lambda_names_the_key(self):
+        with pytest.raises(ConfigError,
+                           match=r"^train\.lambda: 0\.5 > 0 requires a scaling module"):
+            A.require_modules(M.ModelSection(width=2).build(0), "train.lambda", 0.5)
 
 
 class TestFgsm:

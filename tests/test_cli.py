@@ -381,6 +381,18 @@ class TestAblate:
         assert not any(p.name.startswith("attack_lambda") for p in out.iterdir()
                        if p.is_dir())
 
+    @pytest.mark.parametrize("axis,values", [("lambda", "0.01"), ("position", "block4")])
+    def test_checkpoint_only_with_attack_lambda(self, tmp_path, capsys, axis, values):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "ab"
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg_path), "--axis", axis,
+                     "--values", values, "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: --checkpoint: ")
+        assert not out.exists()
+
     def test_invalid_axis_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ewas import models as M
+from ewas import scaling as S
 from ewas import tensor as T
 from ewas.attacks import AttackConfig, frozen_params, pgd
 from ewas.errors import (
@@ -80,7 +81,6 @@ class TestResNetLike:
         points = model.INSERTION_POINTS
         assert points == tuple(f"layer{i}" for i in range(1, 18))
         assert any(name.startswith("head") for name, _ in model.parameters())
-        assert model.DEFAULT_INSERTION in points
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):
@@ -288,15 +288,45 @@ class TestInsertEwas:
         M.insert_ewas(model, "block4", seed=4)
         out = model.forward(np.zeros((2, 1, 8, 8)), labels=np.array([0, 1]),
                             mask_mode="training")
-        assert set(out.alc_scores) == {"block4"}
-        assert out.alc_scores["block4"].data.shape == (2, 3)
+        assert len(out.alc_scores) == 1
+        assert out.alc_scores[0].data.shape == (2, 3)
 
     def test_two_insertions_two_score_sets(self):
         model = M.ModelSection(width=2).build(3)
         M.insert_ewas(model, "block3", seed=4)
         M.insert_ewas(model, "block4", seed=5)
         out = model.forward(np.zeros((1, 1, 8, 8)), mask_mode="inference")
-        assert set(out.alc_scores) == {"block3", "block4"}
+        assert len(out.alc_scores) == 2
+
+    def test_scores_follow_module_order_not_tap_order(self, monkeypatch):
+        """Hosts listed out of forward order: entry i is still module i's scores."""
+        model = M.ModelSection(width=4, insertion_points=("block4", "block4", "block3")
+                               ).build(20)
+        inputs, ewas_forward = {}, M.ewas_forward
+
+        def record(z, weight, *args):
+            inputs[id(weight)] = z
+            return ewas_forward(z, weight, *args)
+
+        monkeypatch.setattr(M, "ewas_forward", record)
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0, 1, (4, 1, 8, 8))
+        y = rng.integers(0, 3, 4)
+        out = model.forward(x, labels=y, train=True, mask_mode="training")
+        assert len(out.alc_scores) == 3
+        for mod, scores in zip(model.ewas_modules, out.alc_scores):
+            expect = S.alc_score(inputs[id(mod.weight)], mod.weight)
+            assert scores.data.tobytes() == expect.data.tobytes()
+
+    def test_repeated_host_keeps_two_modules(self, tmp_path):
+        model = M.ModelSection(width=2, insertion_points=("block4", "block4")).build(22)
+        out = model.forward(np.zeros((2, 1, 8, 8)), mask_mode="inference")
+        assert len(out.alc_scores) == 2
+        names = [name for name, _ in model.parameters() if name.startswith("ewas.")]
+        assert names == ["ewas.0.block4.weight", "ewas.1.block4.weight"]
+        M.save_checkpoint(model, tmp_path / "a.ckpt")
+        M.save_checkpoint(M.load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_spec_lists_every_host_and_survives_a_round_trip(self, tmp_path):
         section = M.ModelSection(width=2, insertion_points=("block4",))
@@ -317,7 +347,7 @@ class TestInsertEwas:
         plain = M.ModelSection(width=4).build(7)
         wrapped = M.ModelSection(width=4).build(7)
         M.insert_ewas(wrapped, "block2")
-        wrapped.ewas_modules[0].params.weight.data[...] = 1.0
+        wrapped.ewas_modules[0].weight.data[...] = 1.0
         a = plain.forward(x).logits.data
         b = wrapped.forward(x, mask_mode="inference").logits.data
         assert a.tobytes() == b.tobytes()

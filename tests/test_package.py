@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import ewas
-from ewas import attacks, models, training
+from ewas import attacks, models, scaling, training
 
 
 def test_every_exported_name_resolves():
@@ -25,6 +25,8 @@ def test_every_exported_name_resolves():
     (training, "sgd_step"),  # SGD.step
     (models, "Conv2dLayer"),  # ConvBnLayer
     (models, "BatchNorm2dLayer"),
+    (scaling, "AlcParams"),  # EwasModule.weight
+    (training, "_require_ewas"),  # attacks.require_modules
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_second_spellings_are_gone(module, name):
     assert not hasattr(module, name)

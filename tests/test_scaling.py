@@ -10,10 +10,10 @@ from ewas.errors import ModeError, ShapeError
 from _gradcheck import assert_grad_matches
 
 
-def make_params(chw, k, seed=0, requires_grad=True):
+def make_weight(chw, k, seed=0, requires_grad=True):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(chw, k))
-    return S.AlcParams(T.Tensor(w, requires_grad=requires_grad))
+    return T.Tensor(w, requires_grad=requires_grad)
 
 
 def scalar_oracle(z, theta, labels, mode):
@@ -49,75 +49,75 @@ def scalar_oracle(z, theta, labels, mode):
 
 class TestAlcScore:
     def test_zero_activation(self):
-        params = make_params(12, 3)
+        weight = make_weight(12, 3)
         z = T.Tensor(np.zeros((2, 3, 2, 2)))
-        np.testing.assert_array_equal(S.alc_score(z, params).data, np.zeros((2, 3)))
+        np.testing.assert_array_equal(S.alc_score(z, weight).data, np.zeros((2, 3)))
 
     def test_identity_weights(self):
         z = np.random.default_rng(1).normal(size=(2, 1, 2, 2))
-        params = S.AlcParams(T.Tensor(np.eye(4)))
-        out = S.alc_score(T.Tensor(z), params)
+        weight = T.Tensor(np.eye(4))
+        out = S.alc_score(T.Tensor(z), weight)
         np.testing.assert_array_equal(out.data, z.reshape(2, 4))
 
     def test_dimension_mismatch_names_expected_size(self):
-        params = make_params(10, 3)
+        weight = make_weight(10, 3)
         with pytest.raises(ShapeError, match="expects 10"):
-            S.alc_score(T.Tensor(np.zeros((1, 3, 2, 2))), params)
+            S.alc_score(T.Tensor(np.zeros((1, 3, 2, 2))), weight)
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(3, 2, 2, 3))
-        params = make_params(12, 4, seed=3)
-        out = S.alc_score(T.Tensor(z), params)
-        _, scores = scalar_oracle(z, params.weight.data, None, "inference")
+        weight = make_weight(12, 4, seed=3)
+        out = S.alc_score(T.Tensor(z), weight)
+        _, scores = scalar_oracle(z, weight.data, None, "inference")
         np.testing.assert_allclose(out.data, scores, atol=1e-10)
 
 
 class TestSelectMask:
     def test_training_selects_label_column(self):
-        params = make_params(8, 4, seed=4)
-        mask = S.select_mask(params, None, np.array([2]), "training", (2, 2, 2))
+        weight = make_weight(8, 4, seed=4)
+        mask = S.select_mask(weight, None, np.array([2]), "training", (2, 2, 2))
         np.testing.assert_array_equal(
-            mask.data[0], params.weight.data[:, 2].reshape(2, 2, 2)
+            mask.data[0], weight.data[:, 2].reshape(2, 2, 2)
         )
 
     def test_inference_selects_argmax(self):
-        params = make_params(4, 3, seed=5)
+        weight = make_weight(4, 3, seed=5)
         scores = T.Tensor(np.array([[0.1, 0.9, 0.3]]))
-        mask = S.select_mask(params, scores, None, "inference", (1, 2, 2))
+        mask = S.select_mask(weight, scores, None, "inference", (1, 2, 2))
         np.testing.assert_array_equal(
-            mask.data[0], params.weight.data[:, 1].reshape(1, 2, 2)
+            mask.data[0], weight.data[:, 1].reshape(1, 2, 2)
         )
 
     def test_tie_breaks_to_lowest_index(self):
-        params = make_params(4, 3, seed=6)
+        weight = make_weight(4, 3, seed=6)
         scores = T.Tensor(np.array([[0.5, 0.5, 0.1]]))
-        mask = S.select_mask(params, scores, None, "inference", (1, 2, 2))
+        mask = S.select_mask(weight, scores, None, "inference", (1, 2, 2))
         np.testing.assert_array_equal(
-            mask.data[0], params.weight.data[:, 0].reshape(1, 2, 2)
+            mask.data[0], weight.data[:, 0].reshape(1, 2, 2)
         )
 
     def test_training_without_labels_rejected(self):
-        params = make_params(4, 3)
+        weight = make_weight(4, 3)
         with pytest.raises(ModeError):
-            S.select_mask(params, None, None, "training", (1, 2, 2))
+            S.select_mask(weight, None, None, "training", (1, 2, 2))
 
     def test_unknown_mode_rejected(self):
-        params = make_params(4, 3)
+        weight = make_weight(4, 3)
         with pytest.raises(ModeError):
-            S.select_mask(params, None, None, "eval", (1, 2, 2))
+            S.select_mask(weight, None, None, "eval", (1, 2, 2))
 
     def test_training_ignores_scores_inference_ignores_labels(self):
-        params = make_params(4, 3, seed=7)
+        weight = make_weight(4, 3, seed=7)
         z_shape = (1, 2, 2)
         scores = T.Tensor(np.array([[9.0, 0.0, 0.0]]))
-        m_train = S.select_mask(params, scores, np.array([2]), "training", z_shape)
+        m_train = S.select_mask(weight, scores, np.array([2]), "training", z_shape)
         np.testing.assert_array_equal(
-            m_train.data[0], params.weight.data[:, 2].reshape(z_shape)
+            m_train.data[0], weight.data[:, 2].reshape(z_shape)
         )
-        m_inf = S.select_mask(params, scores, np.array([2]), "inference", z_shape)
+        m_inf = S.select_mask(weight, scores, np.array([2]), "inference", z_shape)
         np.testing.assert_array_equal(
-            m_inf.data[0], params.weight.data[:, 0].reshape(z_shape)
+            m_inf.data[0], weight.data[:, 0].reshape(z_shape)
         )
 
 
@@ -148,17 +148,17 @@ class TestApplyScaling:
 
 class TestEwasForward:
     def test_zero_activation(self):
-        params = make_params(12, 3, seed=11)
+        weight = make_weight(12, 3, seed=11)
         z = T.Tensor(np.zeros((2, 3, 2, 2)))
-        scaled, scores = S.ewas_forward(z, params, mode="inference")
+        scaled, scores = S.ewas_forward(z, weight, mode="inference")
         np.testing.assert_array_equal(scaled.data, 0.0)
         np.testing.assert_array_equal(scores.data, 0.0)
 
     def test_identity_theta_training(self):
         z = np.abs(np.random.default_rng(12).normal(size=(2, 1, 2, 2))) + 0.1
-        params = S.AlcParams(T.Tensor(np.eye(4)))
+        weight = T.Tensor(np.eye(4))
         y = np.array([1, 3])
-        scaled, _ = S.ewas_forward(T.Tensor(z), params, y, "training")
+        scaled, _ = S.ewas_forward(T.Tensor(z), weight, y, "training")
         for n, label in enumerate(y):
             mask = np.eye(4)[:, label].reshape(1, 2, 2)
             np.testing.assert_array_equal(scaled.data[n], z[n] * mask)
@@ -170,50 +170,50 @@ class TestEwasForward:
             b, c, h, w, k = 2, rng.integers(1, 4), rng.integers(1, 4), \
                 rng.integers(1, 4), rng.integers(2, 5)
             z = rng.normal(size=(b, c, h, w))
-            params = make_params(c * h * w, k, seed=100 + trial)
+            weight = make_weight(c * h * w, k, seed=100 + trial)
             y = rng.integers(0, k, size=b)
-            scaled, scores = S.ewas_forward(T.Tensor(z), params, y, mode)
-            exp_scaled, exp_scores = scalar_oracle(z, params.weight.data, y, mode)
+            scaled, scores = S.ewas_forward(T.Tensor(z), weight, y, mode)
+            exp_scaled, exp_scores = scalar_oracle(z, weight.data, y, mode)
             np.testing.assert_allclose(scores.data, exp_scores, atol=1e-10)
             np.testing.assert_allclose(scaled.data, exp_scaled, atol=1e-10)
 
     def test_column_permutation_with_relabel_invariance(self):
         rng = np.random.default_rng(14)
         z = rng.normal(size=(3, 2, 2, 2))
-        params = make_params(8, 4, seed=15)
+        weight = make_weight(8, 4, seed=15)
         y = np.array([0, 2, 3])
         perm = np.array([2, 0, 3, 1])  # old class k becomes new class perm[k]
-        permuted_w = np.empty_like(params.weight.data)
-        permuted_w[:, perm] = params.weight.data
-        permuted = S.AlcParams(T.Tensor(permuted_w))
-        base, _ = S.ewas_forward(T.Tensor(z), params, y, "training")
+        permuted_w = np.empty_like(weight.data)
+        permuted_w[:, perm] = weight.data
+        permuted = T.Tensor(permuted_w)
+        base, _ = S.ewas_forward(T.Tensor(z), weight, y, "training")
         moved, _ = S.ewas_forward(T.Tensor(z), permuted, perm[y], "training")
         np.testing.assert_array_equal(base.data, moved.data)
 
     def test_all_ones_theta_is_identity_any_mode(self):
         rng = np.random.default_rng(16)
         z = rng.normal(size=(2, 2, 3, 3))
-        params = S.AlcParams(T.Tensor(np.ones((18, 5))))
+        weight = T.Tensor(np.ones((18, 5)))
         for mode, y in (("training", np.array([4, 1])), ("inference", None)):
-            scaled, _ = S.ewas_forward(T.Tensor(z), params, y, mode)
+            scaled, _ = S.ewas_forward(T.Tensor(z), weight, y, mode)
             assert scaled.data.tobytes() == z.tobytes()
 
     def test_gradient_two_paths_vs_fd(self):
         rng = np.random.default_rng(17)
         z_data = rng.normal(size=(2, 1, 2, 2))
-        params = make_params(4, 3, seed=18)
+        weight = make_weight(4, 3, seed=18)
         y = np.array([0, 2])
 
         def forward():
             z = T.Tensor(z_data)
-            scaled, scores = S.ewas_forward(z, params, y, "training")
+            scaled, scores = S.ewas_forward(z, weight, y, "training")
             # loss touching both routes: scaled activations and scores
             return T.tsum(scaled) + 2.0 * T.softmax_cross_entropy(scores, y)
 
         loss = forward()
         T.backward(loss)
-        assert_grad_matches(lambda: float(forward().data), params.weight.data,
-                            params.weight.grad, what="alc-weight")
+        assert_grad_matches(lambda: float(forward().data), weight.data,
+                            weight.grad, what="alc-weight")
 
     def test_lambda_zero_removes_exactly_the_alc_loss_grad(self):
         rng = np.random.default_rng(19)
@@ -221,20 +221,20 @@ class TestEwasForward:
         y = np.array([1, 0])
 
         def grads(lam):
-            params = make_params(4, 3, seed=20)
+            weight = make_weight(4, 3, seed=20)
             z = T.Tensor(z_data)
-            scaled, scores = S.ewas_forward(z, params, y, "training")
+            scaled, scores = S.ewas_forward(z, weight, y, "training")
             loss = T.tmean(T.mul(scaled, scaled))
             if lam:
                 loss = loss + lam * T.softmax_cross_entropy(scores, y)
             T.backward(loss)
-            return params.weight.grad
+            return weight.grad
 
-        params = make_params(4, 3, seed=20)
+        weight = make_weight(4, 3, seed=20)
         z = T.Tensor(z_data)
-        _, scores = S.ewas_forward(z, params, y, "training")
+        _, scores = S.ewas_forward(z, weight, y, "training")
         T.backward(T.softmax_cross_entropy(scores, y))
-        alc_only = params.weight.grad
+        alc_only = weight.grad
 
         lam = 0.7
         np.testing.assert_allclose(grads(lam) - grads(0.0), lam * alc_only,

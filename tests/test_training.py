@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ewas import tensor as T
 from ewas import training as TR
 from ewas.data import synth_dataset
 from ewas.errors import ConfigError, NonFiniteError, TrainingDivergedError
-from ewas.scaling import AlcParams, EwasModule, ewas_forward
+from ewas.scaling import EwasModule, alc_score, ewas_forward
 
 
 def np_softmax(z):
@@ -50,20 +51,20 @@ class TinyScaledNet:
         rng = np.random.default_rng(seed)
         flat = int(np.prod(shape))
         self.w = T.Tensor(rng.normal(size=(flat, k)), requires_grad=True)
-        self.ewas_modules = [EwasModule("input", AlcParams(
-            T.Tensor(rng.normal(size=(flat, k)), requires_grad=True)))]
+        self.ewas_modules = [EwasModule(
+            "input", T.Tensor(rng.normal(size=(flat, k)), requires_grad=True))]
         self.num_classes = k
 
     def forward(self, x, labels=None, train=False, mask_mode="inference", capture=()):
         if not isinstance(x, T.Tensor):
             x = T.Tensor(np.asarray(x, dtype=np.float64))
         mod = self.ewas_modules[0]
-        scaled, scores = ewas_forward(x, mod.params, labels, mask_mode)
+        scaled, scores = ewas_forward(x, mod.weight, labels, mask_mode)
         flat = T.reshape(scaled, (x.data.shape[0], -1))
-        return M.ForwardOut(T.matmul(flat, self.w), {mod.module_id: scores}, {})
+        return M.ForwardOut(T.matmul(flat, self.w), [scores], {})
 
     def parameters(self):
-        return [("w", self.w), ("alc", self.ewas_modules[0].params.weight)]
+        return [("w", self.w), ("alc", self.ewas_modules[0].weight)]
 
 
 def small_model(seed=0, with_ewas=True):
@@ -97,7 +98,7 @@ class TestAtLoss:
         y = np.array([1])
         out = net.forward(x_adv, labels=y, train=True, mask_mode="training")
         expect = np_ce(out.logits.data, y) + 0.01 * np_ce(
-            out.alc_scores["input"].data, y)
+            out.alc_scores[0].data, y)
         loss = TR.loss_terms("at", net, None, x_adv, y, 0.01, 0.0)["total"]
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
 
@@ -138,7 +139,7 @@ class TestTradesLoss:
         lam, beta = 0.01, 6.0
         o_nat = net.forward(x, labels=y, train=True, mask_mode="training")
         o_adv = net.forward(x_adv, labels=y, train=True, mask_mode="training")
-        s_nat, s_adv = o_nat.alc_scores["input"].data, o_adv.alc_scores["input"].data
+        s_nat, s_adv = o_nat.alc_scores[0].data, o_adv.alc_scores[0].data
         expect = (
             np_ce(o_nat.logits.data, y)
             + beta * np_kl(np_softmax(o_nat.logits.data), np_softmax(o_adv.logits.data))
@@ -147,6 +148,17 @@ class TestTradesLoss:
         )
         loss = TR.loss_terms("trades", net, x, x_adv, y, lam, beta)["total"]
         assert float(loss.data) == pytest.approx(expect, rel=1e-12)
+
+
+    def test_lambda_without_module_fails_before_any_forward(self, batch):
+        """The natural forward would update the batch-norm statistics."""
+        x, x_adv, y = batch
+        model = small_model(with_ewas=False)
+        stats = [a.copy() for _, a in model.state_arrays()]
+        with pytest.raises(ConfigError, match=r"^lambda: 0\.01 > 0 requires a scaling"):
+            TR.loss_terms("trades", model, x, x_adv, y, 0.01, 6.0)
+        for before, (_, after) in zip(stats, model.state_arrays()):
+            assert before.tobytes() == after.tobytes()
 
 
 class TestMartLoss:
@@ -163,7 +175,7 @@ class TestMartLoss:
         net = TinyScaledNet((1, 2, 2), 2, seed=10)
         x = np.random.default_rng(11).uniform(0.1, 1, (1, 1, 2, 2))
         y = np.array([0])
-        net.ewas_modules[0].params.weight.data[...] = 1.0  # identity mask
+        net.ewas_modules[0].weight.data[...] = 1.0  # identity mask
         net.w.data[:, 0] = 500.0
         net.w.data[:, 1] = -500.0  # saturates p_0 to exactly 1.0
         out = net.forward(x, labels=y, train=True, mask_mode="training")
@@ -181,8 +193,8 @@ class TestMartLoss:
         o_nat = net.forward(x, labels=y, train=True, mask_mode="training")
         o_adv = net.forward(x_adv, labels=y, train=True, mask_mode="training")
         p_nat, p_adv = np_softmax(o_nat.logits.data), np_softmax(o_adv.logits.data)
-        ps_nat = np_softmax(o_nat.alc_scores["input"].data)
-        ps_adv = np_softmax(o_adv.alc_scores["input"].data)
+        ps_nat = np_softmax(o_nat.alc_scores[0].data)
+        ps_adv = np_softmax(o_adv.alc_scores[0].data)
         expect = (
             np_bce(p_adv, y)
             + beta * np_kl(p_nat, p_adv) * (1 - p_nat[0, y[0]])
@@ -226,8 +238,8 @@ class TestTwoModules:
         M.insert_ewas(model, "block4", seed=62)
         o_nat = model.forward(x, labels=y, train=True, mask_mode="training")
         o_adv = model.forward(x_adv, labels=y, train=True, mask_mode="training")
-        nat = [o_nat.alc_scores[h].data for h in ("block3", "block4")]
-        adv = [o_adv.alc_scores[h].data for h in ("block3", "block4")]
+        nat = [s.data for s in o_nat.alc_scores]
+        adv = [s.data for s in o_adv.alc_scores]
         if method == "at":
             terms = TR.loss_terms("at", model, None, x_adv, y, lam, 0.0)
             alc = sum(np_ce(s, y) for s in adv)
@@ -247,6 +259,31 @@ class TestTwoModules:
         else:
             assert float(terms["alc_kl"].data) == pytest.approx(lam * beta * alc_kl,
                                                                 rel=1e-12)
+
+
+    @pytest.mark.parametrize("hosts,seed", [(("block4", "block4", "block3"), 67),
+                                            (("block2", "block4", "block3", "block1"), 63)])
+    def test_trades_alc_adds_modules_in_module_order(self, batch, hosts, seed, monkeypatch):
+        """Hosts out of forward order: the alc term is lam times the per-module
+        CE terms added in module order, bit for bit. (With these seeds, adding
+        them in tap order changes the last bit.)"""
+        x, x_adv, y = batch
+        lam, beta = 0.3, 6.0
+        model = M.ModelSection(width=4, insertion_points=hosts).build(seed)
+        inputs, ewas_forward = {}, M.ewas_forward
+
+        def record(z, weight, *args):
+            inputs[id(weight)] = z
+            return ewas_forward(z, weight, *args)
+
+        monkeypatch.setattr(M, "ewas_forward", record)
+        model.forward(x, labels=y, train=True, mask_mode="training")
+        monkeypatch.undo()
+        ces = [T.softmax_cross_entropy(alc_score(inputs[id(m.weight)], m.weight), y)
+               for m in model.ewas_modules]
+        expect = lam * reduce(T.add, ces)
+        terms = TR.loss_terms("trades", model, x, x_adv, y, lam, beta)
+        assert terms["alc"].data.tobytes() == expect.data.tobytes()
 
 
 class TestNonnegativity:
