@@ -62,13 +62,13 @@ class AttackConfig:
     name: str = ""
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # written so NaN fails too
             raise ConfigError(f"epsilon: must be >= 0, got {self.epsilon}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ConfigError(f"step_size: must be > 0, got {self.step_size}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.lambda_attack < 0:
+        if not self.lambda_attack >= 0:
             raise ConfigError(f"lambda_attack: must be >= 0, got {self.lambda_attack}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(

@@ -48,8 +48,8 @@ class Dataset:
             raise CountMismatchError(
                 f"{len(self.images)} images vs {len(self.labels)} labels"
             )
-        if self.images.size and (self.images.min() < 0 or self.images.max() > 1):
-            raise DataFormatError("pixel values outside [0, 1]")
+        if self.images.size and not (self.images.min() >= 0 and self.images.max() <= 1):
+            raise DataFormatError("pixel values outside [0, 1] or not finite")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DataFormatError(f"labels outside [0, {self.num_classes})")
 

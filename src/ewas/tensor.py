@@ -10,9 +10,14 @@ Conventions that tests rely on:
 
 * default dtype is float64; float32 is selectable per tensor/model,
 * ``relu`` has subgradient 0 at exactly 0,
+* shapes are logical: an op's result may be a non-contiguous view. A
+  conv output is a (B, C, H, W) view of a C-contiguous (C, H, W, B)
+  array; elementwise ops, batch norm and the scaling mask keep that
+  batch-innermost layout, and the pool and ``matmul`` give their input
+  gradients in it, so no conv needs a transposing copy but the first,
 * flattening a (B, C, H, W) tensor is channel-major, then row, then
-  column (numpy C order) -- the single contract shared with the scaling
-  module's mask reformat,
+  column (numpy C order) whatever the memory order -- the single
+  contract shared with the scaling module's mask reformat,
 * a graph may be backpropagated exactly once, and ``backward`` frees it
   node by node as it goes,
 * no backward closure keeps a copy of an activation: ``conv2d``,
@@ -300,8 +305,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
         )
     ad, bd = a.data, b.data
-    return _result(ad @ bd, (a, b), lambda g: (g @ bd.T if a.requires_grad else None,
-                                               ad.T @ g if b.requires_grad else None))
+
+    def grad_fn(g):  # a's gradient in a's layout: a flattened activation is batch-innermost
+        return (np.matmul(g, bd.T, out=np.empty_like(ad)) if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
+
+    return _result(ad @ bd, (a, b), grad_fn)
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
@@ -352,7 +361,7 @@ def masked_rowmax(x: Tensor, exclude_labels: np.ndarray) -> Tensor:
 
 
 def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
-    """Stack columns w[:, idx[b]] into a (B, D) tensor.
+    """Stack columns w[:, idx[b]] into a (B, D) tensor, a view of a (D, B) array.
 
     The index vector is constant under differentiation; gradients scatter
     back into the selected columns additively.
@@ -367,7 +376,7 @@ def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
         np.add.at(dwt, idx, g)
         return (dwt.T.copy(),)
 
-    return _result(w.data[:, idx].T.copy(), (w,), grad_fn)
+    return _result(w.data.take(idx, axis=1).T, (w,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +387,10 @@ _BLOCK_BYTES = 1 << 20  # most bytes a block's column matrix may hold, at least 
 
 
 def _pad_batch_inner(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(C, H+2ph, W+2pw, B) zero-padded copy of a (B, C, H, W) array; a negative pad crops."""
+    """(C, H+2ph, W+2pw, B) zero-padded copy of a (B, C, H, W) array; a negative pad crops.
+    Unpadded, a batch-innermost ``a`` (a conv output) gives its own buffer, only to be read."""
+    if ph == pw == 0:
+        return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
     b, c, h, w = a.shape
     out = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=a.dtype)
     ch, cw, oh, ow = max(-ph, 0), max(-pw, 0), max(ph, 0), max(pw, 0)
@@ -439,16 +451,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2p - kh) / stride) + 1.
 
     Batch-innermost: the input is copied once into a zeroed (Cin, H+2p,
-    W+2p, B) buffer. A strided view of a band of its rows reshapes to the
-    column matrix of a block of output rows, (Cin·kh·kw, rows·Wo·B), and
-    the forward is ``W(Cout, Cin·kh·kw) @ cols`` block by block, written
-    into one (Cout, Ho, Wo, B) array, plus one transpose to (B, Cout, Ho,
-    Wo). A block holds as many output rows as fit in ``_BLOCK_BYTES``,
-    and at least one, so no whole-input column matrix is ever built (Cho
-    & Brand 2017, MEC); block edges depend only on shapes and dtype. With
-    the batch axis innermost, every run the gather moves is at least B
-    contiguous elements (Wo·B at stride 1). With the gradient as g_c =
-    (Cout, Ho, Wo, B), ``dw`` is the sum over the same row blocks of
+    W+2p, B) buffer, or read in place when there is no padding and it is
+    already batch-innermost. A strided view of a band of its rows
+    reshapes to the column matrix of a block of output rows, (Cin·kh·kw,
+    rows·Wo·B), and the forward is ``W(Cout, Cin·kh·kw) @ cols`` block by
+    block, written into one (Cout, Ho, Wo, B) array. The result is a (B,
+    Cout, Ho, Wo) view of that array, not a copy, and so is ``dx``: the
+    next conv reads its input contiguously, and a gradient that comes
+    back in that layout is used without a copy. A block holds as many
+    output rows as fit in ``_BLOCK_BYTES``, and at least one, so no
+    whole-input column matrix is ever built (Cho & Brand 2017, MEC);
+    block edges depend only on shapes and dtype. With the batch axis
+    innermost, every run the gather moves is at least B contiguous
+    elements (Wo·B at stride 1). With the gradient as g_c = (Cout, Ho,
+    Wo, B), ``dw`` is the sum over the same row blocks of
     ``g_block @ cols_block.T``. At stride 1 with Cin ≥ Cout, ``dx`` is
     itself a blocked correlation: the gradient padded by k − 1 − p
     (cropped where that is negative) correlated with the flipped,
@@ -477,7 +493,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out = _correlate(wmat, _pad_batch_inner(x.data, padding, padding), kh, kw, stride, ho, wo)
     if bias is not None:
         out += bias.data[:, None, None, None]
-    out = np.ascontiguousarray(out.transpose(3, 0, 1, 2))
+    out = out.transpose(3, 0, 1, 2)
     need_dw = weight.requires_grad  # frozen_params may flip it before backward
     col2im = stride > 1 or cin < cout
 
@@ -496,15 +512,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             wflip = wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gp = _pad_batch_inner(g, kh - 1 - padding, kw - 1 - padding)
             dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)
-            dx = np.ascontiguousarray(dx_c.transpose(3, 0, 1, 2))
+            dx = dx_c.transpose(3, 0, 1, 2)
         elif x.requires_grad:
             dcols = (wmat.T @ g_c.reshape(cout, -1)).reshape(cin, kh, kw, ho, wo, b)
             dxp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
             for u in range(kh):
                 for v in range(kw):
                     dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
+            del dcols  # freed before the crop is copied
             dx = np.ascontiguousarray(
-                dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
+                dxp[:, padding:padding + h, padding:padding + w]).transpose(3, 0, 1, 2)
         return (dx, dw) if bias is None else (dx, dw, db)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -517,8 +534,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool needs rank-4 input, got {x.data.shape}")
     b, c, h, w = x.data.shape
 
-    def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w)).copy(),)
+    def grad_fn(g):  # batch-innermost, like the activation it flows back into
+        gc = np.broadcast_to((g.T / (h * w))[:, None, None, :], (c, h, w, b))
+        return (gc.copy().transpose(3, 0, 1, 2),)
 
     return _result(x.data.mean(axis=(2, 3)), (x,), grad_fn)
 

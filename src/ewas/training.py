@@ -73,9 +73,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:  # written so NaN fails too
             raise ConfigError(f"lambda: must be >= 0, got {self.lam}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ConfigError(f"beta: must be >= 0, got {self.beta}")
         if self.epochs < 0:
             raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")

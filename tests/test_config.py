@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from ewas.attacks import AttackConfig
 from ewas.cli import EXIT_USAGE, main
 from ewas.config import load_run_config, parse_run_config
+from ewas.errors import ConfigError
+from ewas.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NAN = float("nan")
@@ -75,3 +78,16 @@ def test_shipped_config_digest_is_pinned(name, digest):
 def test_snapshot_reads_back_to_itself(name):
     snapshot = load_run_config(CONFIGS / f"{name}.json").snapshot_json()
     assert parse_run_config(json.loads(snapshot)).snapshot_json() == snapshot
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: AttackConfig(epsilon=NAN, step_size=0.1), "epsilon"),
+    (lambda: AttackConfig(epsilon=0.1, step_size=NAN), "step_size"),
+    (lambda: AttackConfig(epsilon=0.1, step_size=0.1, lambda_attack=NAN), "lambda_attack"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), lam=NAN), "lambda"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), beta=NAN), "beta"),
+], ids=["epsilon", "step_size", "lambda_attack", "lambda", "beta"])
+def test_nan_through_the_python_api_is_a_config_error(make, field):
+    """The JSON reader rejects NaN first; the dataclasses must reject it too."""
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        make()

@@ -108,6 +108,16 @@ class TestCifarBinary:
             D.load_cifar_binary([path])
 
 
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+    def test_pixel_not_in_unit_interval_rejected(self, bad):
+        """NaN fails the range check too, not later as a diverged run."""
+        images = np.full((2, 1, 8, 8), 0.5)
+        images[1, 0, 3, 4] = bad
+        with pytest.raises(DataFormatError, match="pixel values"):
+            D.Dataset(images, np.array([0, 1]), num_classes=2)
+
+
 class TestSynthDataset:
     def test_deterministic(self):
         a = D.synth_dataset(3, 10, (1, 8, 8), seed=5)

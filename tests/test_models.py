@@ -282,6 +282,72 @@ class TestInplaceActivations:
             assert z.data.tobytes() == before
 
 
+def batch_innermost(a: np.ndarray) -> bool:
+    """A (B, C, H, W) array is a view of a C-contiguous (C, H, W, B) one."""
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+# (spec, hosts); every tap is at least 2x2, since at 1x1 the two layouts coincide
+LAYOUT_SPECS = {
+    "small_cnn": (M.ModelSection(width=4, input_shape=(2, 8, 8)), ("block2", "block4")),
+    "resnet18_like": (replace(RESNET, input_shape=(3, 16, 16)), ("layer5", "layer15")),
+}
+
+
+class TestBatchInnermostLayout:
+    """Activations go from conv to conv batch-innermost, with no transposing copy."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval_no_grad", "attack_step"])
+    @pytest.mark.parametrize("arch", sorted(LAYOUT_SPECS))
+    def test_taps_and_masks_are_batch_innermost(self, arch, mode, monkeypatch):
+        spec, hosts = LAYOUT_SPECS[arch]
+        model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(20), 21)
+        masks = []
+        apply_scaling = S.apply_scaling
+        monkeypatch.setattr(S, "apply_scaling",
+                            lambda z, mask: masks.append(mask) or apply_scaling(z, mask))
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 1, (4, *spec.input_shape))
+        y = rng.integers(0, spec.num_classes, 4)
+        taps = model.INSERTION_POINTS
+        if mode == "train":
+            out = model.forward(x, labels=y, train=True, mask_mode="training", capture=taps)
+        elif mode == "eval_no_grad":
+            with T.no_grad():
+                out = model.forward(x, capture=taps)
+        else:  # a pgd step: the input requires grad, the parameters are frozen
+            with frozen_params(model):
+                out = model.forward(T.Tensor(x, requires_grad=True), labels=y, capture=taps)
+        assert sorted(out.captured) == sorted(taps) and len(masks) == len(hosts)
+        for name, h in [*out.captured.items(), *(("mask", m) for m in masks)]:
+            assert batch_innermost(h.data), name
+
+    @pytest.mark.parametrize("arch", sorted(LAYOUT_SPECS))
+    def test_gradients_reach_every_conv_batch_innermost(self, arch, monkeypatch):
+        """Through the pool, the residual adds and the classifier heads alike."""
+        spec, hosts = LAYOUT_SPECS[arch]
+        model = replace(spec, insertion_points=hosts).build(23)
+        grads = []
+
+        def conv2d(*args):
+            out = T.conv2d(*args)
+            grad_fn = out._grad_fn
+            out._grad_fn = lambda g: grads.append(g) or grad_fn(g)
+            return out
+
+        monkeypatch.setattr(M, "conv2d", conv2d)
+        rng = np.random.default_rng(24)
+        x = rng.uniform(0, 1, (4, *spec.input_shape))
+        y = rng.integers(0, spec.num_classes, 4)
+        out = model.forward(x, labels=y, train=True, mask_mode="training")
+        loss = T.softmax_cross_entropy(out.logits, y)
+        for scores in out.alc_scores:
+            loss = loss + T.softmax_cross_entropy(scores, y)
+        T.backward(loss)
+        assert len(grads) == len(batch_norms(model))  # one conv per pair
+        assert all(batch_innermost(g) for g in grads)
+
+
 class TestInsertEwas:
     def test_forward_returns_scores(self):
         model = M.ModelSection(width=2).build(3)

@@ -175,6 +175,16 @@ CONV_CASES = [
 ]
 
 
+def batch_innermost(a: np.ndarray) -> bool:
+    """A (B, C, H, W) array is a view of a C-contiguous (C, H, W, B) one."""
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def as_batch_innermost(a: np.ndarray) -> np.ndarray:
+    """The same (B, C, H, W) values, laid out as a (C, H, W, B) array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 def check_against_loop_reference(case, dtype, tol):
     """conv2d's output and gradients for one CONV_CASES case, against the loop oracle."""
     bs, cin, h, w, cout, k, s, p = case
@@ -184,7 +194,7 @@ def check_against_loop_reference(case, dtype, tol):
     bt = T.Tensor(rng.normal(size=cout).astype(dtype), requires_grad=True)
     x_before = x.data.copy()
     out = T.conv2d(x, wt, bt, stride=s, padding=p)
-    assert out.data.dtype == dtype and out.data.flags.c_contiguous
+    assert out.data.dtype == dtype and batch_innermost(out.data)
     g = rng.normal(size=out.data.shape).astype(dtype)
     T.backward(T.tsum(T.mul(out, T.Tensor(g))))
     assert x.data.tobytes() == x_before.tobytes()
@@ -201,6 +211,27 @@ class TestConv2dKernelParity:
     @pytest.mark.parametrize("case", CONV_CASES)
     def test_matches_loop_reference(self, case, dtype, tol):
         check_against_loop_reference(case, dtype, tol)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_batch_innermost_operands_give_the_same_bytes(self, case, dtype):
+        """A conv output fed to the next conv, and the gradient coming back,
+        are views of (C, H, W, B) arrays; they compute what C-contiguous
+        copies of them do, bit for bit."""
+        bs, cin, h, w, cout, k, s, p = case
+        rng = np.random.default_rng(sum(case))
+        x = rng.normal(size=(bs, cin, h, w)).astype(dtype)
+        wt = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        g = rng.normal(size=(bs, cout, (h + 2 * p - k) // s + 1,
+                             (w + 2 * p - k) // s + 1)).astype(dtype)
+        results = []
+        for layout in (np.ascontiguousarray, as_batch_innermost):
+            xt = T.Tensor(layout(x), requires_grad=True)
+            wtt = T.Tensor(wt, requires_grad=True)
+            out = T.conv2d(xt, wtt, stride=s, padding=p)
+            T.backward(T.tsum(T.mul(out, T.Tensor(layout(g)))))
+            results.append([a.tobytes() for a in (out.data, xt.grad, wtt.grad)])
+        assert results[0] == results[1]
 
     def test_frozen_weight_gets_no_gradient(self):
         rng = np.random.default_rng(3)
