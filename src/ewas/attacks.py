@@ -76,6 +76,8 @@ class AttackConfig:
             )
         if self.mask_mode not in ("training", "inference"):
             raise ConfigError(f"mask_mode: must be training|inference, got {self.mask_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not self.name:
             self.name = self.loss_kind
 
@@ -121,10 +123,10 @@ def cw_margin_loss(logits: Tensor, labels, kappa: float = 0.0,
     return tmean(rows) if reduction == "mean" else rows
 
 
-def require_modules(model, key: str, lam: float) -> None:
-    """A positive ``lam`` needs a scaling module: if ``model`` has none, a
-    ``ConfigError`` names ``key``. Checked before any forward runs."""
-    if lam > 0 and not model.ewas_modules:
+def require_modules(hosts, key: str, lam: float) -> None:
+    """A positive ``lam`` needs a scaling module: if ``hosts`` (a model's
+    ``ewas_modules`` or a spec's ``insertion_points``) is empty, ``key`` is named."""
+    if lam > 0 and not hosts:
         raise ConfigError(f"{key}: {lam:g} > 0 requires a scaling module, but the "
                           f"model has none")
 
@@ -160,7 +162,7 @@ def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
     """
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    require_modules(model, "lambda_attack", lambda_attack)
+    require_modules(model.ewas_modules, "lambda_attack", lambda_attack)
     out = model.forward(x, labels=y, train=False, mask_mode=mask_mode)
     return _objective(out, y, loss_kind, lambda_attack, kappa)
 

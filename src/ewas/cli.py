@@ -2,7 +2,9 @@
 
 Every command validates its config fully before doing work, writes a
 resolved-config snapshot into the output directory, and never mutates
-its input files. Exit codes: 0 success, 1 usage or config error,
+its input files. The config checks, a checkpoint's model against the
+config included, are ``RunConfig``'s; this module names only its own
+flags. Exit codes: 0 success, 1 usage or config error,
 2 runtime abort (non-finite value), 3 IO or checkpoint error.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import csv
 import ctypes
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ActivationStats, export_stats
+from .attacks import require_modules
 from .config import RunConfig, load_run_config
 from .data import Dataset
 from .errors import (
@@ -47,41 +51,6 @@ def _prepare_out(cfg: RunConfig, out_override: str | None) -> Path:
     return out_dir
 
 
-def _load_split(cfg: RunConfig, split: str, spec: ModelSection) -> Dataset:
-    """The config's ``split`` data; a class count or image shape that does not fit
-    the model ``spec`` describes is a ``ConfigError`` naming the model key."""
-    data = cfg.data.load(split, cfg.seed)
-    if data.num_classes != spec.num_classes:
-        raise ConfigError(f"model.num_classes: the model has {spec.num_classes} classes, "
-                          f"the {split} data {data.num_classes}")
-    if data.images.shape[1:] != spec.input_shape:
-        raise ConfigError(f"model.input_shape: the model takes {list(spec.input_shape)}, "
-                          f"the {split} images are {list(data.images.shape[1:])}")
-    return data
-
-
-def _require_modules(spec: ModelSection, lambdas) -> None:
-    """A positive lambda needs a scaling module: if ``spec`` describes none, the
-    first positive one of the ``(key, lambda)`` pairs is a ``ConfigError``
-    naming its key."""
-    if spec.insertion_points:
-        return
-    for key, lam in lambdas:
-        if lam > 0:
-            raise ConfigError(f"{key}: {lam:g} > 0 requires a scaling module, but the "
-                              f"model has no insertion_points")
-
-
-def _train_lambdas(point: TrainConfig):
-    return [("train.lambda", point.lam),
-            ("train.attack.lambda_attack", point.attack.lambda_attack)]
-
-
-def _preset_lambdas(cfg: RunConfig, names):
-    return [(f"attack_presets.{name}.lambda_attack", cfg.attack_presets[name].lambda_attack)
-            for name in names]
-
-
 def _trained(cfg: RunConfig, spec: ModelSection, point: TrainConfig,
              train_set: Dataset, out_dir: Path):
     """The model ``spec`` describes, built from the run seed and trained as ``point``."""
@@ -94,8 +63,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     if cfg.train is None:
         raise ConfigError("train: required section is missing")
-    _require_modules(cfg.model, _train_lambdas(cfg.train))
-    train_set = _load_split(cfg, "train", cfg.model)
+    train_set = cfg.load_split("train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
     _trained(cfg, cfg.model, cfg.train, train_set, out_dir)
     print(f"wrote {out_dir / 'checkpoint.ckpt'}")
@@ -105,8 +73,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     model = load_checkpoint(args.checkpoint)
-    _require_modules(model.spec, _preset_lambdas(cfg, cfg.attack_presets))
-    test_set = _load_split(cfg, "test", model.spec)
+    cfg.check_model(model.spec)
+    test_set = cfg.load_split("test", model.spec)
     out_dir = _prepare_out(cfg, args.out)
     report = evaluate(model, test_set, list(cfg.attack_presets.values()))
     report.write_csv(out_dir / "eval.csv")
@@ -121,9 +89,14 @@ def _parse_values(axis: str, raw: str) -> list:
     if axis == "position":
         return vals
     try:
-        return [float(v) for v in vals]
+        lambdas = [float(v) for v in vals]
     except ValueError as exc:
         raise ConfigError(f"--values: expected numbers for axis {axis!r}: {exc}") from exc
+    for lam in lambdas:
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ConfigError(f"--values: axis {axis!r} takes finite lambdas >= 0, "
+                              f"got {lam:g}")
+    return lambdas
 
 
 def cmd_ablate(args) -> int:
@@ -139,18 +112,16 @@ def cmd_ablate(args) -> int:
         model = load_checkpoint(args.checkpoint)  # evaluated, not trained
     spec = model.spec if model else cfg.model
     preset_names = sorted(cfg.attack_presets)
-    swept = [("--values", v) for v in values]
     if args.axis == "position":  # every point is checked before any is trained
         try:
             specs = [replace(cfg.model, insertion_points=(v,)) for v in values]
         except ConfigError as exc:
             raise ConfigError(f"--values: {exc}") from exc
-    elif args.axis == "lambda":  # each point trains and attacks with lambda v
-        _require_modules(spec, swept + _preset_lambdas(cfg, preset_names))
-    else:  # the checkpoint, or one model trained as cfg.train, attacked with lambda v
-        _require_modules(spec, ([] if model else _train_lambdas(cfg.train)) + swept)
-    test_set = _load_split(cfg, "test", spec)
-    train_set = None if model else _load_split(cfg, "train", cfg.model)
+    else:  # a lambda axis: each point trains or attacks with lambda v
+        for v in values:
+            require_modules(spec.insertion_points, "--values", v)
+    test_set = cfg.load_split("test", spec)
+    train_set = None if model else cfg.load_split("train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
     presets = [cfg.attack_presets[n] for n in preset_names]
     if args.axis == "attack_lambda" and model is None:
@@ -204,11 +175,9 @@ def cmd_export_activations(args) -> int:
     if cfg.analysis is None:
         raise ConfigError("analysis: required section is missing for export-activations")
     model = load_checkpoint(args.checkpoint)
+    cfg.check_model(model.spec)
     layer = cfg.analysis.layer
-    model.spec.check_hooks("analysis.layer", [layer])
-    if cfg.analysis.attack is not None:
-        _require_modules(model.spec, _preset_lambdas(cfg, [cfg.analysis.attack]))
-    dataset = _load_split(cfg, cfg.analysis.split, model.spec)
+    dataset = cfg.load_split(cfg.analysis.split, model.spec)
     keep = dataset.labels == cfg.analysis.class_label
     images, labels = dataset.images[keep], dataset.labels[keep]
     if len(images) == 0:

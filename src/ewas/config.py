@@ -8,6 +8,9 @@ defaults are the config's and whose ``__post_init__`` checks ranges;
 fields, wrongly typed values and non-finite numbers with a
 ``ConfigError`` naming the field, before any work starts. The model
 section is ``models.ModelSection``, the one description of a model.
+The checks that relate a section to a model are ``RunConfig``'s:
+``check_model`` (the analysis layer, the presets' lambdas), which
+parsing runs on the config's own model, and ``load_split`` (the data).
 
 ``RunConfig.resolved()`` returns the config with all defaults filled in;
 commands write it next to their outputs so a run can be repeated
@@ -26,7 +29,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .attacks import AttackConfig
+from .attacks import AttackConfig, require_modules
 from .data import Dataset, load_cifar_binary, load_idx, synth_dataset
 from .errors import ConfigError
 from .models import ModelSection
@@ -115,6 +118,10 @@ def read_section(cls, raw, path: str, defaults: dict | None = None, **given):
 class _DataOptions:
     seed: int | None = None  # None: the run seed
 
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+
 
 @dataclass
 class _SyntheticData(_DataOptions):
@@ -125,10 +132,16 @@ class _SyntheticData(_DataOptions):
     noise_std: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_classes < 2:
             raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
         if self.test_samples_per_class is None:
             self.test_samples_per_class = self.samples_per_class
+        for key in ("samples_per_class", "test_samples_per_class"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {getattr(self, key)}")
+        if not self.noise_std >= 0:  # written so NaN fails too
+            raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
 
 
 @dataclass
@@ -207,6 +220,31 @@ class RunConfig:
                             if k != "seed"}
         return out
 
+    def check_model(self, spec: ModelSection) -> None:
+        """``analysis.layer`` must be an insertion point of the model ``spec``
+        describes, and a preset's positive ``lambda_attack`` needs one of its
+        scaling modules; else a ``ConfigError`` names the key."""
+        if self.analysis is not None:
+            spec.check_hooks("analysis.layer", [self.analysis.layer])
+        for name, preset in self.attack_presets.items():
+            require_modules(spec.insertion_points, f"attack_presets.{name}.lambda_attack",
+                            preset.lambda_attack)
+
+    def load_split(self, split: str, spec: ModelSection) -> Dataset:
+        """The ``split`` data, which must fit the model ``spec`` describes; an
+        empty split, or a class count or image shape that does not fit, is a
+        ``ConfigError`` naming the key."""
+        data = self.data.load(split, self.seed)
+        if len(data) == 0:
+            raise ConfigError(f"data: the {split} split has no samples")
+        if data.num_classes != spec.num_classes:
+            raise ConfigError(f"model.num_classes: the model has {spec.num_classes} classes, "
+                              f"the {split} data {data.num_classes}")
+        if data.images.shape[1:] != spec.input_shape:
+            raise ConfigError(f"model.input_shape: the model takes {list(spec.input_shape)}, "
+                              f"the {split} images are {list(data.images.shape[1:])}")
+        return data
+
     def snapshot_json(self) -> str:
         return json.dumps(self.resolved(), indent=2, sort_keys=True)
 
@@ -238,10 +276,15 @@ def _parse_train(raw, seed: int) -> TrainConfig:
 
 
 def parse_run_config(raw: dict, seed_override: int | None = None) -> RunConfig:
-    """Validate a raw config dict; raises ConfigError naming bad fields."""
+    """Validate a raw config dict, each section against the config's own model
+    (the data only in ``load_split``); raises ConfigError naming bad fields."""
     _reject_unknown(_object(raw, "config root"), _TOP_KEYS, "config root")
-    seed = (seed_override if seed_override is not None
-            else _typed(int, raw.get("seed", 0), "seed"))
+    if seed_override is None:
+        seed, seed_key = _typed(int, raw.get("seed", 0), "seed"), "seed"
+    else:
+        seed, seed_key = seed_override, "--seed"
+    if seed < 0:
+        raise ConfigError(f"{seed_key}: must be >= 0, got {seed}")
     model = read_section(ModelSection, raw.get("model", {}), "model")
     if "data" not in raw:
         raise ConfigError("data: required section is missing")
@@ -252,17 +295,21 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> RunConfig:
                                         "attack_presets").items()}
     analysis = (read_section(AnalysisSection, raw["analysis"], "analysis")
                 if "analysis" in raw else None)
-    if analysis is not None:
-        model.check_hooks("analysis.layer", [analysis.layer])
-        if analysis.attack not in (None, *presets):
-            raise ConfigError(f"analysis.attack: {analysis.attack!r} is not an attack "
-                              f"preset name")
-    return RunConfig(
+    if analysis is not None and analysis.attack not in (None, *presets):
+        raise ConfigError(f"analysis.attack: {analysis.attack!r} is not an attack "
+                          f"preset name")
+    if train is not None:
+        require_modules(model.insertion_points, "train.lambda", train.lam)
+        require_modules(model.insertion_points, "train.attack.lambda_attack",
+                        train.attack.lambda_attack)
+    cfg = RunConfig(
         seed=seed,
         output_dir=_typed(str, raw.get("output_dir", "runs/run"), "output_dir"),
         model=model, data=data, train=train,
         attack_presets=presets, analysis=analysis,
     )
+    cfg.check_model(model)
+    return cfg
 
 
 def load_run_config(path, seed_override: int | None = None) -> RunConfig:

@@ -149,7 +149,7 @@ def loss_terms(method: str, model: Model, x, x_adv, y, lam: float,
     Both forwards run in train mode, TRADES and MART the natural one
     first: each updates the batch-norm running statistics.
     """
-    require_modules(model, "lambda", lam)
+    require_modules(model.ewas_modules, "lambda", lam)
 
     def heads(inputs):
         out = model.forward(inputs, labels=y, train=True, mask_mode="training")
@@ -270,8 +270,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
-    require_modules(model, "train.lambda", config.lam)
-    require_modules(model, "train.attack.lambda_attack", config.attack.lambda_attack)
+    require_modules(model.ewas_modules, "train.lambda", config.lam)
+    require_modules(model.ewas_modules, "train.attack.lambda_attack",
+                    config.attack.lambda_attack)
     term_fn = _TERM_FNS[config.method]
 
     log = TrainLog()
@@ -381,10 +382,12 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
 
     Robust accuracy counts adversarial examples that are still labeled
     correctly; the attacks run batch by batch through ``attack_batches``.
-    A non-finite natural logit, adversarial input or final attack
-    objective raises ``NonFiniteError``.
+    An empty dataset is a ``ConfigError``. A non-finite natural logit,
+    adversarial input or final attack objective raises ``NonFiniteError``.
     """
     n = len(dataset)
+    if n == 0:
+        raise ConfigError("evaluate: dataset is empty")
     correct = 0
     for bi, (xb, yb) in enumerate(consecutive_batches(dataset.images, dataset.labels,
                                                       batch_size)):
@@ -392,12 +395,12 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
         if not np.isfinite(acc):
             raise NonFiniteError("natural", bi)
         correct += int(round(acc * len(yb)))
-    natural = correct / n if n else 0.0
+    natural = correct / n
 
     rows = []
     for cfg in attacks:
         robust_hits = sum(int((~adv.success).sum()) for adv in attack_batches(
             model, dataset.images, dataset.labels, cfg, batch_size))
         rows.append(AttackRow(cfg.name, cfg.epsilon, cfg.steps, cfg.lambda_attack,
-                              natural, robust_hits / n if n else 0.0))
+                              natural, robust_hits / n))
     return EvalReport(natural, rows)

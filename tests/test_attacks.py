@@ -176,10 +176,13 @@ class TestRequireModules:
     def test_zero_lambda_reads_no_modules(self):
         A.require_modules(object(), "lambda", 0.0)
 
-    def test_positive_lambda_names_the_key(self):
+    @pytest.mark.parametrize("hosts", [
+        M.ModelSection(width=2).build(0).ewas_modules, M.ModelSection(width=2).insertion_points,
+    ], ids=["ewas_modules", "insertion_points"])
+    def test_positive_lambda_names_the_key(self, hosts):
         with pytest.raises(ConfigError,
                            match=r"^train\.lambda: 0\.5 > 0 requires a scaling module"):
-            A.require_modules(M.ModelSection(width=2).build(0), "train.lambda", 0.5)
+            A.require_modules(hosts, "train.lambda", 0.5)
 
 
 class TestFgsm:

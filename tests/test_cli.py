@@ -406,16 +406,54 @@ class TestAblate:
         assert vals == [0.01, 0.05, 0.1, 0.5, 1.0, 2.0]
 
 
+class TestRejectedBeforeOutput:
+    """Input errors that only show once a split is loaded or a seed is drawn
+    from still exit 1 before the output directory is made."""
+
+    @pytest.mark.parametrize("argv", [["ablate", "--axis", "attack_lambda", "--values", "0"],
+                                      ["eval", "--checkpoint"]], ids=["ablate", "eval"])
+    def test_empty_test_split(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["train"]["epochs"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "t")]) == EXIT_OK
+        cfg["data"]["test_samples_per_class"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        if argv[-1] == "--checkpoint":
+            argv = argv + [str(tmp_path / "t" / "checkpoint.ckpt")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: data: the test split has no samples\n"
+        assert not out.exists()
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--seed", "-1",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
+
 class TestLambdaNeedsModule:
     """A positive lambda on a model without a scaling module exits 1 naming its
-    key, before the output directory is made."""
+    key, before the output directory is made. A config must fit its own model
+    section; a checkpoint is held only to the attack presets."""
+
+    BARE, EWAS = "<bare.ckpt>", "<ewas.ckpt>"
 
     @pytest.fixture
     def bare(self, tmp_path):
         """A config whose model has no insertion points and whose lambdas are 0,
-        and the 0-epoch checkpoint it trains."""
+        with the 0-epoch checkpoints of that model and of the default one."""
         cfg_path = tmp_path / "bare.json"
         cfg = write_config(cfg_path)
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "e")]) == EXIT_OK
         cfg["model"]["insertion_points"] = []
         cfg["train"].update(epochs=0, **{"lambda": 0.0})
         cfg["train"]["attack"]["lambda_attack"] = 0.0
@@ -423,15 +461,21 @@ class TestLambdaNeedsModule:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "t")]) == EXIT_OK
-        return cfg, tmp_path / "t" / "checkpoint.ckpt"
+        return cfg, {self.BARE: str(tmp_path / "t" / "checkpoint.ckpt"),
+                     self.EWAS: str(tmp_path / "e" / "checkpoint.ckpt")}
 
     @pytest.mark.parametrize("argv,edit,key", [
         (["train"], ("train", "lambda"), "train.lambda: 0.5 > 0"),
         (["train"], ("train", "attack", "lambda_attack"),
          "train.attack.lambda_attack: 0.5 > 0"),
-        (["eval", "--checkpoint"], ("attack_presets", "pgd2", "lambda_attack"),
+        (["train"], ("attack_presets", "pgd2", "lambda_attack"),
          "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
-        (["export-activations", "--checkpoint"], ("attack_presets", "pgd2", "lambda_attack"),
+        (["eval", "--checkpoint", BARE], ("attack_presets", "pgd2", "lambda_attack"),
+         "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
+        (["eval", "--checkpoint", EWAS], ("attack_presets", "pgd2", "lambda_attack"),
+         "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
+        (["export-activations", "--checkpoint", BARE],
+         ("attack_presets", "pgd2", "lambda_attack"),
          "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
         (["ablate", "--axis", "lambda", "--values", "0,0.25"], None, "--values: 0.25 > 0"),
         (["ablate", "--axis", "lambda", "--values", "0"],
@@ -439,14 +483,17 @@ class TestLambdaNeedsModule:
          "attack_presets.pgd2.lambda_attack: 0.5 > 0"),
         (["ablate", "--axis", "attack_lambda", "--values", "0,0.25"], None,
          "--values: 0.25 > 0"),
-        (["ablate", "--axis", "attack_lambda", "--values", "0,0.25", "--checkpoint"], None,
-         "--values: 0.25 > 0"),
+        (["ablate", "--axis", "attack_lambda", "--values", "0,0.25", "--checkpoint", BARE],
+         None, "--values: 0.25 > 0"),
         (["ablate", "--axis", "attack_lambda", "--values", "0"], ("train", "lambda"),
          "train.lambda: 0.5 > 0"),
-    ], ids=["train", "train_attack", "eval", "export", "ablate_lambda", "ablate_preset",
-            "ablate_attack_lambda", "ablate_attack_lambda_ckpt", "ablate_train"])
+        (["ablate", "--axis", "position", "--values", "block4"], ("train", "lambda"),
+         "train.lambda: 0.5 > 0"),
+    ], ids=["train", "train_attack", "train_preset", "eval", "eval_ewas_ckpt", "export",
+            "ablate_lambda", "ablate_preset", "ablate_attack_lambda",
+            "ablate_attack_lambda_ckpt", "ablate_train", "ablate_position"])
     def test_exits_before_any_output(self, bare, argv, edit, key, tmp_path, capsys):
-        cfg, ckpt = bare
+        cfg, ckpts = bare
         if edit is not None:
             *path, last = edit
             section = cfg
@@ -455,14 +502,39 @@ class TestLambdaNeedsModule:
             section[last] = 0.5
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        if argv[-1] == "--checkpoint":
-            argv = argv + [str(ckpt)]
+        argv = [ckpts.get(a, a) for a in argv]
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config error: {key} requires a "
                                                   "scaling module")
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis,values", [
+        ("attack_lambda", "0.01,nan"), ("attack_lambda", "0.01,-0.5"),
+        ("attack_lambda", "0,-1"), ("attack_lambda", "0.01,inf"), ("lambda", "0.01,-inf"),
+    ])
+    def test_bad_lambda_values_exit_before_any_output(self, axis, values, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", axis,
+                     "--values", values, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"config error: --values: axis {axis!r} takes finite lambdas >= 0, got ")
+        assert not out.exists()
+
+    def test_train_lambdas_are_not_checked_against_a_checkpoint(self, bare, tmp_path):
+        """A module config evaluates a baseline checkpoint: only the presets'
+        lambdas, all 0 here, must find a module in it."""
+        _, ckpts = bare
+        cfg_path = tmp_path / "ewas.json"
+        cfg = write_config(cfg_path)
+        assert cfg["train"]["lambda"] > 0 and cfg["model"]["insertion_points"]
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpts[self.BARE],
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "eval.csv").exists()
 
 
 class TestExportActivations:

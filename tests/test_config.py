@@ -1,6 +1,8 @@
 """Run-config reading: typed values, error paths, snapshot digests."""
 
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,11 @@ from ewas.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NAN = float("nan")
+
+
+def toy_config() -> dict:
+    return json.loads((CONFIGS / "toy-at-ewas.json").read_text())
+
 
 # (keys down to the value, the malformed value, the field path the error names)
 MALFORMED = [
@@ -44,6 +51,16 @@ MALFORMED = [
     # these two fit no 3-class 8x8 data
     (("model", "input_shape"), [1, 16, 16], "model.input_shape"),
     (("model", "num_classes"), 4, "model.num_classes"),
+    (("seed",), -3, "seed"),
+    (("data", "seed"), -1, "data.seed"),
+    (("train", "attack", "seed"), -2, "train.attack.seed"),
+    (("attack_presets", "fgsm", "seed"), -1, "attack_presets.fgsm.seed"),
+    (("data", "samples_per_class"), -1, "data.samples_per_class"),
+    (("data", "test_samples_per_class"), -1, "data.test_samples_per_class"),
+    (("data", "noise_std"), -0.1, "data.noise_std"),
+    (("data", "samples_per_class"), 0, "data"),
+    # the config's own model has no module for its lambdas
+    (("model", "insertion_points"), [], "train.lambda"),
 ]
 
 
@@ -51,7 +68,7 @@ MALFORMED = [
                          ids=[f"{f}={v!r}" for _, v, f in MALFORMED])
 def test_malformed_value_is_a_config_error_naming_its_field(keys, value, field,
                                                            tmp_path, capsys):
-    raw = json.loads((CONFIGS / "toy-at-ewas.json").read_text())
+    raw = toy_config()
     section = raw
     for key in keys[:-1]:
         section = section[key]
@@ -63,6 +80,40 @@ def test_malformed_value_is_a_config_error_naming_its_field(keys, value, field,
     assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
     assert err[0].count(field) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("keys,key", [
+    (("train", "lambda"), "train.lambda"),
+    (("train", "attack", "lambda_attack"), "train.attack.lambda_attack"),
+    (("attack_presets", "fgsm", "lambda_attack"), "attack_presets.fgsm.lambda_attack"),
+])
+def test_parse_checks_lambdas_against_its_own_model(keys, key):
+    """From Python as from the command line, a positive lambda needs a module
+    in the config's own model section."""
+    raw = toy_config()
+    raw["model"]["insertion_points"] = []
+    raw["train"]["lambda"] = raw["train"]["attack"]["lambda_attack"] = 0.0
+    parse_run_config(raw)
+    section = raw
+    for name in keys[:-1]:
+        section = section[name]
+    section[keys[-1]] = 0.5
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: 0.5 > 0 requires a "
+                                          "scaling module"):
+        parse_run_config(raw)
+
+
+def test_negative_seed_override_names_the_flag():
+    with pytest.raises(ConfigError, match=r"^--seed: must be >= 0, got -1$"):
+        parse_run_config(toy_config(), seed_override=-1)
+
+
+def test_load_split_checks_the_data_against_a_model():
+    cfg = parse_run_config(toy_config())
+    assert len(cfg.load_split("test", cfg.model)) == 300
+    with pytest.raises(ConfigError, match=r"^model\.num_classes: the model has 4 classes, "
+                                          r"the test data 3$"):
+        cfg.load_split("test", replace(cfg.model, num_classes=4))
 
 
 @pytest.mark.parametrize("name,digest", [

@@ -427,6 +427,11 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    def test_empty_dataset_is_not_scored(self):
+        ds = synth_dataset(3, 0, (1, 8, 8), seed=42, split="test")
+        with pytest.raises(ConfigError, match="^evaluate: dataset is empty$"):
+            TR.evaluate(small_model(seed=41), ds, [])
+
     def test_empty_attack_list_natural_only(self):
         model = small_model(seed=41)
         ds = synth_dataset(3, 10, (1, 8, 8), seed=42, split="test")
