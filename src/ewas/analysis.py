@@ -29,9 +29,10 @@ VALIDITY_FRACTION = 0.01
 
 
 def _stack(activations) -> np.ndarray:
+    """An (N, C, H, W) array, or a list of N (C, H, W) arrays, as one array."""
     if len(activations) == 0:
         raise ConfigError("activation statistics need at least one sample")
-    arr = np.stack([np.asarray(a) for a in activations])
+    arr = np.asarray(activations)
     if arr.ndim != 4:
         raise ConfigError(f"expected per-sample (C, H, W) activations, got {arr.shape[1:]}")
     return arr

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .scaling import MODES
 from .tensor import (
     Tensor,
     backward,
@@ -70,12 +71,14 @@ class AttackConfig:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if not self.lambda_attack >= 0:
             raise ConfigError(f"lambda_attack: must be >= 0, got {self.lambda_attack}")
+        if not self.kappa >= 0:
+            raise ConfigError(f"kappa: must be >= 0, got {self.kappa}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(
                 f"loss_kind: must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
             )
-        if self.mask_mode not in ("training", "inference"):
-            raise ConfigError(f"mask_mode: must be training|inference, got {self.mask_mode!r}")
+        if self.mask_mode not in MODES:
+            raise ConfigError(f"mask_mode: must be one of {MODES}, got {self.mask_mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not self.name:

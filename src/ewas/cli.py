@@ -25,13 +25,7 @@ from .analysis import ActivationStats, export_stats
 from .attacks import require_modules
 from .config import RunConfig, load_run_config
 from .data import Dataset
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataFormatError,
-    NonFiniteError,
-    TrainingDivergedError,
-)
+from .errors import CheckpointError, ConfigError, DataFormatError, NonFiniteError
 from .models import ModelSection, load_checkpoint
 from .tensor import no_grad
 from .training import TrainConfig, attack_batches, consecutive_batches, evaluate, train
@@ -61,11 +55,10 @@ def _trained(cfg: RunConfig, spec: ModelSection, point: TrainConfig,
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    if cfg.train is None:
-        raise ConfigError("train: required section is missing")
+    point = cfg.required("train", cfg.train, "train")
     train_set = cfg.load_split("train", cfg.model)
     out_dir = _prepare_out(cfg, args.out)
-    _trained(cfg, cfg.model, cfg.train, train_set, out_dir)
+    _trained(cfg, cfg.model, point, train_set, out_dir)
     print(f"wrote {out_dir / 'checkpoint.ckpt'}")
     return EXIT_OK
 
@@ -105,8 +98,7 @@ def cmd_ablate(args) -> int:
                           f"axis {args.axis!r} trains its own models")
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
-    if cfg.train is None:
-        raise ConfigError("train: required section is missing")
+    cfg.required("train", cfg.train, "ablate")
     model = None
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)  # evaluated, not trained
@@ -154,10 +146,10 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _collect_activations(model, images, labels, layer: str,
-                         source: str) -> list[np.ndarray]:
-    """Per-sample activations at ``layer``; non-finite ones raise ``NonFiniteError``
-    naming ``source`` ("natural" or the attack) and the batch."""
+def _collect_activations(model, images, labels, layer: str, source: str) -> np.ndarray:
+    """The (N, C, H, W) activations at ``layer``; a non-finite one raises
+    ``NonFiniteError`` naming ``source`` ("natural" or the attack), the layer
+    and the batch."""
     acts = []
     for bi, (xb, yb) in enumerate(consecutive_batches(images, labels)):
         with no_grad():
@@ -165,39 +157,31 @@ def _collect_activations(model, images, labels, layer: str,
                                 mask_mode="inference", capture=(layer,))
         captured = out.captured[layer].data
         if not np.isfinite(captured).all():
-            raise NonFiniteError(source, bi)
-        acts.extend(np.asarray(a) for a in captured)
-    return acts
+            raise NonFiniteError(f"{source!r} {layer} activations", bi)
+        acts.append(captured)
+    return np.concatenate(acts)
 
 
 def cmd_export_activations(args) -> int:
     cfg = load_run_config(args.config, args.seed)
-    if cfg.analysis is None:
-        raise ConfigError("analysis: required section is missing for export-activations")
+    analysis = cfg.required("analysis", cfg.analysis, "export-activations")
     model = load_checkpoint(args.checkpoint)
     cfg.check_model(model.spec)
-    layer = cfg.analysis.layer
-    dataset = cfg.load_split(cfg.analysis.split, model.spec)
-    keep = dataset.labels == cfg.analysis.class_label
-    images, labels = dataset.images[keep], dataset.labels[keep]
-    if len(images) == 0:
-        raise ConfigError(
-            f"analysis.class_label: no {cfg.analysis.split} samples of class "
-            f"{cfg.analysis.class_label}"
-        )
+    layer = analysis.layer
+    images, labels = cfg.class_samples(model.spec)
     out_dir = _prepare_out(cfg, args.out)
     natural = ActivationStats.collect(
         _collect_activations(model, images, labels, layer, "natural"),
-        cfg.analysis.class_label, "natural", cfg.analysis.scope,
+        analysis.class_label, "natural", analysis.scope,
     )
     adversarial = None
-    if cfg.analysis.attack is not None:
-        acfg = cfg.attack_presets[cfg.analysis.attack]
+    if analysis.attack is not None:
+        acfg = cfg.attack_presets[analysis.attack]
         adv_images = np.concatenate(
             [adv.x_adv for adv in attack_batches(model, images, labels, acfg)])
         adversarial = ActivationStats.collect(
             _collect_activations(model, adv_images, labels, layer, acfg.name),
-            cfg.analysis.class_label, "adversarial", cfg.analysis.scope,
+            analysis.class_label, "adversarial", analysis.scope,
         )
     path = out_dir / "activations.csv"
     export_stats(natural, adversarial, path, layer)
@@ -276,7 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, NonFiniteError) as exc:
+    except NonFiniteError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
     except (CheckpointError, DataFormatError, OSError) as exc:

@@ -29,6 +29,8 @@ import types
 import typing
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .attacks import AttackConfig, require_modules
 from .data import Dataset, load_cifar_binary, load_idx, synth_dataset
 from .errors import ConfigError
@@ -133,6 +135,9 @@ class _SyntheticData(_DataOptions):
 
     def __post_init__(self):
         super().__post_init__()
+        if len(self.shape) != 3 or min(self.shape) < 1:
+            raise ConfigError(f"shape: must be [C, H, W] of positive integers, "
+                              f"got {list(self.shape)}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
         if self.test_samples_per_class is None:
@@ -220,6 +225,15 @@ class RunConfig:
                             if k != "seed"}
         return out
 
+    @staticmethod
+    def required(key: str, section, command: str | None = None):
+        """``section``, the top-level section ``key``; ``None`` (missing) is a
+        ``ConfigError`` naming the key and the ``command`` that needs it."""
+        if section is None:
+            needed_by = f" for {command}" if command else ""
+            raise ConfigError(f"{key}: required section is missing{needed_by}")
+        return section
+
     def check_model(self, spec: ModelSection) -> None:
         """``analysis.layer`` must be an insertion point of the model ``spec``
         describes, and a preset's positive ``lambda_attack`` needs one of its
@@ -244,6 +258,18 @@ class RunConfig:
             raise ConfigError(f"model.input_shape: the model takes {list(spec.input_shape)}, "
                               f"the {split} images are {list(data.images.shape[1:])}")
         return data
+
+    def class_samples(self, spec: ModelSection) -> tuple[np.ndarray, np.ndarray]:
+        """The images and labels of ``analysis.class_label`` in the analysis
+        split, loaded by ``load_split``; a class with no samples there is a
+        ``ConfigError`` naming ``analysis.class_label``."""
+        analysis = self.required("analysis", self.analysis)
+        data = self.load_split(analysis.split, spec)
+        keep = data.labels == analysis.class_label
+        if not keep.any():
+            raise ConfigError(f"analysis.class_label: no {analysis.split} samples of "
+                              f"class {analysis.class_label}")
+        return data.images[keep], data.labels[keep]
 
     def snapshot_json(self) -> str:
         return json.dumps(self.resolved(), indent=2, sort_keys=True)
@@ -286,9 +312,7 @@ def parse_run_config(raw: dict, seed_override: int | None = None) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"{seed_key}: must be >= 0, got {seed}")
     model = read_section(ModelSection, raw.get("model", {}), "model")
-    if "data" not in raw:
-        raise ConfigError("data: required section is missing")
-    data = _parse_data(raw["data"])
+    data = _parse_data(RunConfig.required("data", raw.get("data")))
     train = _parse_train(raw["train"], seed) if "train" in raw else None
     presets = {name: _parse_attack(sub, f"attack_presets.{name}", seed, name)
                for name, sub in _object(raw.get("attack_presets", {}),

@@ -65,22 +65,17 @@ class CheckpointContentError(CheckpointError):
     """Checksum-valid checkpoint whose metadata or record names are invalid."""
 
 
-class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss or natural accuracy and was aborted."""
-
-    def __init__(self, epoch: int, batch: int, value: float, what: str = "loss"):
-        self.epoch = epoch
-        self.batch = batch
-        self.value = value
-        super().__init__(
-            f"non-finite {what} {value!r} at epoch {epoch}, batch {batch}; aborting"
-        )
-
-
 class NonFiniteError(RuntimeError):
-    """A non-finite logit, adversarial input or attack objective aborted the run."""
+    """A pass produced a non-finite value, and the run was aborted unscored.
 
-    def __init__(self, attack: str, batch: int):
-        self.attack = attack
+    ``what`` names the pass: ``"'natural' logits"``, ``"'pgd2' attack"``
+    (its adversarial input or final objective), ``"loss"`` or an exported
+    activation. ``epoch`` is ``None`` outside training.
+    """
+
+    def __init__(self, what: str, batch: int, epoch: int | None = None):
+        self.what = what
         self.batch = batch
-        super().__init__(f"non-finite value under attack {attack!r}, batch {batch}; aborting")
+        self.epoch = epoch
+        where = f"batch {batch}" if epoch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"non-finite {what} at {where}; aborting")

@@ -414,8 +414,13 @@ _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}
 
 
 def _generator(seed: int | None) -> np.random.Generator | None:
-    """The generator weights are drawn from; none for ``seed=None`` (zeros)."""
-    return None if seed is None else np.random.default_rng(seed)
+    """The generator weights are drawn from; none for ``seed=None`` (zeros).
+    A negative seed is a ``ConfigError``."""
+    if seed is None:
+        return None
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:

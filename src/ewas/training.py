@@ -19,6 +19,10 @@ The inner maximization generates adversarial examples with PGD on the
 combined cross-entropy objective (the training lam as lambda_attack).
 Batch-norm statistics are frozen while the attack runs and updated only
 by the outer step's forward passes.
+
+A non-finite clean logit, attack output or loss is never scored: the
+function that computes it raises ``NonFiniteError`` naming the pass, the
+batch and, in training, the epoch.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .attacks import AttackConfig, loss_heads, pgd, require_modules
 from .data import BatchIterator, Dataset
-from .errors import ConfigError, NonFiniteError, TrainingDivergedError
+from .errors import ConfigError, NonFiniteError
 from .models import Model, save_checkpoint
 from .tensor import (
     Tensor,
@@ -81,6 +85,16 @@ class TrainConfig:
             raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr: must be > 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum: must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay: must be >= 0, got {self.weight_decay}")
+        if not self.lr_decay > 0:
+            raise ConfigError(f"lr_decay: must be > 0, got {self.lr_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones: must be strictly increasing, got {ms}")
@@ -236,22 +250,25 @@ def attack_batches(model: Model, images: np.ndarray, labels: np.ndarray,
         yield _checked_pgd(model, xb, yb, config, _derived_seed(config.seed, bi), bi)
 
 
-def _checked_pgd(model: Model, x, y, config: AttackConfig, seed: int, batch: int):
+def _checked_pgd(model: Model, x, y, config: AttackConfig, seed: int, batch: int,
+                 epoch: int | None = None):
     """``pgd`` with ``seed``; a non-finite adversarial input or final objective
-    raises ``NonFiniteError`` naming the attack and ``batch``."""
+    raises ``NonFiniteError`` naming the attack, ``batch`` and ``epoch``."""
     adv = pgd(model, x, y, replace(config, seed=seed))
     if not (np.isfinite(adv.x_adv).all() and np.isfinite(adv.loss).all()):
-        raise NonFiniteError(config.name, batch)
+        raise NonFiniteError(f"{config.name!r} attack", batch, epoch)
     return adv
 
 
-def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    """Share of rows whose logit argmax is the label; NaN if any logit is not finite."""
+def _accuracy(model: Model, x: np.ndarray, y: np.ndarray, batch: int,
+              epoch: int | None = None) -> int:
+    """Count of rows whose logit argmax is the label; a non-finite logit
+    raises ``NonFiniteError`` naming the clean pass, ``batch`` and ``epoch``."""
     with no_grad():
         logits = model.forward(x, labels=y, train=False, mask_mode="inference").logits.data
     if not np.isfinite(logits).all():
-        return float("nan")
-    return float((logits.argmax(axis=1) == y).mean())
+        raise NonFiniteError("'natural' logits", batch, epoch)
+    return int((logits.argmax(axis=1) == y).sum())
 
 
 def train(model: Model, dataset: Dataset, config: TrainConfig,
@@ -264,9 +281,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
     model computes in float64, so the saved model reproduces evaluation
-    results exactly). Non-finite clean logits or loss raise
-    ``TrainingDivergedError``, a non-finite inner attack ``NonFiniteError``
-    naming the attack and batch; either way no checkpoint is written.
+    results exactly). Non-finite clean logits, inner-attack output or loss
+    raise ``NonFiniteError`` naming the pass, the epoch and the batch, and
+    no checkpoint is written.
     """
     if len(dataset) == 0:
         raise ConfigError("train: dataset is empty")
@@ -296,21 +313,17 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
             loss_sums: dict[str, float] = {}
             n_batches = 0
             for bi, (xb, yb) in enumerate(it.next_epoch()):
-                natural_acc = _accuracy(model, xb, yb)  # same state as adv.success
-                if not np.isfinite(natural_acc):
-                    raise TrainingDivergedError(epoch, bi, natural_acc, "natural accuracy")
+                n_nat += _accuracy(model, xb, yb, bi, epoch)  # same state as adv.success
                 adv = _checked_pgd(model, xb, yb, config.attack,
-                                   _derived_seed(config.attack.seed, epoch, bi), bi)
+                                   _derived_seed(config.attack.seed, epoch, bi), bi, epoch)
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam, config.beta)
                 loss = terms["total"]
-                loss_val = float(loss.data)
-                if not np.isfinite(loss_val):
-                    raise TrainingDivergedError(epoch, bi, loss_val)
+                if not np.isfinite(loss.data):
+                    raise NonFiniteError("loss", bi, epoch)
                 backward(loss)
                 opt.step()
                 n_seen += len(yb)
                 n_rob += int((~adv.success).sum())
-                n_nat += int(round(natural_acc * len(yb)))
                 for key, t in terms.items():
                     loss_sums[key] = loss_sums.get(key, 0.0) + float(t.data)
                 n_batches += 1
@@ -388,14 +401,8 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
     n = len(dataset)
     if n == 0:
         raise ConfigError("evaluate: dataset is empty")
-    correct = 0
-    for bi, (xb, yb) in enumerate(consecutive_batches(dataset.images, dataset.labels,
-                                                      batch_size)):
-        acc = _accuracy(model, xb, yb)
-        if not np.isfinite(acc):
-            raise NonFiniteError("natural", bi)
-        correct += int(round(acc * len(yb)))
-    natural = correct / n
+    natural = sum(_accuracy(model, xb, yb, bi) for bi, (xb, yb) in enumerate(
+        consecutive_batches(dataset.images, dataset.labels, batch_size))) / n
 
     rows = []
     for cfg in attacks:

@@ -107,6 +107,17 @@ class TestMagnitude:
             AN.activation_magnitude([])
 
 
+def test_batch_array_and_sample_list_give_the_same_stats():
+    rng = np.random.default_rng(2)
+    batch = np.abs(rng.normal(size=(5, 3, 2, 2)))
+    from_array = AN.ActivationStats.collect(batch, 0, "natural")
+    from_list = AN.ActivationStats.collect(list(batch), 0, "natural")
+    np.testing.assert_array_equal(from_array.frequency, from_list.frequency)
+    np.testing.assert_array_equal(from_array.magnitude, from_list.magnitude)
+    with pytest.raises(ConfigError, match="per-sample"):
+        AN.activation_magnitude(batch[0])
+
+
 class TestPermutationEquivariance:
     def test_channel_permutation_permutes_outputs(self):
         rng = np.random.default_rng(2)

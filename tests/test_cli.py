@@ -190,8 +190,8 @@ class TestTrain:
         assert cfg_path.read_bytes() == before
 
     @pytest.mark.parametrize("poison,message", [
-        (nan_conv_build, "natural accuracy nan at epoch 0, batch 0"),
-        (nan_gradient, "under attack 'inner', batch 0"),
+        (nan_conv_build, "'natural' logits at epoch 0, batch 0"),
+        (nan_gradient, "'inner' attack at epoch 0, batch 0"),
     ], ids=["nan_conv", "nan_gradient"])
     def test_non_finite_model_aborts_without_checkpoint(self, poison, message, tmp_path,
                                                        monkeypatch, capsys):
@@ -322,7 +322,7 @@ class TestEval:
                      "--out", str(out)])
         assert code == EXIT_ABORT
         assert not (out / "eval.csv").exists()
-        assert "'natural', batch 0" in capsys.readouterr().err
+        assert "'natural' logits at batch 0" in capsys.readouterr().err
 
     def test_corrupt_arch_name_is_io_error(self, trained, tmp_path):
         cfg_path, ckpt = trained
@@ -427,6 +427,35 @@ class TestRejectedBeforeOutput:
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "config error: data: the test split has no samples\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,drop,edit,message", [
+        (["train"], "train", None, "train: required section is missing for train"),
+        (["ablate", "--axis", "attack_lambda", "--values", "0"], "train", None,
+         "train: required section is missing for ablate"),
+        (["export-activations", "--checkpoint"], "analysis", None,
+         "analysis: required section is missing for export-activations"),
+        (["export-activations", "--checkpoint"], None, 5,
+         "analysis.class_label: no test samples of class 5"),
+    ], ids=["train", "ablate", "export_analysis", "export_class_label"])
+    def test_missing_section_or_class(self, argv, drop, edit, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, analysis={"layer": "block4"})
+        cfg["train"]["epochs"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "t")]) == EXIT_OK
+        if drop is not None:
+            del cfg[drop]
+        if edit is not None:
+            cfg["analysis"]["class_label"] = edit
+        cfg_path.write_text(json.dumps(cfg))
+        if argv[-1] == "--checkpoint":
+            argv = argv + [str(tmp_path / "t" / "checkpoint.ckpt")]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_negative_seed_override(self, tmp_path, capsys):
@@ -622,7 +651,7 @@ class TestExportActivations:
                      "--checkpoint", str(bad), "--out", str(out)])
         assert code == EXIT_ABORT
         assert not (out / "activations.csv").exists()
-        assert "'natural', batch 0" in capsys.readouterr().err
+        assert "'natural' block4 activations at batch 0" in capsys.readouterr().err
 
     def test_unknown_hook_lists_valid_hooks(self, trained, tmp_path, capsys):
         cfg_path, ckpt = trained

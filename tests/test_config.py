@@ -11,6 +11,8 @@ from ewas.attacks import AttackConfig
 from ewas.cli import EXIT_USAGE, main
 from ewas.config import load_run_config, parse_run_config
 from ewas.errors import ConfigError
+from ewas.models import ModelSection
+from ewas.scaling import MODES
 from ewas.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -59,6 +61,18 @@ MALFORMED = [
     (("data", "test_samples_per_class"), -1, "data.test_samples_per_class"),
     (("data", "noise_std"), -0.1, "data.noise_std"),
     (("data", "samples_per_class"), 0, "data"),
+    (("data", "shape"), [8, 8], "data.shape"),
+    (("data", "shape"), [1, -8, 8], "data.shape"),
+    (("train", "lr"), -0.1, "train.lr"),
+    (("train", "lr"), 0, "train.lr"),
+    (("train", "lr"), NAN, "train.lr"),
+    (("train", "momentum"), -0.1, "train.momentum"),
+    (("train", "momentum"), 1, "train.momentum"),
+    (("train", "weight_decay"), -0.5, "train.weight_decay"),
+    (("train", "lr_decay"), -1, "train.lr_decay"),
+    (("train", "lr_decay"), 0, "train.lr_decay"),
+    (("train", "attack", "kappa"), NAN, "train.attack.kappa"),
+    (("attack_presets", "cw10", "kappa"), -1, "attack_presets.cw10.kappa"),
     # the config's own model has no module for its lambdas
     (("model", "insertion_points"), [], "train.lambda"),
 ]
@@ -137,8 +151,33 @@ def test_snapshot_reads_back_to_itself(name):
     (lambda: AttackConfig(epsilon=0.1, step_size=0.1, lambda_attack=NAN), "lambda_attack"),
     (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), lam=NAN), "lambda"),
     (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), beta=NAN), "beta"),
-], ids=["epsilon", "step_size", "lambda_attack", "lambda", "beta"])
+    (lambda: AttackConfig(epsilon=0.1, step_size=0.1, kappa=NAN), "kappa"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), lr=NAN), "lr"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), momentum=NAN),
+     "momentum"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), weight_decay=NAN),
+     "weight_decay"),
+    (lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), lr_decay=NAN),
+     "lr_decay"),
+], ids=["epsilon", "step_size", "lambda_attack", "lambda", "beta", "kappa", "lr",
+        "momentum", "weight_decay", "lr_decay"])
 def test_nan_through_the_python_api_is_a_config_error(make, field):
     """The JSON reader rejects NaN first; the dataclasses must reject it too."""
     with pytest.raises(ConfigError, match=f"^{field}: "):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), seed=-1),
+    lambda: ModelSection().build(-1),
+], ids=["train_config", "build"])
+def test_negative_seed_through_the_python_api_is_a_config_error(make):
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
+        make()
+
+
+def test_mask_mode_takes_the_scaling_modes():
+    for mode in MODES:
+        assert AttackConfig(0.1, 0.1, mask_mode=mode).mask_mode == mode
+    with pytest.raises(ConfigError, match="^mask_mode: "):
+        AttackConfig(0.1, 0.1, mask_mode="bpda")

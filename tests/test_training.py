@@ -12,7 +12,7 @@ from ewas import models as M
 from ewas import tensor as T
 from ewas import training as TR
 from ewas.data import synth_dataset
-from ewas.errors import ConfigError, NonFiniteError, TrainingDivergedError
+from ewas.errors import ConfigError, NonFiniteError
 from ewas.scaling import EwasModule, alc_score, ewas_forward
 
 
@@ -405,7 +405,7 @@ class TestTrainLoop:
         head_w = dict(model.parameters())["head.weight"]
         head_w.data[0, 0] = np.nan  # poison one weight
         ds = synth_dataset(3, 8, (1, 8, 8), seed=39)
-        with pytest.raises(TrainingDivergedError) as err:
+        with pytest.raises(NonFiniteError) as err:
             TR.train(model, ds, toy_config(epochs=2))
         assert err.value.epoch == 0 and err.value.batch == 0
         assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
@@ -422,8 +422,8 @@ class TestTrainLoop:
         ds = synth_dataset(3, 5, (1, 8, 8), seed=47)
         cfg = replace(toy_config(epochs=1), batch_size=len(ds), lr=0.5)
         _, log = TR.train(small_model(seed=48), ds, cfg)
-        untrained = TR._accuracy(small_model(seed=48), ds.images, ds.labels)
-        assert log.records[0].natural_acc == untrained
+        untrained = TR._accuracy(small_model(seed=48), ds.images, ds.labels, 0)
+        assert log.records[0].natural_acc == untrained / len(ds)
 
 
 class TestEvaluate:
@@ -458,7 +458,7 @@ class TestEvaluate:
         ds = synth_dataset(3, 5, (1, 8, 8), seed=50, split="test")
         with pytest.raises(NonFiniteError) as err:
             TR.evaluate(model, ds, [])
-        assert err.value.attack == "natural" and err.value.batch == 0
+        assert err.value.what == "'natural' logits" and err.value.batch == 0
 
     def test_non_finite_attack_objective_raises_naming_attack(self, monkeypatch):
         def pgd_inf_in_last_batch(model, x, y, config):
@@ -472,7 +472,7 @@ class TestEvaluate:
         cfg = A.AttackConfig(epsilon=0.05, step_size=0.02, steps=1, name="pgd1")
         with pytest.raises(NonFiniteError) as err:
             TR.evaluate(small_model(seed=52), ds, [cfg], batch_size=8)
-        assert err.value.attack == "pgd1" and err.value.batch == 1
+        assert err.value.what == "'pgd1' attack" and err.value.batch == 1
         assert "pgd1" in str(err.value) and "batch 1" in str(err.value)
 
     def test_attack_batches_seed_each_batch_by_its_index(self):
