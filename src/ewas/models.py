@@ -98,19 +98,23 @@ class ConvBnLayer:
         self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.create(cout, dtype=dtype)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        """The conv then the batch norm. In eval mode, when no gradient can reach
-        the pair's parameters, one conv of weight W·s and bias β − mean·s,
-        s = γ / sqrt(var + eps), recomputed on every call."""
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """The conv then the batch norm, which normalizes in place in the conv's
+        fresh output and keeps x̂ there, then max(·, 0) with ``relu``. In eval
+        mode, when no gradient can reach the pair's parameters, one conv of
+        weight W·s and bias β − mean·s, s = γ / sqrt(var + eps), recomputed
+        on every call, then an in-place ReLU."""
         live = tensor._grad_enabled and any(
             p.requires_grad for p in (self.weight, self.gamma, self.beta))
         if training or live:
             h = conv2d(x, self.weight, None, self.stride, self.padding)
-            return batch_norm2d(h, self.gamma, self.beta, self.stats, training)
+            return batch_norm2d(h, self.gamma, self.beta, self.stats, training,
+                                relu=relu, inplace=True)
         s = self.gamma.data / np.sqrt(self.stats.var + BN_EPS)
         weight = Tensor(self.weight.data * s[:, None, None, None])
         bias = Tensor(self.beta.data - self.stats.mean * s)
-        return conv2d(x, weight, bias, self.stride, self.padding)
+        out = conv2d(x, weight, bias, self.stride, self.padding)
+        return tensor.relu(out, inplace=True) if relu else out
 
     def parameters(self):
         return [(f"{self.conv_name}.weight", self.weight),
@@ -305,6 +309,12 @@ class _ForwardCtx:
             self.captured[name] = h
         return h
 
+    def drop(self, h: Tensor) -> None:
+        """Free ``h`` once its last forward reader has run, if its producer can
+        refill it for a backward (a BN-ReLU output) and it was not captured."""
+        if h._refill is not None and all(h is not c for c in self.captured.values()):
+            h.data = None
+
 
 # ---------------------------------------------------------------------------
 # small CNN
@@ -333,9 +343,12 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, layer in self.blocks:
-            h = relu(layer.forward(h, training), inplace=True)
-            h = ctx.tap(name, h)
-        return self.head.forward(global_avg_pool(h))
+            out = ctx.tap(name, layer.forward(h, training, relu=True))
+            ctx.drop(h)  # read again only by the weight gradient of the conv just run
+            h = out
+        pooled = global_avg_pool(h)
+        ctx.drop(h)
+        return self.head.forward(pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +358,16 @@ class SmallCnn(Model):
 class BasicBlock:
     """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU.
 
-    Both ReLUs and the add run in place, in the fresh output of the batch
-    norm (or folded conv) before them, which no backward reads: the tape
-    keeps 4 activation-sized buffers per identity block, not 7. The block
-    input, the shortcut and every tapped activation are never written.
-    Its layers are registered with ``model`` as they are built."""
+    Each batch norm keeps x̂ in its conv's output buffer. The first ReLU
+    runs inside its batch norm, and its output is dropped after ``conv2``
+    has read it, unless a tap scales or captures it: ``conv2``'s weight
+    gradient has it refilled from x̂. The add and the last ReLU run in
+    place in the fresh ``bn2`` output, which no backward reads, and a
+    ``down`` shortcut is dropped after the add, whose backward does not
+    read it. So the tape keeps 3 activation-sized buffers per identity
+    block and 4 per downsampling block. The block input and every tapped
+    activation are never written. Its layers are registered with
+    ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
                  rng: np.random.Generator | None, tap1: str, tap2: str):
@@ -367,11 +385,13 @@ class BasicBlock:
                                          stride, 0, rng, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.conv1.forward(x, training), inplace=True)
-        h = ctx.tap(self.tap1, h)
-        h = self.conv2.forward(h, training)
+        h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True))
+        h2 = self.conv2.forward(h, training)
+        ctx.drop(h)
         shortcut = x if self.down is None else self.down.forward(x, training)
-        out = relu(add(h, shortcut, inplace=True), inplace=True)
+        out = relu(add(h2, shortcut, inplace=True), inplace=True)
+        if self.down is not None:
+            shortcut.data = None
         return ctx.tap(self.tap2, out)
 
 
@@ -403,10 +423,11 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = relu(self.stem.forward(x, training), inplace=True)
-        h = ctx.tap(self.stem_tap, h)
+        h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True))
         for block in self.blocks:
-            h = block.forward(h, training, ctx)
+            out = block.forward(h, training, ctx)
+            ctx.drop(h)  # only the stem's output, after block 1, can be dropped
+            h = out
         return self.head.forward(global_avg_pool(h))
 
 

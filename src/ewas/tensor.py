@@ -24,12 +24,25 @@ Conventions that tests rely on:
   ``batch_norm2d``, ``relu`` and ``maximum_scalar`` recompute what they
   need from their operands' ``data`` or their own output (Chen et al.
   2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates,
-* ``relu(x, inplace=True)`` and ``add(a, b, inplace=True)`` write their
-  result into the first operand's ``data``. That is legal only when the
-  operand is a fresh op result whose producer's backward does not read
-  its own output (``batch_norm2d``, ``conv2d``, ``add``), and nothing
-  else reads the operand afterwards; a leaf that requires grad (a
-  parameter, an attack input) raises.
+* ``relu(x, inplace=True)``, ``add(a, b, inplace=True)`` and
+  ``batch_norm2d(x, ..., inplace=True)`` write into the first operand's
+  ``data``: the ReLU and the sum their result, batch norm the normalized
+  input x̂, which its backward then reads there instead of recomputing
+  it. That is legal only when the operand is a fresh op result whose
+  producer's backward does not read its own output (``batch_norm2d``,
+  ``conv2d``, ``add``), and nothing else reads the operand afterwards; a
+  leaf that requires grad (a parameter, an attack input) raises, and so
+  does an output with a ``_refill`` hook,
+* ``data is None`` marks an op result dropped by its owner after its last
+  forward reader. A drop is legal only where no backward reads the
+  result's ``data``, neither its producer's (``batch_norm2d``,
+  ``conv2d``) nor its readers' (``add``), or where the only backward
+  that does, ``conv2d``'s weight gradient, can have it written again:
+  ``batch_norm2d(..., relu=True)`` gives its recorded output a private
+  ``_refill`` hook that recomputes relu(x̂·γ + β) with the forward's
+  expressions into a given array, so it writes the bytes the forward
+  produced (Pleiss et al. 2017, arXiv:1707.06990). A dropped result has
+  no ``shape``; ``backward`` clears the hook with the closure.
 """
 
 from __future__ import annotations
@@ -66,7 +79,8 @@ def no_grad():
 class Tensor:
     """Numeric array plus optional gradient accumulator and tape links."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed",
+                 "_refill")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -78,6 +92,7 @@ class Tensor:
         self._parents = ()
         self._grad_fn = None
         self._consumed = False
+        self._refill = None
 
     @property
     def shape(self):
@@ -135,6 +150,7 @@ def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out.data = data
     out.grad = None
     out._consumed = False
+    out._refill = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -191,7 +207,7 @@ def backward(loss: Tensor) -> None:
         node._consumed = True
         parent_grads = node._grad_fn(g)
         parents = node._parents
-        node._grad_fn, node._parents = None, ()
+        node._grad_fn, node._parents, node._refill = None, (), None
         for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
@@ -212,9 +228,12 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _check_inplace(x: Tensor, op: str) -> None:
-    """An in-place op may not overwrite a parameter or an attack input."""
+    """An in-place op may not overwrite a parameter, an attack input, or an
+    output whose producer may be asked to write it again."""
     if x.requires_grad and x._grad_fn is None:
         raise ValueError(f"{op}(inplace=True) would overwrite a leaf that requires grad")
+    if x._refill is not None:
+        raise ValueError(f"{op}(inplace=True) would overwrite an output its producer refills")
 
 
 def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
@@ -473,8 +492,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Cin·kh·kw, so there ``dx`` is ``W.T @ g_c`` folded back by kh·kw
     slice-adds (col2im); the choice depends on shapes only. The closure
     keeps no array of its own: for ``dw`` the backward rebuilds the padded
-    buffer from ``x.data``, which the graph holds anyway, and only if
-    ``weight.requires_grad`` was set at forward time.
+    buffer from ``x.data``, which the graph holds anyway, or has a dropped
+    input's ``_refill`` hook write it straight into that buffer, and only
+    if ``weight.requires_grad`` was set at forward time. Neither gradient
+    reads ``x.data`` otherwise.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -503,7 +524,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if need_dw or need_db or (x.requires_grad and col2im):
             g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
         if need_dw:
-            xp = _pad_batch_inner(x.data, padding, padding)
+            if x.data is None:  # dropped after the forward: its producer writes it again
+                xp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
+                x._refill(xp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
+            else:
+                xp = _pad_batch_inner(x.data, padding, padding)
             dw = _weight_grad(g_c, xp, kh, kw, stride).reshape(cout, cin, kh, kw)
             del xp  # freed before dx is computed
         if need_db:
@@ -515,7 +540,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             dx = dx_c.transpose(3, 0, 1, 2)
         elif x.requires_grad:
             dcols = (wmat.T @ g_c.reshape(cout, -1)).reshape(cin, kh, kw, ho, wo, b)
-            dxp = np.zeros((cin, hp, wp, b), dtype=x.data.dtype)
+            dxp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
             for u in range(kh):
                 for v in range(kw):
                     dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
@@ -557,21 +582,32 @@ class RunningStats:
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, momentum: float = 0.1, eps: float = BN_EPS) -> Tensor:
-    """Channelwise batch normalization over a (B, C, H, W) tensor.
+                 training: bool, momentum: float = 0.1, eps: float = BN_EPS,
+                 relu: bool = False, inplace: bool = False) -> Tensor:
+    """Channelwise batch normalization over a (B, C, H, W) tensor, followed by
+    max(·, 0) with ``relu``.
 
     Training mode normalizes by batch statistics (biased variance) and
     updates ``stats`` in place with the given momentum (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
     The closure keeps only the per-channel mean and inverse standard
-    deviation: the backward recomputes ``xhat`` from ``x.data`` with the
-    forward's expression, so it gets the same bits.
+    deviation. With ``inplace`` the normalized input ``xhat`` is written
+    into ``x.data`` and the backward reads it there; without, the backward
+    recomputes it from ``x.data`` with the forward's expression. Either way
+    it gets the same bits. With ``relu`` the backward's mask is
+    ``xhat·gamma + beta > 0``, not a read of the output, and a recorded
+    output gets a ``_refill`` hook that writes its bytes again, so its
+    owner may drop its ``data``.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d needs rank-4 input, got {x.data.shape}")
+    if inplace:
+        _check_inplace(x, "batch_norm2d")
     b, c, h, w = x.data.shape
     n = b * h * w
     gd = gamma.data.reshape(1, c, 1, 1)
+    bd = beta.data.reshape(1, c, 1, 1)
+    dst = x.data if inplace else None
 
     if training:
         if b < 2:
@@ -579,35 +615,49 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 f"batch norm in train mode needs batch >= 2, got {b}"
             )
         mean = x.data.mean(axis=(0, 2, 3))
-        centered = x.data - mean.reshape(1, c, 1, 1)
+        centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
         var = (centered * centered).mean(axis=(0, 2, 3))
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv_std.reshape(1, c, 1, 1)
         stats.mean += momentum * (mean - stats.mean)
         stats.var += momentum * (var * n / (n - 1) - stats.var)
     else:
         mean = stats.mean.copy()  # a later train-mode forward updates stats in place
         inv_std = 1.0 / np.sqrt(stats.var + eps)
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = xhat * gd + beta.data.reshape(1, c, 1, 1)
+        centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
     ivs = inv_std.reshape(1, c, 1, 1)
+    out = np.multiply(centered, ivs, out=dst) * gd + bd
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def xhat():
+        return x.data if inplace else (x.data - mean.reshape(1, c, 1, 1)) * ivs
 
     def grad_fn(g):
-        need_xhat = gamma.requires_grad or (training and x.requires_grad)
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) * ivs if need_xhat else None
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+        need_xhat = relu or gamma.requires_grad or (training and x.requires_grad)
+        xh = xhat() if need_xhat else None
+        if relu:
+            g = g * (xh * gd + bd > 0)
+        dgamma = (g * xh).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
         dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
         dx = None
         if x.requires_grad and training:
             dxhat = g * gd
             sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            dx = (ivs / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+            sum_dxhat_xhat = (dxhat * xh).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+            dx = (ivs / n) * (n * dxhat - sum_dxhat - xh * sum_dxhat_xhat)
         elif x.requires_grad:
             dx = g * gd * ivs
         return (dx, dgamma, dbeta)
 
-    return _result(out, (x, gamma, beta), grad_fn)
+    result = _result(out, (x, gamma, beta), grad_fn)
+    if relu and result.requires_grad:
+        def refill(dst):  # the forward's expressions, so the forward's bits
+            np.multiply(xhat(), gd, out=dst)
+            np.add(dst, bd, out=dst)
+            np.maximum(dst, 0.0, out=dst)
+
+        result._refill = refill
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ class TestFrozenBatchNormFold:
         x = np.random.default_rng(8).uniform(0, 1, (4, *spec.input_shape))
         n = len(batch_norms(model))
         calls = []
-        monkeypatch.setattr(M, "batch_norm2d",
-                            lambda *args: calls.append(args) or T.batch_norm2d(*args))
+        monkeypatch.setattr(M, "batch_norm2d", lambda *args, **kwargs: calls.append(args)
+                            or T.batch_norm2d(*args, **kwargs))
 
         def bn_calls(inputs, train=False):
             calls.clear()
@@ -231,8 +231,8 @@ class TestInplaceActivations:
         bn_out = {}
         forward = M.ConvBnLayer.forward
 
-        def record(layer, x, training):
-            bn_out[layer.bn_name] = out = forward(layer, x, training)
+        def record(layer, x, training, relu=False):
+            bn_out[layer.bn_name] = out = forward(layer, x, training, relu)
             return out
 
         monkeypatch.setattr(M.ConvBnLayer, "forward", record)
@@ -280,6 +280,69 @@ class TestInplaceActivations:
         assert len(alc_inputs) == len(hosts)
         for z, before in alc_inputs:
             assert z.data.tobytes() == before
+
+
+class TestDroppedActivations:
+    """A BN-ReLU output is dropped after its last forward reader, unless a tap
+    scales or captures it, and refilled from x̂ for the next conv's weight
+    gradient."""
+
+    # (spec, how many BN-ReLU outputs a train forward without captures drops)
+    SPECS = {
+        # blocks 1, 3 and 4; the module at block2 scales its output
+        "small_cnn": (replace(FOLD_SPECS["small_cnn"], insertion_points=("block2",)), 3),
+        # the stem and 7 of 8 blocks' inner ones; the module at layer4 scales one
+        "resnet18_like": (replace(RESNET, insertion_points=("layer4",)), 8),
+    }
+
+    @staticmethod
+    def train_step(spec, capture, monkeypatch):
+        """One train-mode forward and backward from a fresh model; returns the
+        bytes of the loss, the parameter gradients and the running statistics,
+        and each BN-ReLU output with a copy of its forward bytes."""
+        model = randomize_batch_norms(spec.build(24), 25)
+        rng = np.random.default_rng(26)
+        x = rng.uniform(0, 1, (4, *spec.input_shape))
+        y = rng.integers(0, spec.num_classes, 4)
+        outputs = []
+
+        def bn(*args, **kwargs):
+            out = T.batch_norm2d(*args, **kwargs)
+            if kwargs["relu"]:
+                outputs.append((out, out.data.copy()))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "batch_norm2d", bn)
+            fwd = model.forward(x, labels=y, train=True, mask_mode="training",
+                                capture=capture)
+        loss = T.add(T.softmax_cross_entropy(fwd.logits, y),
+                     T.softmax_cross_entropy(fwd.alc_scores[0], y))
+        refilled = []
+        for out, before in outputs:
+            if out.data is None:
+                dst = np.empty_like(before)
+                out._refill(dst)
+                refilled.append((dst.tobytes(), before.tobytes()))
+        T.backward(loss)
+        state = [loss.data.tobytes()]
+        state += [p.grad.tobytes() for _, p in model.parameters()]
+        state += [a.tobytes() for _, a in model.state_arrays()]
+        return state, refilled
+
+    @pytest.mark.parametrize("arch", sorted(SPECS))
+    def test_dropping_changes_no_bit_of_a_train_step(self, arch, monkeypatch):
+        """Captured at every point, nothing is dropped; without captures, each
+        dropped output refills to its forward bytes and the step is unchanged."""
+        spec, dropped = self.SPECS[arch]
+        every_point = M._ARCHS[spec.arch].INSERTION_POINTS
+        kept, none_dropped = self.train_step(spec, every_point, monkeypatch)
+        got, refilled = self.train_step(spec, (), monkeypatch)
+        assert none_dropped == []
+        assert len(refilled) == dropped
+        for bytes_refilled, bytes_forward in refilled:
+            assert bytes_refilled == bytes_forward
+        assert got == kept
 
 
 def batch_innermost(a: np.ndarray) -> bool:

@@ -534,8 +534,9 @@ class TestTapeMemory:
         buffers = {}  # the arrays node data live in; a view counts its base once
         ops = 0
         for node in self.graph_nodes(terms["total"]):
-            if node._grad_fn is None:
-                continue  # leaves: the parameters, and the inputs wrapped without a copy
+            if node._grad_fn is None or node.data is None:
+                continue  # leaves (the parameters, and the inputs wrapped without a copy)
+                          # and nodes dropped after their last forward reader
             ops += 1
             base = node.data
             while isinstance(base.base, np.ndarray):
@@ -545,23 +546,24 @@ class TestTapeMemory:
         # 1.1 KiB here, where the smallest activation takes 16 KiB.
         assert kept <= sum(buffers.values()) + 2048 * ops
 
-    def test_identity_block_keeps_four_activation_buffers(self, monkeypatch):
-        """conv1, bn1 = ReLU, conv2, bn2 = add = ReLU: both ReLUs and the add
-        run in place, where out-of-place ops would keep 7 buffers."""
+    def block_buffers(self, monkeypatch, downsampling: bool) -> list[int]:
+        """Activation-sized buffers the TRADES graph keeps for each block of one
+        kind that no scaling module taps; dropped nodes (``data is None``) keep none."""
         model, x, x_adv, y = self.trades_inputs()
+        hosts = set(model.spec.insertion_points)
         calls = []
         forward = M.BasicBlock.forward
 
         def record(block, h, training, ctx):
             out = forward(block, h, training, ctx)
-            if block.down is None:
-                calls.append((h, out))
+            if (block.down is not None) == downsampling and not {block.tap1, block.tap2} & hosts:
+                calls.append((h, out, out.data.nbytes))
             return out
 
         monkeypatch.setattr(M.BasicBlock, "forward", record)
         TR.loss_terms("trades", model, x, x_adv, y, 0.5, 6.0)
-        assert len(calls) == 10  # 5 identity blocks, natural and adversarial forward
-        for block_in, block_out in calls:
+        counts = []
+        for block_in, block_out, nbytes in calls:
             buffers, seen, stack = set(), {id(block_in)}, [block_out]
             while stack:
                 node = stack.pop()
@@ -569,12 +571,27 @@ class TestTapeMemory:
                     continue
                 seen.add(id(node))
                 stack.extend(node._parents)
-                if node._grad_fn is not None and node.data.nbytes == block_in.data.nbytes:
+                if (node._grad_fn is not None and node.data is not None
+                        and node.data.nbytes == nbytes):
                     base = node.data
                     while isinstance(base.base, np.ndarray):
                         base = base.base
                     buffers.add(id(base))
-            assert len(buffers) <= 4
+            counts.append(len(buffers))
+        return counts
+
+    def test_identity_block_keeps_three_activation_buffers(self, monkeypatch):
+        """conv1 holds x̂1, conv2 holds x̂2, and bn2 = add = ReLU is the block
+        output. The bn1-ReLU output is dropped after conv2 reads it; out-of-place
+        ops kept 7 buffers, in-place ReLUs and add 4."""
+        # 5 identity blocks, natural and adversarial forward
+        assert self.block_buffers(monkeypatch, downsampling=False) == [3] * 10
+
+    def test_downsampling_block_keeps_four_activation_buffers(self, monkeypatch):
+        """The identity block's 3 plus the down conv, which holds its x̂; the
+        down_bn output, read only by the in-place add, is dropped (6 before)."""
+        # stage2.block1 and stage3.block1; the module at layer15 scales stage4.block1
+        assert self.block_buffers(monkeypatch, downsampling=True) == [4] * 4
 
     def test_terms_stay_readable_after_backward(self):
         model, x, x_adv, y = self.trades_inputs()
