@@ -93,9 +93,6 @@ class AdversarialBatch:
     success: np.ndarray  # True where the model now misclassifies
     loss: np.ndarray     # per-sample final objective value
 
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        return self.x_adv - np.asarray(x, dtype=self.x_adv.dtype)
-
 
 def project_linf_box(x: np.ndarray, x0: np.ndarray, epsilon: float) -> np.ndarray:
     """Clamp into the epsilon-ball around x0, then into [0, 1]."""
@@ -173,7 +170,7 @@ def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
 @contextmanager
 def frozen_params(model):
     """Temporarily clear requires_grad on model parameters."""
-    params = [t for _, t in getattr(model, "parameters", list)()]
+    params = [t for _, t in model.parameters()]
     saved = [t.requires_grad for t in params]
     for t in params:
         t.requires_grad = False
@@ -184,25 +181,16 @@ def frozen_params(model):
             t.requires_grad = flag
 
 
-def _final_metrics(model, x_adv: np.ndarray, y: np.ndarray,
-                   config: AttackConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample misclassification and final objective at ``x_adv``."""
-    with no_grad():
-        out = model.forward(x_adv, labels=y, train=False, mask_mode=config.mask_mode)
-        loss = _objective(out, y, config.loss_kind, config.lambda_attack,
-                          config.kappa, reduction="none")
-    return out.logits.data.argmax(axis=1) != y, loss.data
-
-
 def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
     """Projected signed-gradient ascent inside the epsilon-ball.
 
     The objective is recomputed through the full inference path on every
     iteration, so inference-mode scaling masks are reselected as the
-    input moves. Deterministic for fixed (model, x, y, config).
+    input moves. Success and the per-sample objective are scored at the
+    final iterate. Deterministic for fixed (model, x, y, config).
     """
     y = np.asarray(y, dtype=np.int64)
-    dtype = np.dtype(getattr(model, "dtype", np.float64))
+    dtype = model.dtype
     x0 = np.asarray(x, dtype=dtype)
     direction = -1.0 if config.loss_kind == "cw_margin" else 1.0
     x_adv = x0.copy()
@@ -221,6 +209,9 @@ def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
             backward(loss)
             step = direction * config.step_size * np.sign(xt.grad)
             x_adv = project_linf_box(x_adv + step, x0, config.epsilon)
-    success, final_loss = _final_metrics(model, x_adv, y, config)
-    return AdversarialBatch(x_adv, success, final_loss)
+    with no_grad():
+        out = model.forward(x_adv, labels=y, train=False, mask_mode=config.mask_mode)
+        loss = _objective(out, y, config.loss_kind, config.lambda_attack,
+                          config.kappa, reduction="none")
+    return AdversarialBatch(x_adv, out.logits.data.argmax(axis=1) != y, loss.data)
 

@@ -7,10 +7,11 @@ defaults are the config's and whose ``__post_init__`` checks ranges;
 ``read_section`` builds one from JSON and rejects unknown keys, missing
 fields, wrongly typed values and non-finite numbers with a
 ``ConfigError`` naming the field, before any work starts. The model
-section is ``models.ModelSection``, the one description of a model.
-The checks that relate a section to a model are ``RunConfig``'s:
-``check_model`` (the analysis layer, the presets' lambdas), which
-parsing runs on the config's own model, and ``load_split`` (the data).
+section is ``models.ModelSection``, the one description of a model, and
+the data section the ``DataSection`` subclass its ``kind`` names. The
+checks that relate a section to a model are ``RunConfig``'s:
+``check_model`` (the analysis layer, the presets' lambdas), which parsing
+runs on the config's own model, and ``load_split`` (the data).
 
 ``RunConfig.resolved()`` returns the config with all defaults filled in;
 commands write it next to their outputs so a run can be repeated
@@ -117,16 +118,27 @@ def read_section(cls, raw, path: str, defaults: dict | None = None, **given):
 
 
 @dataclass(kw_only=True)
-class _DataOptions:
+class DataSection:
+    """A data kind: a subclass named by ``kind``, whose fields (``num_classes``
+    among them) are the section's other keys and whose ``_read`` loads a split."""
+
+    kind: typing.ClassVar[str]
     seed: int | None = None  # None: the run seed
 
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.num_classes is not None and self.num_classes < 2:
+            raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
+
+    def load(self, split: str, default_seed: int) -> Dataset:
+        """The ``split`` data, drawn with ``default_seed`` if the section has no seed."""
+        return self._read(split, self.seed if self.seed is not None else default_seed)
 
 
 @dataclass
-class _SyntheticData(_DataOptions):
+class _SyntheticData(DataSection):
+    kind = "synthetic"
     samples_per_class: int
     num_classes: int = 3
     test_samples_per_class: int | None = None  # None: samples_per_class
@@ -138,8 +150,6 @@ class _SyntheticData(_DataOptions):
         if len(self.shape) != 3 or min(self.shape) < 1:
             raise ConfigError(f"shape: must be [C, H, W] of positive integers, "
                               f"got {list(self.shape)}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
         if self.test_samples_per_class is None:
             self.test_samples_per_class = self.samples_per_class
         for key in ("samples_per_class", "test_samples_per_class"):
@@ -148,48 +158,40 @@ class _SyntheticData(_DataOptions):
         if not self.noise_std >= 0:  # written so NaN fails too
             raise ConfigError(f"noise_std: must be >= 0, got {self.noise_std}")
 
+    def _read(self, split: str, seed: int) -> Dataset:
+        per_class = self.samples_per_class if split == "train" else self.test_samples_per_class
+        return synth_dataset(self.num_classes, per_class, self.shape, seed=seed,
+                             noise_std=self.noise_std, split=split)
+
 
 @dataclass
-class _IdxData(_DataOptions):
+class _IdxData(DataSection):
+    kind = "idx"
     train_images: str
     train_labels: str
     test_images: str
     test_labels: str
-    num_classes: int | None = None
+    num_classes: int | None = None  # None: one more than the largest label
+
+    def _read(self, split: str, seed: int) -> Dataset:
+        if split == "train":
+            return load_idx(self.train_images, self.train_labels, self.num_classes)
+        return load_idx(self.test_images, self.test_labels, self.num_classes)
 
 
 @dataclass
-class _CifarBinaryData(_DataOptions):
+class _CifarBinaryData(DataSection):
+    kind = "cifar_binary"
     train_files: list[str]
     test_files: list[str]
     num_classes: int = 10
 
+    def _read(self, split: str, seed: int) -> Dataset:
+        files = self.train_files if split == "train" else self.test_files
+        return load_cifar_binary(files, self.num_classes)
 
-# The options of each data kind: the data section's keys besides "kind".
-_DATA_KINDS = {"synthetic": _SyntheticData, "idx": _IdxData,
-               "cifar_binary": _CifarBinaryData}
 
-
-@dataclass
-class DataSection:
-    kind: str
-    options: dict
-
-    def load(self, split: str, default_seed: int) -> Dataset:
-        o = self.options
-        if self.kind == "synthetic":
-            per_class = o["samples_per_class"] if split == "train" else o["test_samples_per_class"]
-            return synth_dataset(
-                o["num_classes"], per_class, o["shape"],
-                seed=o["seed"] if o["seed"] is not None else default_seed,
-                noise_std=o["noise_std"], split=split,
-            )
-        if self.kind == "idx":
-            images = o["train_images"] if split == "train" else o["test_images"]
-            labels = o["train_labels"] if split == "train" else o["test_labels"]
-            return load_idx(images, labels, num_classes=o["num_classes"])
-        files = o["train_files"] if split == "train" else o["test_files"]
-        return load_cifar_binary(files, num_classes=o["num_classes"], split=split)
+_DATA_KINDS = {cls.kind: cls for cls in (_SyntheticData, _IdxData, _CifarBinaryData)}
 
 
 @dataclass
@@ -219,7 +221,7 @@ class RunConfig:
 
     def resolved(self) -> dict:
         out = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-        out["data"] = {"kind": self.data.kind, **out["data"]["options"]}
+        out["data"] = {"kind": self.data.kind, **out["data"]}
         if "train" in out:  # its seed is the run seed, already at the top
             out["train"] = {_JSON_KEYS.get(k, k): v for k, v in out["train"].items()
                             if k != "seed"}
@@ -286,7 +288,7 @@ def _parse_data(raw) -> DataSection:
     if kind not in _DATA_KINDS:
         raise ConfigError(f"data.kind: must be one of {sorted(_DATA_KINDS)}, got {kind!r}")
     del options["kind"]
-    return DataSection(kind, dataclasses.asdict(read_section(_DATA_KINDS[kind], options, "data")))
+    return read_section(_DATA_KINDS[kind], options, "data")
 
 
 def _parse_attack(raw, path: str, seed: int, name: str) -> AttackConfig:

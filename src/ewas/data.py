@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -57,14 +57,9 @@ class Dataset:
         return len(self.images)
 
 
-def _read_exact(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
     """Load an IDX image/label file pair (big-endian headers)."""
-    img_blob = _read_exact(images_path)
+    img_blob = Path(images_path).read_bytes()
     if len(img_blob) < 16:
         raise TruncatedFileError(f"{images_path}: header needs 16 bytes")
     magic, n, rows, cols = struct.unpack(">IIII", img_blob[:16])
@@ -74,7 +69,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         raise TruncatedFileError(
             f"{images_path}: expected {16 + n * rows * cols} bytes, got {len(img_blob)}"
         )
-    lab_blob = _read_exact(labels_path)
+    lab_blob = Path(labels_path).read_bytes()
     if len(lab_blob) < 8:
         raise TruncatedFileError(f"{labels_path}: header needs 8 bytes")
     lmagic, ln = struct.unpack(">II", lab_blob[:8])
@@ -91,14 +86,12 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     return Dataset(images, labels, k)
 
 
-def load_cifar_binary(paths, num_classes: int = 10, split: str = "train") -> Dataset:
-    """Load CIFAR-style binary batches: per record one label byte then
-    3072 pixel bytes (row-major R, G, B planes). Files concatenate in order."""
-    if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
-        paths = [paths]
+def load_cifar_binary(paths, num_classes: int = 10) -> Dataset:
+    """Load a list of CIFAR-style binary batches: per record one label byte
+    then 3072 pixel bytes (row-major R, G, B planes). Files concatenate in order."""
     chunks_img, chunks_lab = [], []
     for path in paths:
-        blob = _read_exact(path)
+        blob = Path(path).read_bytes()
         if len(blob) % CIFAR_RECORD_BYTES != 0:
             raise DataFormatError(
                 f"{path}: length {len(blob)} not divisible by {CIFAR_RECORD_BYTES}"
@@ -106,8 +99,7 @@ def load_cifar_binary(paths, num_classes: int = 10, split: str = "train") -> Dat
         raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         chunks_lab.append(raw[:, 0].astype(np.int64))
         chunks_img.append(raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0)
-    return Dataset(np.concatenate(chunks_img), np.concatenate(chunks_lab),
-                   num_classes, split)
+    return Dataset(np.concatenate(chunks_img), np.concatenate(chunks_lab), num_classes)
 
 
 def synth_dataset(num_classes: int, samples_per_class: int, shape,
@@ -134,7 +126,7 @@ def synth_dataset(num_classes: int, samples_per_class: int, shape,
             if noise_std > 0 else 0.0
         images[lo:lo + samples_per_class] = np.clip(templates[k] + noise, 0.0, 1.0)
         labels[lo:lo + samples_per_class] = k
-    return Dataset(images, labels, num_classes, split)
+    return Dataset(images, labels, num_classes)
 
 
 def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):

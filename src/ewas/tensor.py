@@ -577,18 +577,15 @@ class RunningStats:
     def create(cls, channels: int, dtype=np.float64) -> "RunningStats":
         return cls(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, momentum: float = 0.1, eps: float = BN_EPS,
-                 relu: bool = False, inplace: bool = False) -> Tensor:
+                 training: bool, relu: bool = False, inplace: bool = False) -> Tensor:
     """Channelwise batch normalization over a (B, C, H, W) tensor, followed by
     max(·, 0) with ``relu``.
 
+    The variance offset is ``BN_EPS``, the one the models' eval fold uses.
     Training mode normalizes by batch statistics (biased variance) and
-    updates ``stats`` in place with the given momentum (variance stored
+    updates ``stats`` in place with momentum 0.1 (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
     The closure keeps only the per-channel mean and inverse standard
     deviation. With ``inplace`` the normalized input ``xhat`` is written
@@ -617,12 +614,12 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         mean = x.data.mean(axis=(0, 2, 3))
         centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
         var = (centered * centered).mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + eps)
-        stats.mean += momentum * (mean - stats.mean)
-        stats.var += momentum * (var * n / (n - 1) - stats.var)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        stats.mean += 0.1 * (mean - stats.mean)
+        stats.var += 0.1 * (var * n / (n - 1) - stats.var)
     else:
         mean = stats.mean.copy()  # a later train-mode forward updates stats in place
-        inv_std = 1.0 / np.sqrt(stats.var + eps)
+        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
         centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
     ivs = inv_std.reshape(1, c, 1, 1)
     out = np.multiply(centered, ivs, out=dst) * gd + bd

@@ -28,7 +28,7 @@ batch and, in training, the epoch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -128,11 +128,6 @@ class EpochRecord:
         vals += [f"{self.loss_parts.get(p, 0.0):.10g}" for p in self.CSV_PARTS]
         vals.append(f"{self.wall_time:.3f}")
         return [str(v) for v in vals]
-
-
-@dataclass
-class TrainLog:
-    records: list[EpochRecord] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +256,23 @@ def _checked_pgd(model: Model, x, y, config: AttackConfig, seed: int, batch: int
 
 
 def _accuracy(model: Model, x: np.ndarray, y: np.ndarray, batch: int,
-              epoch: int | None = None) -> int:
-    """Count of rows whose logit argmax is the label; a non-finite logit
+              epoch: int | None = None) -> np.ndarray:
+    """Per-row mask of rows whose logit argmax is the label; a non-finite logit
     raises ``NonFiniteError`` naming the clean pass, ``batch`` and ``epoch``."""
     with no_grad():
         logits = model.forward(x, labels=y, train=False, mask_mode="inference").logits.data
     if not np.isfinite(logits).all():
         raise NonFiniteError("'natural' logits", batch, epoch)
-    return int((logits.argmax(axis=1) == y).sum())
+    return logits.argmax(axis=1) == y
 
 
 def train(model: Model, dataset: Dataset, config: TrainConfig,
-          out_dir=None, config_digest: str = "") -> tuple[Model, TrainLog]:
-    """Run adversarial training; returns the trained model and per-epoch log.
+          out_dir=None, config_digest: str = "") -> tuple[Model, list[EpochRecord]]:
+    """Run adversarial training; returns the trained model and its epoch records.
 
     The inner attack on batch ``bi`` of epoch ``e`` is seeded with
-    ``SeedSequence([config.attack.seed, e, bi])``.
+    ``SeedSequence([config.attack.seed, e, bi])``. A sample is robust only
+    if it is classified correctly both clean and at the attack's final iterate.
 
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
@@ -292,7 +288,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                     config.attack.lambda_attack)
     term_fn = _TERM_FNS[config.method]
 
-    log = TrainLog()
+    log: list[EpochRecord] = []
     log_fh = None
     if out_dir is not None:
         from pathlib import Path
@@ -313,7 +309,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
             loss_sums: dict[str, float] = {}
             n_batches = 0
             for bi, (xb, yb) in enumerate(it.next_epoch()):
-                n_nat += _accuracy(model, xb, yb, bi, epoch)  # same state as adv.success
+                correct = _accuracy(model, xb, yb, bi, epoch)  # same state as adv.success
                 adv = _checked_pgd(model, xb, yb, config.attack,
                                    _derived_seed(config.attack.seed, epoch, bi), bi, epoch)
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam, config.beta)
@@ -323,7 +319,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                 backward(loss)
                 opt.step()
                 n_seen += len(yb)
-                n_rob += int((~adv.success).sum())
+                n_nat += int(correct.sum())
+                n_rob += int((correct & ~adv.success).sum())
                 for key, t in terms.items():
                     loss_sums[key] = loss_sums.get(key, 0.0) + float(t.data)
                 n_batches += 1
@@ -336,7 +333,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
                 loss_parts={k: v / n_batches for k, v in loss_sums.items() if k != "total"},
                 wall_time=time.perf_counter() - t0,
             )
-            log.records.append(rec)
+            log.append(rec)
             if log_fh is not None:
                 log_fh.write(",".join(rec.csv_row()) + "\n")
                 log_fh.flush()
@@ -393,21 +390,23 @@ def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
              batch_size: int = EVAL_BATCH) -> EvalReport:
     """Natural accuracy plus robust accuracy per attack over the full set.
 
-    Robust accuracy counts adversarial examples that are still labeled
-    correctly; the attacks run batch by batch through ``attack_batches``.
+    A sample counts as robust only if it is labeled correctly both clean and
+    at the attack's final iterate, so robust accuracy never exceeds natural
+    accuracy; the attacks run batch by batch through ``attack_batches``.
     An empty dataset is a ``ConfigError``. A non-finite natural logit,
     adversarial input or final attack objective raises ``NonFiniteError``.
     """
     n = len(dataset)
     if n == 0:
         raise ConfigError("evaluate: dataset is empty")
-    natural = sum(_accuracy(model, xb, yb, bi) for bi, (xb, yb) in enumerate(
-        consecutive_batches(dataset.images, dataset.labels, batch_size))) / n
+    correct = np.concatenate([_accuracy(model, xb, yb, bi) for bi, (xb, yb) in enumerate(
+        consecutive_batches(dataset.images, dataset.labels, batch_size))])
+    natural = int(correct.sum()) / n
 
     rows = []
     for cfg in attacks:
-        robust_hits = sum(int((~adv.success).sum()) for adv in attack_batches(
-            model, dataset.images, dataset.labels, cfg, batch_size))
+        success = np.concatenate([adv.success for adv in attack_batches(
+            model, dataset.images, dataset.labels, cfg, batch_size)])
         rows.append(AttackRow(cfg.name, cfg.epsilon, cfg.steps, cfg.lambda_attack,
-                              natural, robust_hits / n))
+                              natural, int((correct & ~success).sum()) / n))
     return EvalReport(natural, rows)

@@ -310,7 +310,7 @@ def test_toy_end_to_end(tmp_path):
                                  TOY["shape"], seed=TOY["data_seed"], split="test")
         report = TR.evaluate(model, test_set, [])
         assert report.natural_acc >= 0.95
-        gain = log.records[-1].robust_acc - log.records[0].robust_acc
+        gain = log[-1].robust_acc - log[0].robust_acc
         assert gain >= 0.20, f"robust accuracy gained only {gain * 100:.1f} points"
 
         run_toy(tmp_path / "run2")

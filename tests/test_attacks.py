@@ -249,7 +249,7 @@ class TestPgd:
                                  random_start=True, lambda_attack=0.01,
                                  seed=trial)
             adv = A.pgd(model, x, y, cfg)
-            delta = adv.delta(x)
+            delta = adv.x_adv - x
             assert np.abs(delta).max() <= eps + np.spacing(1.0 + eps)
             assert adv.x_adv.min() >= 0.0 and adv.x_adv.max() <= 1.0
 

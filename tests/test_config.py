@@ -23,6 +23,13 @@ def toy_config() -> dict:
     return json.loads((CONFIGS / "toy-at-ewas.json").read_text())
 
 
+# File-backed data sections; a config error is raised before any file is read.
+IDX_DATA = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
+            "test_images": "test-images", "test_labels": "test-labels"}
+CIFAR_DATA = {"kind": "cifar_binary", "train_files": ["data_batch_1.bin"],
+              "test_files": ["test_batch.bin"]}
+
+
 # (keys down to the value, the malformed value, the field path the error names)
 MALFORMED = [
     (("train", "attack", "epsilon"), "abc", "train.attack.epsilon"),
@@ -50,6 +57,10 @@ MALFORMED = [
     (("model", "num_classes"), 1, "model.num_classes"),
     (("model", "insertion_points"), ["blockX"], "model.insertion_points"),
     (("data", "num_classes"), 1, "data.num_classes"),
+    (("data",), {**IDX_DATA, "num_classes": 0}, "data.num_classes"),
+    (("data",), {**IDX_DATA, "num_classes": -3}, "data.num_classes"),
+    (("data",), {**CIFAR_DATA, "num_classes": 0}, "data.num_classes"),
+    (("data",), {**CIFAR_DATA, "num_classes": -3}, "data.num_classes"),
     # these two fit no 3-class 8x8 data
     (("model", "input_shape"), [1, 16, 16], "model.input_shape"),
     (("model", "num_classes"), 4, "model.num_classes"),
@@ -142,6 +153,16 @@ def test_shipped_config_digest_is_pinned(name, digest):
 @pytest.mark.parametrize("name", ["toy-at-ewas", "cifar10-at-ewas", "svhn-at-ewas"])
 def test_snapshot_reads_back_to_itself(name):
     snapshot = load_run_config(CONFIGS / f"{name}.json").snapshot_json()
+    assert parse_run_config(json.loads(snapshot)).snapshot_json() == snapshot
+
+
+@pytest.mark.parametrize("data", [IDX_DATA, {**IDX_DATA, "num_classes": 3, "seed": 4},
+                                  CIFAR_DATA], ids=["idx", "idx_seeded", "cifar_binary"])
+def test_file_backed_snapshot_reads_back_to_itself(data):
+    raw = toy_config()
+    raw["data"] = data
+    snapshot = parse_run_config(raw).snapshot_json()
+    assert json.loads(snapshot)["data"].items() >= data.items()
     assert parse_run_config(json.loads(snapshot)).snapshot_json() == snapshot
 
 

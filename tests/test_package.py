@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import ewas
-from ewas import attacks, models, scaling, training
+from ewas import attacks, config, data, models, scaling, training
 
 
 def test_every_exported_name_resolves():
@@ -27,6 +27,10 @@ def test_every_exported_name_resolves():
     (models, "BatchNorm2dLayer"),
     (scaling, "AlcParams"),  # EwasModule.weight
     (training, "_require_ewas"),  # attacks.require_modules
+    (training, "TrainLog"),  # train() returns its list of EpochRecord
+    (config, "_DataOptions"),  # DataSection, the base of the data kinds
+    (attacks, "_final_metrics"),  # pgd scores its final iterate inline
+    (data, "_read_exact"),  # Path.read_bytes
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_second_spellings_are_gone(module, name):
     assert not hasattr(module, name)

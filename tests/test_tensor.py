@@ -504,7 +504,7 @@ class TestBatchNorm:
         stats = T.RunningStats(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
 
         def forward():
-            frozen = stats.copy()  # keep evaluations independent
+            frozen = T.RunningStats(stats.mean.copy(), stats.var.copy())  # independent evaluations
             out = T.batch_norm2d(x, gamma, beta, frozen, training=training)
             return T.tsum(T.mul(out, T.Tensor(coef)))
 

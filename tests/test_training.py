@@ -367,7 +367,7 @@ class TestTrainLoop:
         before = [t.data.copy() for _, t in model.parameters()]
         ds = synth_dataset(3, 4, (1, 8, 8), seed=31)
         _, log = TR.train(model, ds, toy_config(epochs=0))
-        assert log.records == []
+        assert log == []
         for old, (_, t) in zip(before, model.parameters()):
             assert old.tobytes() == t.data.tobytes()
 
@@ -386,8 +386,8 @@ class TestTrainLoop:
         model = small_model(seed=34)
         ds = synth_dataset(3, 8, (1, 8, 8), seed=35)
         _, log = TR.train(model, ds, toy_config(epochs=2, method=method, beta=beta))
-        assert len(log.records) == 2
-        rec = log.records[-1]
+        assert len(log) == 2
+        rec = log[-1]
         assert 0.0 <= rec.natural_acc <= 1.0
         assert 0.0 <= rec.robust_acc <= 1.0
         assert np.isfinite(rec.loss_total)
@@ -423,7 +423,23 @@ class TestTrainLoop:
         cfg = replace(toy_config(epochs=1), batch_size=len(ds), lr=0.5)
         _, log = TR.train(small_model(seed=48), ds, cfg)
         untrained = TR._accuracy(small_model(seed=48), ds.images, ds.labels, 0)
-        assert log.records[0].natural_acc == untrained / len(ds)
+        assert log[0].natural_acc == untrained.sum() / len(ds)
+
+    def test_robust_acc_never_exceeds_natural_acc(self, monkeypatch):
+        """The clean input is in the threat set: an attack that returns it
+        unchanged and unsuccessful leaves robust accuracy at natural accuracy."""
+        monkeypatch.setattr(TR, "pgd", unperturbed_attack)
+        ds = synth_dataset(3, 8, (1, 8, 8), seed=55)
+        _, log = TR.train(small_model(seed=56), ds, toy_config(epochs=2))
+        assert log[0].natural_acc < 1
+        assert all(rec.robust_acc <= rec.natural_acc for rec in log)
+
+
+def unperturbed_attack(model, x, y, config):
+    """An attack that gives back the clean input and reports no success."""
+    n = len(y)
+    return A.AdversarialBatch(np.asarray(x, dtype=model.dtype), np.zeros(n, dtype=bool),
+                              np.zeros(n))
 
 
 class TestEvaluate:
@@ -451,6 +467,15 @@ class TestEvaluate:
         cfg = A.AttackConfig(epsilon=0.0, step_size=0.01, steps=2, name="noop")
         report = TR.evaluate(model, ds, [cfg])
         assert report.rows[0].robust_acc == report.natural_acc
+
+    def test_unperturbed_attack_scores_natural_accuracy(self, monkeypatch):
+        monkeypatch.setattr(TR, "pgd", unperturbed_attack)
+        ds = synth_dataset(3, 20, (1, 8, 8), seed=46, split="test")
+        presets = [A.AttackConfig(epsilon=0.1, step_size=0.1, name="fgsm"),
+                   A.AttackConfig(epsilon=0.2, step_size=0.05, steps=3, name="pgd3")]
+        report = TR.evaluate(small_model(seed=45), ds, presets, batch_size=16)
+        assert report.natural_acc < 1
+        assert [r.robust_acc for r in report.rows] == [report.natural_acc] * 2
 
     def test_nan_weight_raises_naming_the_clean_pass(self):
         model = small_model(seed=49)
