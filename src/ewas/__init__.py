@@ -21,7 +21,7 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-from .scaling import alc_score, apply_scaling, ewas_forward, select_mask
+from .scaling import ewas_forward
 from .tensor import Tensor, backward, no_grad
 from .training import (
     TrainConfig,
@@ -35,10 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialBatch", "AttackConfig", "Dataset", "ForwardOut", "Model",
-    "ModelSection", "Tensor", "TrainConfig", "alc_score", "apply_scaling",
-    "attack_objective", "backward", "batches", "cw_margin_loss", "evaluate",
-    "ewas_forward", "insert_ewas", "load_cifar_binary", "load_checkpoint",
-    "load_idx", "loss_terms",
+    "ModelSection", "Tensor", "TrainConfig", "attack_objective", "backward",
+    "batches", "cw_margin_loss", "evaluate", "ewas_forward", "insert_ewas",
+    "load_cifar_binary", "load_checkpoint", "load_idx", "loss_terms",
     "lr_schedule", "no_grad", "pgd", "project_linf_box", "save_checkpoint",
-    "select_mask", "synth_dataset", "train",
+    "synth_dataset", "train",
 ]

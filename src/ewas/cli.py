@@ -98,10 +98,11 @@ def cmd_ablate(args) -> int:
                           f"axis {args.axis!r} trains its own models")
     cfg = load_run_config(args.config, args.seed)
     values = _parse_values(args.axis, args.values)
-    cfg.required("train", cfg.train, "ablate")
     model = None
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)  # evaluated, not trained
+    else:
+        cfg.required("train", cfg.train, "ablate")
     spec = model.spec if model else cfg.model
     preset_names = sorted(cfg.attack_presets)
     if args.axis == "position":  # every point is checked before any is trained

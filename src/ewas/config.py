@@ -248,11 +248,16 @@ class RunConfig:
 
     def load_split(self, split: str, spec: ModelSection) -> Dataset:
         """The ``split`` data, which must fit the model ``spec`` describes; an
-        empty split, or a class count or image shape that does not fit, is a
-        ``ConfigError`` naming the key."""
+        empty split, a class count or image shape that does not fit, or a
+        train split whose last batch would hold one sample (train-mode batch
+        norm needs 2) is a ``ConfigError`` naming the key."""
         data = self.data.load(split, self.seed)
         if len(data) == 0:
             raise ConfigError(f"data: the {split} split has no samples")
+        if split == "train" and self.train and len(data) % self.train.batch_size == 1:
+            raise ConfigError(f"train.batch_size: {self.train.batch_size} leaves the last of "
+                              f"the {len(data)} train samples in a batch of one; train-mode "
+                              "batch norm needs 2")
         if data.num_classes != spec.num_classes:
             raise ConfigError(f"model.num_classes: the model has {spec.num_classes} classes, "
                               f"the {split} data {data.num_classes}")

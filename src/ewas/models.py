@@ -277,14 +277,6 @@ class Model:
         return [rec for layer in self.layers if isinstance(layer, ConvBnLayer)
                 for rec in layer.state_arrays()]
 
-    def activation_shape(self, host: str) -> tuple[int, int, int]:
-        """Dry-run a zero input to find the activation shape at a tap."""
-        self.spec.check_hooks("insertion point", [host])
-        with no_grad():
-            probe = np.zeros((1, *self.spec.input_shape), dtype=self.dtype)
-            out = self.forward(probe, train=False, capture=(host,))
-        return tuple(out.captured[host].data.shape[1:])
-
 
 class _ForwardCtx:
     """Per-forward bookkeeping for taps: scaling, scores, captures.
@@ -452,8 +444,10 @@ def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
     Multiple insertions are kept in list order; a repeated host name
     scales the already-scaled activation.
     """
-    shape = model.activation_shape(host_layer)  # validates the host name
-    flat = int(np.prod(shape))
+    model.spec.check_hooks("insertion point", [host_layer])
+    with no_grad():
+        probe = np.zeros((1, *model.spec.input_shape), dtype=model.dtype)
+        flat = model.forward(probe, capture=(host_layer,)).captured[host_layer].data.size
     model.ewas_modules.append(EwasModule.create(host_layer, flat, model.num_classes,
                                                 _generator(seed), dtype=model.dtype))
     model.spec = replace(model.spec, insertion_points=tuple(

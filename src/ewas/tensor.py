@@ -105,11 +105,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
@@ -129,9 +124,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return add(self, mul_scalar(other, -1.0))
@@ -139,9 +131,6 @@ class Tensor:
 
     def __rsub__(self, other):
         return add_scalar(mul_scalar(self, -1.0), float(other))
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:

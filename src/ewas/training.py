@@ -83,8 +83,8 @@ class TrainConfig:
             raise ConfigError(f"beta: must be >= 0, got {self.beta}")
         if self.epochs < 0:
             raise ConfigError(f"epochs: must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:  # train-mode batch norm needs 2 samples
+            raise ConfigError(f"batch_size: must be >= 2, got {self.batch_size}")
         if not self.lr > 0:
             raise ConfigError(f"lr: must be > 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
@@ -226,22 +226,23 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def consecutive_batches(images: np.ndarray, labels: np.ndarray,
-                        batch_size: int = EVAL_BATCH):
-    """(images, labels) slices of ``batch_size`` rows, in dataset order."""
-    for start in range(0, len(labels), batch_size):
-        yield images[start:start + batch_size], labels[start:start + batch_size]
+def consecutive_batches(images: np.ndarray, labels: np.ndarray):
+    """(images, labels) slices of ``EVAL_BATCH`` rows, in dataset order."""
+    for start in range(0, len(labels), EVAL_BATCH):
+        yield images[start:start + EVAL_BATCH], labels[start:start + EVAL_BATCH]
 
 
 def attack_batches(model: Model, images: np.ndarray, labels: np.ndarray,
-                   config: AttackConfig, batch_size: int = EVAL_BATCH):
+                   config: AttackConfig):
     """Yield the ``AdversarialBatch`` of each consecutive batch in turn.
 
-    Batch ``bi`` is attacked with seed ``SeedSequence([config.seed, bi])``,
-    so a rerun is bit-identical. A non-finite adversarial input or final
-    objective raises ``NonFiniteError`` naming the attack and the batch.
+    Batch ``bi`` is attacked by ``pgd`` with the seed
+    ``_derived_seed(config.seed, bi)``, the first 32-bit word of
+    ``SeedSequence([config.seed, bi]).generate_state(1)``, so a rerun is
+    bit-identical. A non-finite adversarial input or final objective raises
+    ``NonFiniteError`` naming the attack and the batch.
     """
-    for bi, (xb, yb) in enumerate(consecutive_batches(images, labels, batch_size)):
+    for bi, (xb, yb) in enumerate(consecutive_batches(images, labels)):
         yield _checked_pgd(model, xb, yb, config, _derived_seed(config.seed, bi), bi)
 
 
@@ -270,9 +271,11 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
           out_dir=None, config_digest: str = "") -> tuple[Model, list[EpochRecord]]:
     """Run adversarial training; returns the trained model and its epoch records.
 
-    The inner attack on batch ``bi`` of epoch ``e`` is seeded with
-    ``SeedSequence([config.attack.seed, e, bi])``. A sample is robust only
-    if it is classified correctly both clean and at the attack's final iterate.
+    The inner attack on batch ``bi`` of epoch ``e`` gets the seed
+    ``_derived_seed(config.attack.seed, e, bi)``, the first 32-bit word of
+    ``SeedSequence([config.attack.seed, e, bi]).generate_state(1)``. A
+    sample is robust only if it is classified correctly both clean and at
+    the attack's final iterate.
 
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
@@ -355,7 +358,6 @@ class AttackRow:
     epsilon: float
     steps: int
     lambda_attack: float
-    natural_acc: float
     robust_acc: float
 
 
@@ -368,12 +370,11 @@ class EvalReport:
                   "natural_acc", "robust_acc"]
 
     def csv_rows(self) -> list[list[str]]:
-        out = [["natural", "0", "0", "0", f"{self.natural_acc:.6f}",
-                f"{self.natural_acc:.6f}"]]
+        natural = f"{self.natural_acc:.6f}"
+        out = [["natural", "0", "0", "0", natural, natural]]
         for r in self.rows:
             out.append([r.name, f"{r.epsilon:.8g}", str(r.steps),
-                        f"{r.lambda_attack:.8g}", f"{r.natural_acc:.6f}",
-                        f"{r.robust_acc:.6f}"])
+                        f"{r.lambda_attack:.8g}", natural, f"{r.robust_acc:.6f}"])
         return out
 
     def write_csv(self, path) -> None:
@@ -386,27 +387,27 @@ class EvalReport:
                 w.writerow(row)
 
 
-def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig],
-             batch_size: int = EVAL_BATCH) -> EvalReport:
+def evaluate(model: Model, dataset: Dataset, attacks: list[AttackConfig]) -> EvalReport:
     """Natural accuracy plus robust accuracy per attack over the full set.
 
     A sample counts as robust only if it is labeled correctly both clean and
     at the attack's final iterate, so robust accuracy never exceeds natural
-    accuracy; the attacks run batch by batch through ``attack_batches``.
-    An empty dataset is a ``ConfigError``. A non-finite natural logit,
-    adversarial input or final attack objective raises ``NonFiniteError``.
+    accuracy. Both passes run in batches of ``EVAL_BATCH``, the attacks
+    through ``attack_batches``. An empty dataset is a ``ConfigError``. A
+    non-finite natural logit, adversarial input or final attack objective
+    raises ``NonFiniteError``.
     """
     n = len(dataset)
     if n == 0:
         raise ConfigError("evaluate: dataset is empty")
     correct = np.concatenate([_accuracy(model, xb, yb, bi) for bi, (xb, yb) in enumerate(
-        consecutive_batches(dataset.images, dataset.labels, batch_size))])
+        consecutive_batches(dataset.images, dataset.labels))])
     natural = int(correct.sum()) / n
 
     rows = []
     for cfg in attacks:
         success = np.concatenate([adv.success for adv in attack_batches(
-            model, dataset.images, dataset.labels, cfg, batch_size)])
+            model, dataset.images, dataset.labels, cfg)])
         rows.append(AttackRow(cfg.name, cfg.epsilon, cfg.steps, cfg.lambda_attack,
-                              natural, int((correct & ~success).sum()) / n))
+                              int((correct & ~success).sum()) / n))
     return EvalReport(natural, rows)

@@ -123,7 +123,7 @@ def test_mechanism_oracle():
             exp_scaled, exp_scores = scalar_oracle(z, theta, y, mode)
             assert np.abs(scores.data - exp_scores).max() <= 1e-10
             assert np.abs(scaled.data - exp_scaled).max() <= 1e-10
-            flat = S.flatten_activation(T.Tensor(z))
+            flat = T.reshape(T.Tensor(z), (b, -1))
             back = T.reshape(flat, z.shape)
             assert back.data.tobytes() == z.tobytes()
 
@@ -136,15 +136,23 @@ def test_selection_semantics():
         theta = rng.normal(size=(8, 4))
         weight = T.Tensor(theta)
         shape = (2, 2, 2)
+        ones = T.Tensor(np.ones((2, *shape)))  # the scaled output is the mask itself
         y = np.array([3, 1])
-        m_train = S.select_mask(weight, None, y, "training", shape)
+        m_train, _ = S.ewas_forward(ones, weight, y, "training")
         for b, label in enumerate(y):
             assert m_train.data[b].tobytes() == \
                 theta[:, label].reshape(shape).tobytes()
-        scores = T.Tensor(np.array([[0.2, 0.9, 0.9, 0.1], [1.0, 1.0, 1.0, 1.0]]))
-        m_inf = S.select_mask(weight, scores, None, "inference", shape)
-        assert m_inf.data[0].tobytes() == theta[:, 1].reshape(shape).tobytes()
-        assert m_inf.data[1].tobytes() == theta[:, 0].reshape(shape).tobytes()
+        # On ones the scores are the column sums: columns 1 and 2 tie for the
+        # maximum with different masks, and in ``rolled`` all four tie.
+        ramp = np.arange(8.0)
+        tied = np.stack([-ramp, ramp, ramp[::-1], np.ones(8)], axis=1)
+        rolled = np.stack([np.roll(ramp, k) for k in range(4)], axis=1)
+        for theta_tie, first, n_max in ((tied, 1, 2), (rolled, 0, 4)):
+            m_inf, scores = S.ewas_forward(ones, T.Tensor(theta_tie), None, "inference")
+            assert np.count_nonzero(scores.data[0] == scores.data[0].max()) == n_max
+            for b in range(2):
+                assert m_inf.data[b].tobytes() == \
+                    theta_tie[:, first].reshape(shape).tobytes()
 
         x = rng.uniform(0, 1, (4, 1, 8, 8))
         plain = M.ModelSection(width=4).build(31)

@@ -381,6 +381,22 @@ class TestAblate:
         assert not any(p.name.startswith("attack_lambda") for p in out.iterdir()
                        if p.is_dir())
 
+    def test_attack_lambda_checkpoint_needs_no_train_section(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path)
+        cfg["train"]["epochs"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "t")]) == EXIT_OK
+        del cfg["train"]
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "al"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", "attack_lambda",
+                     "--values", "0,0.01", "--out", str(out),
+                     "--checkpoint", str(tmp_path / "t" / "checkpoint.ckpt")]) == EXIT_OK
+        rows = list(csv.reader(open(out / "ablation.csv")))
+        assert [r[0] for r in rows] == ["attack_lambda", "0.0", "0.01"]
+
     @pytest.mark.parametrize("axis,values", [("lambda", "0.01"), ("position", "block4")])
     def test_checkpoint_only_with_attack_lambda(self, tmp_path, capsys, axis, values):
         cfg_path = tmp_path / "cfg.json"

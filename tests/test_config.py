@@ -41,6 +41,7 @@ MALFORMED = [
     (("train", "lambda"), NAN, "train.lambda"),
     (("train", "beta"), NAN, "train.beta"),
     (("train", "milestones"), 3, "train.milestones"),
+    (("train", "batch_size"), 1, "train.batch_size"),
     (("train",), [], "train"),
     (("model",), [], "model"),
     (("model", "input_shape"), 5, "model.input_shape"),
@@ -139,6 +140,21 @@ def test_load_split_checks_the_data_against_a_model():
     with pytest.raises(ConfigError, match=r"^model\.num_classes: the model has 4 classes, "
                                           r"the test data 3$"):
         cfg.load_split("test", replace(cfg.model, num_classes=4))
+
+
+def test_train_split_with_a_last_batch_of_one_fails_before_output(tmp_path, capsys):
+    """Train-mode batch norm needs 2 samples: 21 samples in batches of 10 leave one."""
+    raw = toy_config()
+    raw["data"]["samples_per_class"] = 7
+    raw["train"]["batch_size"] = 10
+    with pytest.raises(ConfigError, match=r"^train\.batch_size: 10 leaves the last of the 21 "):
+        parse_run_config(raw).load_split("train", ModelSection(**raw["model"]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error: train.batch_size: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,digest", [

@@ -366,9 +366,8 @@ class TestBatchInnermostLayout:
         spec, hosts = LAYOUT_SPECS[arch]
         model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(20), 21)
         masks = []
-        apply_scaling = S.apply_scaling
-        monkeypatch.setattr(S, "apply_scaling",
-                            lambda z, mask: masks.append(mask) or apply_scaling(z, mask))
+        mul = S.mul
+        monkeypatch.setattr(S, "mul", lambda z, mask: masks.append(mask) or mul(z, mask))
         rng = np.random.default_rng(22)
         x = rng.uniform(0, 1, (4, *spec.input_shape))
         y = rng.integers(0, spec.num_classes, 4)
@@ -444,7 +443,8 @@ class TestInsertEwas:
         out = model.forward(x, labels=y, train=True, mask_mode="training")
         assert len(out.alc_scores) == 3
         for mod, scores in zip(model.ewas_modules, out.alc_scores):
-            expect = S.alc_score(inputs[id(mod.weight)], mod.weight)
+            z = inputs[id(mod.weight)]
+            expect = T.matmul(T.reshape(z, (len(x), -1)), mod.weight)
             assert scores.data.tobytes() == expect.data.tobytes()
 
     def test_repeated_host_keeps_two_modules(self, tmp_path):

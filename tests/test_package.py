@@ -31,6 +31,11 @@ def test_every_exported_name_resolves():
     (config, "_DataOptions"),  # DataSection, the base of the data kinds
     (attacks, "_final_metrics"),  # pgd scores its final iterate inline
     (data, "_read_exact"),  # Path.read_bytes
+    (scaling, "flatten_activation"),  # ewas_forward, the one EWAS step
+    (scaling, "alc_score"),
+    (scaling, "select_mask"),
+    (scaling, "apply_scaling"),
+    (models.Model, "activation_shape"),  # insert_ewas's dry run
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_second_spellings_are_gone(module, name):
     assert not hasattr(module, name)

@@ -47,28 +47,34 @@ def scalar_oracle(z, theta, labels, mode):
     return scaled, scores
 
 
+def ones_like_activation(b, chw_shape):
+    """An all-ones activation: its scaled output is the selected mask, exactly."""
+    return T.Tensor(np.ones((b, *chw_shape)))
+
+
 class TestAlcScore:
     def test_zero_activation(self):
         weight = make_weight(12, 3)
         z = T.Tensor(np.zeros((2, 3, 2, 2)))
-        np.testing.assert_array_equal(S.alc_score(z, weight).data, np.zeros((2, 3)))
+        _, scores = S.ewas_forward(z, weight, mode="inference")
+        np.testing.assert_array_equal(scores.data, np.zeros((2, 3)))
 
     def test_identity_weights(self):
         z = np.random.default_rng(1).normal(size=(2, 1, 2, 2))
         weight = T.Tensor(np.eye(4))
-        out = S.alc_score(T.Tensor(z), weight)
-        np.testing.assert_array_equal(out.data, z.reshape(2, 4))
+        _, scores = S.ewas_forward(T.Tensor(z), weight, mode="inference")
+        np.testing.assert_array_equal(scores.data, z.reshape(2, 4))
 
     def test_dimension_mismatch_names_expected_size(self):
         weight = make_weight(10, 3)
-        with pytest.raises(ShapeError, match="expects 10"):
-            S.alc_score(T.Tensor(np.zeros((1, 3, 2, 2))), weight)
+        with pytest.raises(ShapeError, match=r"\(10, 3\)"):
+            S.ewas_forward(T.Tensor(np.zeros((1, 3, 2, 2))), weight, mode="inference")
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(3, 2, 2, 3))
         weight = make_weight(12, 4, seed=3)
-        out = S.alc_score(T.Tensor(z), weight)
+        _, out = S.ewas_forward(T.Tensor(z), weight, mode="inference")
         _, scores = scalar_oracle(z, weight.data, None, "inference")
         np.testing.assert_allclose(out.data, scores, atol=1e-10)
 
@@ -76,23 +82,29 @@ class TestAlcScore:
 class TestSelectMask:
     def test_training_selects_label_column(self):
         weight = make_weight(8, 4, seed=4)
-        mask = S.select_mask(weight, None, np.array([2]), "training", (2, 2, 2))
+        mask, _ = S.ewas_forward(ones_like_activation(1, (2, 2, 2)), weight,
+                                 np.array([2]), "training")
         np.testing.assert_array_equal(
             mask.data[0], weight.data[:, 2].reshape(2, 2, 2)
         )
 
     def test_inference_selects_argmax(self):
         weight = make_weight(4, 3, seed=5)
-        scores = T.Tensor(np.array([[0.1, 0.9, 0.3]]))
-        mask = S.select_mask(weight, scores, None, "inference", (1, 2, 2))
+        weight.data += np.array([0.0, 5.0, 2.0])  # column 1 scores highest on ones
+        mask, scores = S.ewas_forward(ones_like_activation(1, (1, 2, 2)), weight,
+                                      mode="inference")
+        assert scores.data[0].argmax() == 1
         np.testing.assert_array_equal(
             mask.data[0], weight.data[:, 1].reshape(1, 2, 2)
         )
 
     def test_tie_breaks_to_lowest_index(self):
-        weight = make_weight(4, 3, seed=6)
-        scores = T.Tensor(np.array([[0.5, 0.5, 0.1]]))
-        mask = S.select_mask(weight, scores, None, "inference", (1, 2, 2))
+        # On an all-ones activation columns 0 and 1 both score 10 exactly.
+        weight = T.Tensor(np.array([[1.0, 4.0, 0.0], [2.0, 3.0, 0.0],
+                                    [3.0, 2.0, 0.0], [4.0, 1.0, 1.0]]))
+        mask, scores = S.ewas_forward(ones_like_activation(1, (1, 2, 2)), weight,
+                                      mode="inference")
+        assert scores.data[0, 0] == scores.data[0, 1] == scores.data[0].max()
         np.testing.assert_array_equal(
             mask.data[0], weight.data[:, 0].reshape(1, 2, 2)
         )
@@ -100,22 +112,23 @@ class TestSelectMask:
     def test_training_without_labels_rejected(self):
         weight = make_weight(4, 3)
         with pytest.raises(ModeError):
-            S.select_mask(weight, None, None, "training", (1, 2, 2))
+            S.ewas_forward(ones_like_activation(1, (1, 2, 2)), weight, None, "training")
 
     def test_unknown_mode_rejected(self):
         weight = make_weight(4, 3)
         with pytest.raises(ModeError):
-            S.select_mask(weight, None, None, "eval", (1, 2, 2))
+            S.ewas_forward(ones_like_activation(1, (1, 2, 2)), weight, None, "eval")
 
     def test_training_ignores_scores_inference_ignores_labels(self):
         weight = make_weight(4, 3, seed=7)
+        weight.data += np.array([9.0, 0.0, 0.0])  # column 0 scores highest on ones
         z_shape = (1, 2, 2)
-        scores = T.Tensor(np.array([[9.0, 0.0, 0.0]]))
-        m_train = S.select_mask(weight, scores, np.array([2]), "training", z_shape)
+        z = ones_like_activation(1, z_shape)
+        m_train, _ = S.ewas_forward(z, weight, np.array([2]), "training")
         np.testing.assert_array_equal(
             m_train.data[0], weight.data[:, 2].reshape(z_shape)
         )
-        m_inf = S.select_mask(weight, scores, np.array([2]), "inference", z_shape)
+        m_inf, _ = S.ewas_forward(z, weight, np.array([2]), "inference")
         np.testing.assert_array_equal(
             m_inf.data[0], weight.data[:, 0].reshape(z_shape)
         )
@@ -124,24 +137,19 @@ class TestSelectMask:
 class TestApplyScaling:
     def test_identity_mask(self):
         z = np.random.default_rng(8).normal(size=(2, 2, 3, 3))
-        out = S.apply_scaling(T.Tensor(z), T.Tensor(np.ones_like(z)))
+        out, _ = S.ewas_forward(T.Tensor(z), T.Tensor(np.ones((18, 3))), mode="inference")
         assert out.data.tobytes() == z.tobytes()
 
     def test_zero_mask(self):
         z = np.random.default_rng(9).normal(size=(1, 2, 2, 2))
-        out = S.apply_scaling(T.Tensor(z), T.Tensor(np.zeros_like(z)))
+        out, _ = S.ewas_forward(T.Tensor(z), T.Tensor(np.zeros((8, 3))), mode="inference")
         np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            S.apply_scaling(T.Tensor(np.zeros((1, 2, 2, 2))),
-                            T.Tensor(np.zeros((1, 2, 2, 3))))
 
     def test_product_rule_grads(self):
         rng = np.random.default_rng(10)
         z = T.Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
         m = T.Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
-        T.backward(T.tsum(S.apply_scaling(z, m)))
+        T.backward(T.tsum(T.mul(z, m)))
         np.testing.assert_allclose(z.grad, m.data, rtol=1e-15)
         np.testing.assert_allclose(m.grad, z.data, rtol=1e-15)
 

@@ -735,7 +735,7 @@ class TestBackward:
         loss = T.tsum(hidden)
         T.backward(loss)
         np.testing.assert_array_equal(hidden.data, [3.0, 0.0])
-        assert loss.item() == 3.0
+        assert float(loss.data) == 3.0
 
     def test_frees_the_graph_while_the_loss_is_referenced(self):
         rng = np.random.default_rng(2)

@@ -13,7 +13,7 @@ from ewas import tensor as T
 from ewas import training as TR
 from ewas.data import synth_dataset
 from ewas.errors import ConfigError, NonFiniteError
-from ewas.scaling import EwasModule, alc_score, ewas_forward
+from ewas.scaling import EwasModule, ewas_forward
 
 
 def np_softmax(z):
@@ -279,8 +279,9 @@ class TestTwoModules:
         monkeypatch.setattr(M, "ewas_forward", record)
         model.forward(x, labels=y, train=True, mask_mode="training")
         monkeypatch.undo()
-        ces = [T.softmax_cross_entropy(alc_score(inputs[id(m.weight)], m.weight), y)
-               for m in model.ewas_modules]
+        flat = [T.reshape(inputs[id(m.weight)], (len(y), -1)) for m in model.ewas_modules]
+        ces = [T.softmax_cross_entropy(T.matmul(z, m.weight), y)
+               for z, m in zip(flat, model.ewas_modules)]
         expect = lam * reduce(T.add, ces)
         terms = TR.loss_terms("trades", model, x, x_adv, y, lam, beta)
         assert terms["alc"].data.tobytes() == expect.data.tobytes()
@@ -473,7 +474,8 @@ class TestEvaluate:
         ds = synth_dataset(3, 20, (1, 8, 8), seed=46, split="test")
         presets = [A.AttackConfig(epsilon=0.1, step_size=0.1, name="fgsm"),
                    A.AttackConfig(epsilon=0.2, step_size=0.05, steps=3, name="pgd3")]
-        report = TR.evaluate(small_model(seed=45), ds, presets, batch_size=16)
+        monkeypatch.setattr(TR, "EVAL_BATCH", 16)
+        report = TR.evaluate(small_model(seed=45), ds, presets)
         assert report.natural_acc < 1
         assert [r.robust_acc for r in report.rows] == [report.natural_acc] * 2
 
@@ -495,8 +497,9 @@ class TestEvaluate:
         monkeypatch.setattr(TR, "pgd", pgd_inf_in_last_batch)
         ds = synth_dataset(3, 5, (1, 8, 8), seed=51, split="test")  # batches of 8 and 7
         cfg = A.AttackConfig(epsilon=0.05, step_size=0.02, steps=1, name="pgd1")
+        monkeypatch.setattr(TR, "EVAL_BATCH", 8)
         with pytest.raises(NonFiniteError) as err:
-            TR.evaluate(small_model(seed=52), ds, [cfg], batch_size=8)
+            TR.evaluate(small_model(seed=52), ds, [cfg])
         assert err.value.what == "'pgd1' attack" and err.value.batch == 1
         assert "pgd1" in str(err.value) and "batch 1" in str(err.value)
 
