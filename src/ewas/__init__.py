@@ -12,7 +12,7 @@ from .attacks import (
     pgd,
     project_linf_box,
 )
-from .data import Dataset, batches, load_cifar_binary, load_idx, synth_dataset
+from .data import Dataset, batches, load_cifar_binary, synth_dataset
 from .models import (
     ForwardOut,
     Model,
@@ -37,7 +37,7 @@ __all__ = [
     "AdversarialBatch", "AttackConfig", "Dataset", "ForwardOut", "Model",
     "ModelSection", "Tensor", "TrainConfig", "attack_objective", "backward",
     "batches", "cw_margin_loss", "evaluate", "ewas_forward", "insert_ewas",
-    "load_cifar_binary", "load_checkpoint", "load_idx", "loss_terms",
-    "lr_schedule", "no_grad", "pgd", "project_linf_box", "save_checkpoint",
-    "synth_dataset", "train",
+    "load_cifar_binary", "load_checkpoint", "loss_terms", "lr_schedule",
+    "no_grad", "pgd", "project_linf_box", "save_checkpoint", "synth_dataset",
+    "train",
 ]

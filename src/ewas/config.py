@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, require_modules
-from .data import Dataset, load_cifar_binary, load_idx, synth_dataset
+from .data import Dataset, load_cifar_binary, synth_dataset
 from .errors import ConfigError
 from .models import ModelSection
 from .training import TrainConfig
@@ -128,7 +128,7 @@ class DataSection:
     def __post_init__(self):
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.num_classes is not None and self.num_classes < 2:
+        if self.num_classes < 2:
             raise ConfigError(f"num_classes: must be >= 2, got {self.num_classes}")
 
     def load(self, split: str, default_seed: int) -> Dataset:
@@ -165,33 +165,24 @@ class _SyntheticData(DataSection):
 
 
 @dataclass
-class _IdxData(DataSection):
-    kind = "idx"
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-    num_classes: int | None = None  # None: one more than the largest label
-
-    def _read(self, split: str, seed: int) -> Dataset:
-        if split == "train":
-            return load_idx(self.train_images, self.train_labels, self.num_classes)
-        return load_idx(self.test_images, self.test_labels, self.num_classes)
-
-
-@dataclass
 class _CifarBinaryData(DataSection):
     kind = "cifar_binary"
     train_files: list[str]
     test_files: list[str]
     num_classes: int = 10
 
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("train_files", "test_files"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key}: must name at least one file")
+
     def _read(self, split: str, seed: int) -> Dataset:
         files = self.train_files if split == "train" else self.test_files
         return load_cifar_binary(files, self.num_classes)
 
 
-_DATA_KINDS = {cls.kind: cls for cls in (_SyntheticData, _IdxData, _CifarBinaryData)}
+_DATA_KINDS = {cls.kind: cls for cls in (_SyntheticData, _CifarBinaryData)}
 
 
 @dataclass

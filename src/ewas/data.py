@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX and CIFAR-style binaries), synthetic data, batching.
+"""Dataset ingestion (CIFAR-style binaries), synthetic data, batching.
 
 Pixels are stored as float64 in [0, 1], computed exactly as byte/255.
 No channel normalization or augmentation happens here: attacks operate
@@ -12,22 +12,13 @@ which is stable across platforms; shuffle order is a pure function of
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    CountMismatchError,
-    DataFormatError,
-    MagicNumberError,
-    TruncatedFileError,
-)
+from .errors import ConfigError, CountMismatchError, DataFormatError
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 
@@ -55,35 +46,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Load an IDX image/label file pair (big-endian headers)."""
-    img_blob = Path(images_path).read_bytes()
-    if len(img_blob) < 16:
-        raise TruncatedFileError(f"{images_path}: header needs 16 bytes")
-    magic, n, rows, cols = struct.unpack(">IIII", img_blob[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise MagicNumberError(f"{images_path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    if len(img_blob) != 16 + n * rows * cols:
-        raise TruncatedFileError(
-            f"{images_path}: expected {16 + n * rows * cols} bytes, got {len(img_blob)}"
-        )
-    lab_blob = Path(labels_path).read_bytes()
-    if len(lab_blob) < 8:
-        raise TruncatedFileError(f"{labels_path}: header needs 8 bytes")
-    lmagic, ln = struct.unpack(">II", lab_blob[:8])
-    if lmagic != IDX_LABELS_MAGIC:
-        raise MagicNumberError(f"{labels_path}: magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(lab_blob) != 8 + ln:
-        raise TruncatedFileError(f"{labels_path}: expected {8 + ln} bytes, got {len(lab_blob)}")
-    if n != ln:
-        raise CountMismatchError(f"{n} images vs {ln} labels")
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16)
-    images = pixels.reshape(n, 1, rows, cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lab_blob, dtype=np.uint8, offset=8).astype(np.int64)
-    k = num_classes if num_classes is not None else (int(labels.max()) + 1 if n else 1)
-    return Dataset(images, labels, k)
 
 
 def load_cifar_binary(paths, num_classes: int = 10) -> Dataset:

@@ -29,16 +29,8 @@ class DataFormatError(ValueError):
     """A dataset file does not match its declared binary format."""
 
 
-class MagicNumberError(DataFormatError):
-    """File magic number does not identify the expected format."""
-
-
-class TruncatedFileError(DataFormatError):
-    """File ended before the declared payload was complete."""
-
-
 class CountMismatchError(DataFormatError):
-    """Image and label files disagree on the number of records."""
+    """Images and labels disagree on the number of samples."""
 
 
 class CheckpointError(Exception):

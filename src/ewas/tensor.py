@@ -278,16 +278,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    shape = x.data.shape
-    return _result(
-        np.asarray(x.data.sum(), dtype=x.data.dtype),
-        (x,),
-        lambda g: (np.broadcast_to(g, shape).copy(),),
-    )
-
-
 def tmean(x: Tensor) -> Tensor:
     """Mean of all elements, as a scalar tensor."""
     shape = x.data.shape

@@ -1,14 +1,27 @@
-"""Finite-difference gradient oracle shared by the test modules.
+"""Finite-difference gradient oracle shared by the test modules, and ``tsum``.
 
 Central differences with h = 1e-6 in float64. The oracle only evaluates
 scalar re-runs of a loss closure; it never touches the autodiff path it
-is checking.
+is checking. ``tsum`` reduces an op's output to the scalar the tests
+differentiate; the library itself never needs it.
 """
 
 import numpy as np
 
+from ewas import tensor as T
+
 H = 1e-6
 REL_TOL = 1e-4
+
+
+def tsum(x: T.Tensor) -> T.Tensor:
+    """Sum of all elements, as a scalar tensor."""
+    shape = x.data.shape
+    return T._result(
+        np.asarray(x.data.sum(), dtype=x.data.dtype),
+        (x,),
+        lambda g: (np.broadcast_to(g, shape).copy(),),
+    )
 
 
 def fd_gradient(loss_fn, array: np.ndarray, indices=None, h: float = H) -> dict:

@@ -12,7 +12,7 @@ from ewas import tensor as T
 from ewas.config import load_run_config
 from ewas.errors import ConfigError, ShapeError
 
-from _gradcheck import assert_grad_matches
+from _gradcheck import assert_grad_matches, tsum
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -104,7 +104,7 @@ class TestReductionNone:
         upstream = T.Tensor(rng.normal(size=5))
 
         def forward(logits):
-            return T.tsum(T.mul(loss(logits, y, "none"), upstream))
+            return tsum(T.mul(loss(logits, y, "none"), upstream))
 
         T.backward(forward(z))
         assert_grad_matches(lambda: float(forward(T.Tensor(z.data)).data),

@@ -23,9 +23,7 @@ def toy_config() -> dict:
     return json.loads((CONFIGS / "toy-at-ewas.json").read_text())
 
 
-# File-backed data sections; a config error is raised before any file is read.
-IDX_DATA = {"kind": "idx", "train_images": "train-images", "train_labels": "train-labels",
-            "test_images": "test-images", "test_labels": "test-labels"}
+# A file-backed data section; a config error is raised before any file is read.
 CIFAR_DATA = {"kind": "cifar_binary", "train_files": ["data_batch_1.bin"],
               "test_files": ["test_batch.bin"]}
 
@@ -58,10 +56,11 @@ MALFORMED = [
     (("model", "num_classes"), 1, "model.num_classes"),
     (("model", "insertion_points"), ["blockX"], "model.insertion_points"),
     (("data", "num_classes"), 1, "data.num_classes"),
-    (("data",), {**IDX_DATA, "num_classes": 0}, "data.num_classes"),
-    (("data",), {**IDX_DATA, "num_classes": -3}, "data.num_classes"),
     (("data",), {**CIFAR_DATA, "num_classes": 0}, "data.num_classes"),
     (("data",), {**CIFAR_DATA, "num_classes": -3}, "data.num_classes"),
+    (("data",), {**CIFAR_DATA, "train_files": []}, "data.train_files"),
+    (("data",), {**CIFAR_DATA, "test_files": []}, "data.test_files"),
+    (("data", "kind"), "idx", "data.kind"),
     # these two fit no 3-class 8x8 data
     (("model", "input_shape"), [1, 16, 16], "model.input_shape"),
     (("model", "num_classes"), 4, "model.num_classes"),
@@ -172,8 +171,8 @@ def test_snapshot_reads_back_to_itself(name):
     assert parse_run_config(json.loads(snapshot)).snapshot_json() == snapshot
 
 
-@pytest.mark.parametrize("data", [IDX_DATA, {**IDX_DATA, "num_classes": 3, "seed": 4},
-                                  CIFAR_DATA], ids=["idx", "idx_seeded", "cifar_binary"])
+@pytest.mark.parametrize("data", [{**CIFAR_DATA, "num_classes": 3, "seed": 4}, CIFAR_DATA],
+                         ids=["cifar_binary_seeded", "cifar_binary"])
 def test_file_backed_snapshot_reads_back_to_itself(data):
     raw = toy_config()
     raw["data"] = data

@@ -1,6 +1,4 @@
-"""Loaders (IDX, CIFAR binaries), synthetic data, deterministic batching."""
-
-import struct
+"""The CIFAR binary loader, synthetic data, deterministic batching."""
 
 import numpy as np
 import pytest
@@ -8,64 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewas import data as D
-from ewas.errors import (
-    ConfigError,
-    CountMismatchError,
-    DataFormatError,
-    MagicNumberError,
-    TruncatedFileError,
-)
-
-
-def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
-    """images: (N, H, W) uint8."""
-    n, h, w = images.shape
-    img_path = tmp_path / "images.idx"
-    lab_path = tmp_path / "labels.idx"
-    img_path.write_bytes(struct.pack(">IIII", 0x803, n, h, w) + images.tobytes())
-    lab_path.write_bytes(struct.pack(">II", 0x801, n) + labels.astype(np.uint8).tobytes())
-    return img_path, lab_path
-
-
-class TestIdxLoader:
-    def test_two_image_pair(self, tmp_path):
-        images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
-        labels = np.array([1, 0], dtype=np.uint8)
-        ds = D.load_idx(*write_idx_pair(tmp_path, images, labels))
-        assert ds.images.shape == (2, 1, 3, 4)
-        np.testing.assert_array_equal(ds.labels, [1, 0])
-
-    def test_pixel_scaling_exact(self, tmp_path):
-        images = np.array([[[0, 255], [128, 51]]], dtype=np.uint8)
-        ds = D.load_idx(*write_idx_pair(tmp_path, images, np.array([0], dtype=np.uint8)))
-        np.testing.assert_array_equal(
-            ds.images[0, 0], np.array([[0, 255], [128, 51]]) / 255.0
-        )
-        assert ds.images[0, 0, 0, 1] == 1.0
-
-    def test_truncated_payload(self, tmp_path):
-        images = np.zeros((2, 3, 3), dtype=np.uint8)
-        img_path, lab_path = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
-        img_path.write_bytes(img_path.read_bytes()[:-5])
-        with pytest.raises(TruncatedFileError):
-            D.load_idx(img_path, lab_path)
-
-    def test_magic_mismatch(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint8)
-        img_path, lab_path = write_idx_pair(tmp_path, images, np.zeros(1, dtype=np.uint8))
-        blob = bytearray(img_path.read_bytes())
-        blob[3] = 0x99
-        img_path.write_bytes(bytes(blob))
-        with pytest.raises(MagicNumberError):
-            D.load_idx(img_path, lab_path)
-
-    def test_count_mismatch(self, tmp_path):
-        images = np.zeros((2, 2, 2), dtype=np.uint8)
-        img_path, _ = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
-        lab_path = tmp_path / "short.idx"
-        lab_path.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
-        with pytest.raises(CountMismatchError):
-            D.load_idx(img_path, lab_path)
+from ewas.errors import ConfigError, CountMismatchError, DataFormatError
 
 
 class TestCifarBinary:
@@ -116,6 +57,10 @@ class TestDataset:
         images[1, 0, 3, 4] = bad
         with pytest.raises(DataFormatError, match="pixel values"):
             D.Dataset(images, np.array([0, 1]), num_classes=2)
+
+    def test_count_mismatch(self):
+        with pytest.raises(CountMismatchError, match="2 images vs 1 labels"):
+            D.Dataset(np.zeros((2, 1, 2, 2)), np.array([0]), num_classes=2)
 
 
 class TestSynthDataset:

@@ -1,7 +1,6 @@
 """Cross-module paths not covered by the per-module suites."""
 
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -72,32 +71,13 @@ def test_resnet_with_module_trains_and_checkpoints(tmp_path):
     assert a.tobytes() == b.tobytes()
 
 
-def test_config_idx_and_cifar_kinds(tmp_path):
-    images = np.random.default_rng(0).integers(0, 256, (4, 8, 8), dtype=np.uint8)
-    labels = np.array([0, 1, 2, 0], dtype=np.uint8)
-    (tmp_path / "imgs").write_bytes(
-        struct.pack(">IIII", 0x803, 4, 8, 8) + images.tobytes())
-    (tmp_path / "labs").write_bytes(
-        struct.pack(">II", 0x801, 4) + labels.tobytes())
-    raw = {
-        "seed": 0,
-        "data": {"kind": "idx",
-                 "train_images": str(tmp_path / "imgs"),
-                 "train_labels": str(tmp_path / "labs"),
-                 "test_images": str(tmp_path / "imgs"),
-                 "test_labels": str(tmp_path / "labs"),
-                 "num_classes": 3},
-    }
-    cfg = parse_run_config(raw)
-    ds = cfg.data.load("train", 0)
-    assert ds.images.shape == (4, 1, 8, 8)
-    assert ds.num_classes == 3
-
+def test_config_cifar_kind(tmp_path):
     record = bytes([2]) + bytes(3072)
     (tmp_path / "cifar.bin").write_bytes(record * 3)
-    raw["data"] = {"kind": "cifar_binary",
-                   "train_files": [str(tmp_path / "cifar.bin")],
-                   "test_files": [str(tmp_path / "cifar.bin")]}
+    raw = {"seed": 0,
+           "data": {"kind": "cifar_binary",
+                    "train_files": [str(tmp_path / "cifar.bin")],
+                    "test_files": [str(tmp_path / "cifar.bin")]}}
     cfg = parse_run_config(raw)
     ds = cfg.data.load("test", 0)
     assert ds.images.shape == (3, 3, 32, 32)

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import ewas
-from ewas import attacks, config, data, models, scaling, training
+from ewas import attacks, config, data, errors, models, scaling, tensor, training
 
 
 def test_every_exported_name_resolves():
@@ -36,6 +36,11 @@ def test_every_exported_name_resolves():
     (scaling, "select_mask"),
     (scaling, "apply_scaling"),
     (models.Model, "activation_shape"),  # insert_ewas's dry run
+    (data, "load_idx"),  # no data kind reads IDX files
+    (config, "_IdxData"),
+    (errors, "MagicNumberError"),
+    (errors, "TruncatedFileError"),
+    (tensor, "tsum"),  # the tests' own helper in _gradcheck
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_second_spellings_are_gone(module, name):
     assert not hasattr(module, name)

@@ -7,7 +7,7 @@ from ewas import scaling as S
 from ewas import tensor as T
 from ewas.errors import ModeError, ShapeError
 
-from _gradcheck import assert_grad_matches
+from _gradcheck import assert_grad_matches, tsum
 
 
 def make_weight(chw, k, seed=0, requires_grad=True):
@@ -149,7 +149,7 @@ class TestApplyScaling:
         rng = np.random.default_rng(10)
         z = T.Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
         m = T.Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
-        T.backward(T.tsum(T.mul(z, m)))
+        T.backward(tsum(T.mul(z, m)))
         np.testing.assert_allclose(z.grad, m.data, rtol=1e-15)
         np.testing.assert_allclose(m.grad, z.data, rtol=1e-15)
 
@@ -216,7 +216,7 @@ class TestEwasForward:
             z = T.Tensor(z_data)
             scaled, scores = S.ewas_forward(z, weight, y, "training")
             # loss touching both routes: scaled activations and scores
-            return T.tsum(scaled) + 2.0 * T.softmax_cross_entropy(scores, y)
+            return tsum(scaled) + 2.0 * T.softmax_cross_entropy(scores, y)
 
         loss = forward()
         T.backward(loss)

@@ -15,7 +15,7 @@ from ewas.errors import (
     ShapeError,
 )
 
-from _gradcheck import assert_grad_matches
+from _gradcheck import assert_grad_matches, tsum
 
 
 def t(data, rg=True):
@@ -40,7 +40,7 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = t(rng.normal(size=(3, 4)))
         b = t(rng.normal(size=(4, 2)))
-        loss = T.tsum(T.matmul(a, b))
+        loss = tsum(T.matmul(a, b))
         T.backward(loss)
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T, rtol=1e-12)
         # and against the independent finite-difference oracle
@@ -124,7 +124,7 @@ class TestConv2d:
 
         def forward():
             out = T.conv2d(x, w, b, stride=2)
-            return T.tsum(T.mul(out, T.Tensor(coef)))
+            return tsum(T.mul(out, T.Tensor(coef)))
 
         loss = forward()
         T.backward(loss)
@@ -196,7 +196,7 @@ def check_against_loop_reference(case, dtype, tol):
     out = T.conv2d(x, wt, bt, stride=s, padding=p)
     assert out.data.dtype == dtype and batch_innermost(out.data)
     g = rng.normal(size=out.data.shape).astype(dtype)
-    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    T.backward(tsum(T.mul(out, T.Tensor(g))))
     assert x.data.tobytes() == x_before.tobytes()
     ref = loop_conv_reference(x.data, wt.data, bt.data, g, s, p)
     for name, got, want in zip(("out", "dx", "dw", "db"),
@@ -229,7 +229,7 @@ class TestConv2dKernelParity:
             xt = T.Tensor(layout(x), requires_grad=True)
             wtt = T.Tensor(wt, requires_grad=True)
             out = T.conv2d(xt, wtt, stride=s, padding=p)
-            T.backward(T.tsum(T.mul(out, T.Tensor(layout(g)))))
+            T.backward(tsum(T.mul(out, T.Tensor(layout(g)))))
             results.append([a.tobytes() for a in (out.data, xt.grad, wtt.grad)])
         assert results[0] == results[1]
 
@@ -237,7 +237,7 @@ class TestConv2dKernelParity:
         rng = np.random.default_rng(3)
         x = t(rng.normal(size=(2, 3, 5, 5)))
         w = t(rng.normal(size=(4, 3, 3, 3)), rg=False)
-        T.backward(T.tsum(T.conv2d(x, w, stride=2, padding=1)))
+        T.backward(tsum(T.conv2d(x, w, stride=2, padding=1)))
         assert w.grad is None
         np.testing.assert_allclose(
             x.grad, loop_conv_reference(x.data, w.data, np.zeros(4),
@@ -398,7 +398,7 @@ class TestInplaceOps:
         for inplace in (False, True):
             x = t(data)
             out = T.relu(self.fresh(x), inplace=inplace)
-            T.backward(T.tsum(T.mul(out, coef)))
+            T.backward(tsum(T.mul(out, coef)))
             results.append((out.data.tobytes(), x.grad.tobytes()))
         assert results[0] == results[1]
 
@@ -410,7 +410,7 @@ class TestInplaceOps:
         for inplace in (False, True):
             a, b = t(a_data), t(b_data)
             out = T.relu(T.add(self.fresh(a), b, inplace=inplace), inplace=inplace)
-            T.backward(T.tsum(T.mul(out, coef)))
+            T.backward(tsum(T.mul(out, coef)))
             results.append((out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
             assert b.data.tobytes() == b_data.tobytes()
         assert results[0] == results[1]
@@ -433,19 +433,19 @@ class TestRelu:
 
     def test_grad_indicator(self):
         x = t([-1.0, 2.0])
-        T.backward(T.tsum(T.relu(x)))
+        T.backward(tsum(T.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_propagates_nan_with_zero_gradient(self):
         x = t([np.nan, -1.0, 2.0])
         out = T.relu(x)
         np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
-        T.backward(T.tsum(out))
+        T.backward(tsum(out))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_subgradient_at_zero_is_zero(self):
         x = t([0.0])
-        T.backward(T.tsum(T.relu(x)))
+        T.backward(tsum(T.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_matches_scalar_loop_oracle(self):
@@ -506,7 +506,7 @@ class TestBatchNorm:
         def forward():
             frozen = T.RunningStats(stats.mean.copy(), stats.var.copy())  # independent evaluations
             out = T.batch_norm2d(x, gamma, beta, frozen, training=training)
-            return T.tsum(T.mul(out, T.Tensor(coef)))
+            return tsum(T.mul(out, T.Tensor(coef)))
 
         loss = forward()
         T.backward(loss)
@@ -534,7 +534,7 @@ class TestBatchNormInplaceAndRelu:
         if not fused:
             out = T.relu(out)
         kept_xhat = inplace and h.data.tobytes() != data.tobytes()
-        T.backward(T.tsum(T.mul(out, coef)))
+        T.backward(tsum(T.mul(out, coef)))
         return kept_xhat, [out.data.tobytes(), x.grad.tobytes(), gamma.grad.tobytes(),
                            beta.grad.tobytes(), stats.mean.tobytes(), stats.var.tobytes()]
 
@@ -574,7 +574,7 @@ class TestBatchNormInplaceAndRelu:
             out = T.conv2d(h, w, stride=stride, padding=1)
             if drop:
                 h.data = None
-            T.backward(T.tsum(T.mul(out, T.Tensor(np.ones(out.shape)))))
+            T.backward(tsum(T.mul(out, T.Tensor(np.ones(out.shape)))))
             results.append([g.tobytes() for g in (x.grad, w.grad, gamma.grad, beta.grad)])
         assert results[0] == results[1]
 
@@ -628,7 +628,7 @@ class TestSoftmax:
         x = t(rng.normal(size=(2, 3)))
         coef = rng.normal(size=(2, 3))
         def forward():
-            return T.tsum(T.mul(T.softmax(x), T.Tensor(coef)))
+            return tsum(T.mul(T.softmax(x), T.Tensor(coef)))
         loss = forward()
         T.backward(loss)
         assert_grad_matches(lambda: float(forward().data), x.data, x.grad, what="softmax")
@@ -703,12 +703,12 @@ class TestBoostedCrossEntropy:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = t(np.zeros((2, 3, 4)))
-        T.backward(T.tsum(x))
+        T.backward(tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
 
     def test_quadratic(self):
         x = t([1.0, 2.0])
-        T.backward(T.tsum(T.mul(x, x)))
+        T.backward(tsum(T.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -717,7 +717,7 @@ class TestBackward:
 
     def test_graph_consumed(self):
         x = t([1.0])
-        loss = T.tsum(x)
+        loss = tsum(x)
         T.backward(loss)
         with pytest.raises(GraphConsumedError):
             T.backward(loss)
@@ -725,14 +725,14 @@ class TestBackward:
     def test_new_loss_over_a_consumed_node_raises(self):
         x = t([1.0, -2.0])
         hidden = T.relu(T.mul_scalar(x, 3.0))
-        T.backward(T.tsum(hidden))
+        T.backward(tsum(hidden))
         with pytest.raises(GraphConsumedError):
-            T.backward(T.tsum(T.mul_scalar(hidden, 2.0)))
+            T.backward(tsum(T.mul_scalar(hidden, 2.0)))
 
     def test_consumed_nodes_keep_their_data(self):
         x = t([1.0, -2.0])
         hidden = T.relu(T.mul_scalar(x, 3.0))
-        loss = T.tsum(hidden)
+        loss = tsum(hidden)
         T.backward(loss)
         np.testing.assert_array_equal(hidden.data, [3.0, 0.0])
         assert float(loss.data) == 3.0
@@ -757,22 +757,22 @@ class TestBackward:
 
     def test_accumulation_is_additive(self):
         x = t([1.0, 2.0])
-        T.backward(T.tsum(x))
+        T.backward(tsum(x))
         first = x.grad.copy()
-        T.backward(T.tsum(x))  # fresh graph, same leaf
+        T.backward(tsum(x))  # fresh graph, same leaf
         np.testing.assert_array_equal(x.grad, 2 * first)
 
     def test_each_node_visited_once(self):
         x = t([1.0, 2.0])
         shared = T.mul(x, x)
-        loss = T.tsum(T.add(shared, shared))  # diamond
+        loss = tsum(T.add(shared, shared))  # diamond
         T.backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * 2 * x.data)
 
     def test_no_grad_blocks_recording(self):
         x = t([1.0])
         with T.no_grad():
-            out = T.tsum(T.mul(x, x))
+            out = tsum(T.mul(x, x))
         assert out._grad_fn is None and not out.requires_grad
 
 
@@ -809,7 +809,7 @@ def test_flatten_reformat_round_trip_bit_exact(seed, c, h, w):
 def test_reshape_grad():
     x = t(np.arange(6, dtype=np.float64).reshape(2, 3))
     coef = np.arange(6, dtype=np.float64).reshape(3, 2)
-    loss = T.tsum(T.mul(T.reshape(x, (3, 2)), T.Tensor(coef)))
+    loss = tsum(T.mul(T.reshape(x, (3, 2)), T.Tensor(coef)))
     T.backward(loss)
     np.testing.assert_array_equal(x.grad, coef.reshape(2, 3))
 
@@ -832,7 +832,7 @@ def test_take_columns_selects_and_scatters():
     out = T.take_columns(w, idx)
     np.testing.assert_array_equal(out.data, w.data[:, idx].T)
     g = np.ones((3, 3))
-    T.backward(T.tsum(out))
+    T.backward(tsum(out))
     expect = np.zeros((3, 4))
     expect[:, 1] = 2.0  # selected twice
     expect[:, 3] = 1.0
@@ -845,5 +845,5 @@ def test_maximum_scalar_propagates_nan_with_zero_gradient():
     out = T.maximum_scalar(x, -1.0)
     assert np.isnan(out.data[0])
     np.testing.assert_array_equal(out.data[1:], [-1.0, 3.0])
-    T.backward(T.tsum(out))
+    T.backward(tsum(out))
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
