@@ -5,9 +5,7 @@ No channel normalization or augmentation happens here: attacks operate
 in raw pixel space, so the epsilon-ball is defined on what the loaders
 return.
 
-All randomness is PCG64 seeded through ``numpy.random.SeedSequence``,
-which is stable across platforms; shuffle order is a pure function of
-(seed, epoch).
+Every random draw of a run comes from ``stream``.
 """
 
 from __future__ import annotations
@@ -20,6 +18,21 @@ import numpy as np
 from .errors import ConfigError, CountMismatchError, DataFormatError
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
+
+# The purposes of ``stream`` and their indices: SHUFFLE (epoch), MODULE (i), EVAL_ATTACK
+# (batch), TRAIN_ATTACK (epoch, batch). Every output depends on these codes: never renumber.
+TEMPLATES, TRAIN_NOISE, TEST_NOISE, SHUFFLE, BACKBONE, MODULE, EVAL_ATTACK, TRAIN_ATTACK = range(8)
+
+
+def stream(seed: int | None, purpose: int, *indices: int) -> np.random.Generator | None:
+    """The one seed rule: PCG64 seeded by ``SeedSequence([seed, purpose, *indices])``.
+    Distinct lists give independent streams, bit-identical on every platform.
+    None for ``seed=None``; a negative seed is a ``ConfigError``."""
+    if seed is None:
+        return None
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, purpose, *indices]))
 
 
 @dataclass
@@ -70,16 +83,15 @@ def synth_dataset(num_classes: int, samples_per_class: int, shape,
     """Class-conditional synthetic images: a fixed random template per
     class plus per-sample Gaussian pixel noise, clamped to [0, 1].
 
-    Templates depend only on ``seed``; the noise stream additionally
-    depends on the split, so train/test share templates but not samples.
+    Templates come from ``stream(seed, TEMPLATES)`` and the noise from
+    ``TRAIN_NOISE`` or ``TEST_NOISE``, so the splits share templates but
+    not samples.
     """
-    shape = tuple(int(v) for v in shape)
-    template_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    templates = template_rng.uniform(0.0, 1.0, size=(num_classes, *shape))
-    split_code = {"train": 1, "test": 2}.get(split)
-    if split_code is None:
+    if split not in ("train", "test"):
         raise ConfigError(f"synth_dataset split must be train|test, got {split!r}")
-    noise_rng = np.random.default_rng(np.random.SeedSequence([seed, split_code]))
+    shape = tuple(int(v) for v in shape)
+    templates = stream(seed, TEMPLATES).uniform(0.0, 1.0, size=(num_classes, *shape))
+    noise_rng = stream(seed, TRAIN_NOISE if split == "train" else TEST_NOISE)
     images = np.empty((num_classes * samples_per_class, *shape), dtype=np.float64)
     labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
     for k in range(num_classes):
@@ -92,12 +104,11 @@ def synth_dataset(num_classes: int, samples_per_class: int, shape,
 
 
 def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
-    """Deterministic shuffled partition; the last short batch is kept."""
+    """Partition shuffled by ``stream(seed, SHUFFLE, epoch)``; the last short
+    batch is kept."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.random.default_rng(
-        np.random.SeedSequence([seed, epoch])
-    ).permutation(len(dataset))
+    order = stream(seed, SHUFFLE, epoch).permutation(len(dataset))
     for start in range(0, len(dataset), batch_size):
         idx = order[start:start + batch_size]
         yield dataset.images[idx], dataset.labels[idx]

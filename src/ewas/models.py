@@ -53,6 +53,7 @@ from .errors import (
     ShapeError,
 )
 from . import tensor
+from .data import BACKBONE, MODULE, stream
 from .scaling import EwasModule, ewas_forward
 from .tensor import (
     BN_EPS,
@@ -197,13 +198,13 @@ class ModelSection:
             raise ConfigError(f"{key}: unknown {unknown}; valid points: {', '.join(hooks)}")
 
     def build(self, seed: int | None) -> Model:
-        """The described model: backbone weights drawn from ``seed``, the scaling
-        module at ``insertion_points[i]`` from ``seed + i + 1``. With
+        """The described model: backbone weights from ``stream(seed, BACKBONE)``,
+        then ``insert_ewas(model, host, seed)`` for each insertion point. With
         ``seed=None`` every weight is zeros and nothing is drawn, for a
         caller that overwrites them (``load_checkpoint``)."""
         model = _ARCHS[self.arch](self, seed)
-        for i, host in enumerate(self.insertion_points):
-            insert_ewas(model, host, seed=None if seed is None else seed + i + 1)
+        for host in self.insertion_points:
+            insert_ewas(model, host, seed)
         return model
 
 
@@ -224,8 +225,8 @@ class ForwardOut:
 class Model:
     """Shared machinery: the layer list, insertion-point taps, scaling modules.
 
-    An architecture's constructor takes ``(spec, seed)``, draws its
-    weights from ``seed`` (zeros if it is ``None``) and registers
+    An architecture's constructor takes ``(spec, seed)``, draws its weights
+    from ``stream(seed, BACKBONE)`` (zeros if it is ``None``) and registers
     each layer with ``_add`` as it builds it; that order is the order of
     ``parameters()``, ``state_arrays()`` and the checkpoint records.
     """
@@ -320,7 +321,7 @@ class SmallCnn(Model):
 
     def __init__(self, spec: ModelSection, seed: int | None):
         super().__init__(spec)
-        rng = _generator(seed)
+        rng = stream(seed, BACKBONE)
         width = spec.width
         channels = (width, 2 * width, 4 * width, 4 * width)
         self.blocks = []
@@ -395,7 +396,7 @@ class ResNetLike(Model):
     def __init__(self, spec: ModelSection, seed: int | None):
         super().__init__(spec)
         width = spec.width
-        rng = _generator(seed)
+        rng = stream(seed, BACKBONE)
         taps = iter(self.INSERTION_POINTS)
         self.stem = self._add(ConvBnLayer("stem.conv", "stem.bn", spec.input_shape[0], width,
                                           3, 1, 1, rng, self.dtype))
@@ -426,20 +427,10 @@ class ResNetLike(Model):
 _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}
 
 
-def _generator(seed: int | None) -> np.random.Generator | None:
-    """The generator weights are drawn from; none for ``seed=None`` (zeros).
-    A negative seed is a ``ConfigError``."""
-    if seed is None:
-        return None
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
 def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
     """Attach a scaling module with one column per model class, sized by a
-    dry-run at ``host_layer``; its weights are drawn from ``seed``, or
-    zeros if it is ``None``.
+    dry-run at ``host_layer``. Module ``i`` draws its weights from
+    ``stream(seed, MODULE, i)``, or is zeros if ``seed`` is ``None``.
 
     Multiple insertions are kept in list order; a repeated host name
     scales the already-scaled activation.
@@ -448,8 +439,9 @@ def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
     with no_grad():
         probe = np.zeros((1, *model.spec.input_shape), dtype=model.dtype)
         flat = model.forward(probe, capture=(host_layer,)).captured[host_layer].data.size
-    model.ewas_modules.append(EwasModule.create(host_layer, flat, model.num_classes,
-                                                _generator(seed), dtype=model.dtype))
+    rng = stream(seed, MODULE, len(model.ewas_modules))
+    model.ewas_modules.append(EwasModule.create(host_layer, flat, model.num_classes, rng,
+                                                dtype=model.dtype))
     model.spec = replace(model.spec, insertion_points=tuple(
         m.host for m in model.ewas_modules))
     return model

@@ -34,7 +34,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .attacks import AttackConfig, loss_heads, pgd, require_modules
-from .data import BatchIterator, Dataset
+from .data import EVAL_ATTACK, TRAIN_ATTACK, BatchIterator, Dataset, stream
 from .errors import ConfigError, NonFiniteError
 from .models import Model, save_checkpoint
 from .tensor import (
@@ -222,10 +222,6 @@ def lr_schedule(epoch: int, base_lr: float, milestones, factor: float = 0.1) -> 
 EVAL_BATCH = 128
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def consecutive_batches(images: np.ndarray, labels: np.ndarray):
     """(images, labels) slices of ``EVAL_BATCH`` rows, in dataset order."""
     for start in range(0, len(labels), EVAL_BATCH):
@@ -236,21 +232,21 @@ def attack_batches(model: Model, images: np.ndarray, labels: np.ndarray,
                    config: AttackConfig):
     """Yield the ``AdversarialBatch`` of each consecutive batch in turn.
 
-    Batch ``bi`` is attacked by ``pgd`` with the seed
-    ``_derived_seed(config.seed, bi)``, the first 32-bit word of
-    ``SeedSequence([config.seed, bi]).generate_state(1)``, so a rerun is
-    bit-identical. A non-finite adversarial input or final objective raises
-    ``NonFiniteError`` naming the attack and the batch.
+    Batch ``bi`` is attacked with the ``stream(config.seed, EVAL_ATTACK, bi)``
+    seed (see ``_checked_pgd``), so a rerun is bit-identical. A non-finite
+    adversarial input or final objective raises ``NonFiniteError`` naming
+    the attack and the batch.
     """
     for bi, (xb, yb) in enumerate(consecutive_batches(images, labels)):
-        yield _checked_pgd(model, xb, yb, config, _derived_seed(config.seed, bi), bi)
+        yield _checked_pgd(model, xb, yb, config, stream(config.seed, EVAL_ATTACK, bi), bi)
 
 
-def _checked_pgd(model: Model, x, y, config: AttackConfig, seed: int, batch: int,
-                 epoch: int | None = None):
-    """``pgd`` with ``seed``; a non-finite adversarial input or final objective
-    raises ``NonFiniteError`` naming the attack, ``batch`` and ``epoch``."""
-    adv = pgd(model, x, y, replace(config, seed=seed))
+def _checked_pgd(model: Model, x, y, config: AttackConfig, rng: np.random.Generator,
+                 batch: int, epoch: int | None = None):
+    """``pgd`` seeded with the first 32-bit word drawn from ``rng``; a non-finite
+    adversarial input or final objective raises ``NonFiniteError`` naming the
+    attack, ``batch`` and ``epoch``."""
+    adv = pgd(model, x, y, replace(config, seed=int(rng.integers(2**32))))
     if not (np.isfinite(adv.x_adv).all() and np.isfinite(adv.loss).all()):
         raise NonFiniteError(f"{config.name!r} attack", batch, epoch)
     return adv
@@ -271,11 +267,10 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
           out_dir=None, config_digest: str = "") -> tuple[Model, list[EpochRecord]]:
     """Run adversarial training; returns the trained model and its epoch records.
 
-    The inner attack on batch ``bi`` of epoch ``e`` gets the seed
-    ``_derived_seed(config.attack.seed, e, bi)``, the first 32-bit word of
-    ``SeedSequence([config.attack.seed, e, bi]).generate_state(1)``. A
-    sample is robust only if it is classified correctly both clean and at
-    the attack's final iterate.
+    Epoch ``e`` is shuffled by ``SHUFFLE`` of ``config.seed``, and its batch
+    ``bi`` attacked with the ``TRAIN_ATTACK`` (e, bi) seed of the attack (see
+    ``_checked_pgd``). A sample is robust only if it is classified correctly
+    both clean and at the attack's final iterate.
 
     When ``out_dir`` is given, a train-log CSV row is appended after each
     epoch and a final checkpoint is written (float64 payload iff the
@@ -314,7 +309,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
             for bi, (xb, yb) in enumerate(it.next_epoch()):
                 correct = _accuracy(model, xb, yb, bi, epoch)  # same state as adv.success
                 adv = _checked_pgd(model, xb, yb, config.attack,
-                                   _derived_seed(config.attack.seed, epoch, bi), bi, epoch)
+                                   stream(config.attack.seed, TRAIN_ATTACK, epoch, bi),
+                                   bi, epoch)
                 terms = term_fn(model, xb, adv.x_adv, yb, config.lam, config.beta)
                 loss = terms["total"]
                 if not np.isfinite(loss.data):

@@ -10,6 +10,7 @@ import pytest
 from ewas.attacks import AttackConfig
 from ewas.cli import EXIT_USAGE, main
 from ewas.config import load_run_config, parse_run_config
+from ewas.data import synth_dataset
 from ewas.errors import ConfigError
 from ewas.models import ModelSection
 from ewas.scaling import MODES
@@ -206,7 +207,8 @@ def test_nan_through_the_python_api_is_a_config_error(make, field):
 @pytest.mark.parametrize("make", [
     lambda: TrainConfig(epochs=1, attack=AttackConfig(0.1, 0.1), seed=-1),
     lambda: ModelSection().build(-1),
-], ids=["train_config", "build"])
+    lambda: synth_dataset(3, 2, (1, 8, 8), seed=-1),
+], ids=["train_config", "build", "synth_dataset"])
 def test_negative_seed_through_the_python_api_is_a_config_error(make):
     with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
         make()

@@ -140,3 +140,18 @@ class TestBatches:
         ds = D.synth_dataset(2, 4, (1, 8, 8), seed=15)
         with pytest.raises(ConfigError):
             list(D.batches(ds, 0, seed=0, epoch=0))
+
+
+class TestStream:
+    def test_first_draws_differ_pairwise(self):
+        """No two purposes or indices of one seed share generator state, and
+        neither does module i of run s and the backbone of run s + i + 1."""
+        s = 4
+        keys = [(s, D.TEMPLATES), (s, D.TRAIN_NOISE), (s, D.TEST_NOISE), (s, D.BACKBONE)]
+        keys += [(s, D.SHUFFLE, epoch) for epoch in range(3)]
+        keys += [(s, D.MODULE, i) for i in range(2)]
+        keys += [(s, D.EVAL_ATTACK, batch) for batch in range(2)]
+        keys += [(s, D.TRAIN_ATTACK, epoch, batch) for epoch in range(3) for batch in range(2)]
+        keys += [(s + i + 1, D.BACKBONE) for i in range(2)]
+        words = [int(D.stream(*key).integers(2**63)) for key in keys]
+        assert len(set(words)) == len(keys)

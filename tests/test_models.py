@@ -60,6 +60,16 @@ class TestSmallCnn:
             outs.append(model.forward(x).logits.data)
         assert outs[0].tobytes() == outs[1].tobytes()
 
+    def test_build_inserts_each_module_at_the_run_seed(self):
+        """Building with insertion points is building without, then ``insert_ewas``
+        at the same seed for each point: module i draws from its own stream."""
+        built = M.ModelSection(insertion_points=("block3", "block4")).build(6)
+        model = M.ModelSection().build(6)
+        M.insert_ewas(model, "block3", seed=6)
+        M.insert_ewas(model, "block4", seed=6)
+        assert ([(n, t.data.tobytes()) for n, t in built.parameters()]
+                == [(n, t.data.tobytes()) for n, t in model.parameters()])
+
     def test_spatial_reduction(self):
         model = M.ModelSection(width=2, input_shape=(1, 16, 16)).build(0)
         out = model.forward(np.zeros((1, 1, 16, 16)), capture=("block4",))
@@ -639,9 +649,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("spec,seed,modules,digest", [
         (M.ModelSection(width=2), 11, [("block3", 12), ("block4", 13)],
-         "cdf5cc9e34432f792d06e6e6affc569efc3301a7e3153aede7969dd71b7aad4f"),
+         "c9bcbd9f49def13cbba6b22d5a636275a9ead95a62bd1ce5fc3648adbc2f9022"),
         (replace(RESNET, dtype="float32"), 1, [("layer15", 2)],
-         "505f10ae2bcea6852b677c0e337535601666cdb27391c69584adf317c2ee24b7"),
+         "95bce69bd02f16708d2d97337bfefbacc2de4a1c8fe332f2a5703cf8f5ae5f66"),
     ], ids=["small_cnn", "resnet18_like"])
     def test_checkpoint_bytes_are_pinned(self, tmp_path, spec, seed, modules, digest):
         """Initial weights, record order and metadata of both architectures; the

@@ -41,6 +41,8 @@ def test_every_exported_name_resolves():
     (errors, "MagicNumberError"),
     (errors, "TruncatedFileError"),
     (tensor, "tsum"),  # the tests' own helper in _gradcheck
+    (models, "_generator"),  # data.stream, the one seed rule
+    (training, "_derived_seed"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_second_spellings_are_gone(module, name):
     assert not hasattr(module, name)

@@ -11,7 +11,7 @@ from ewas import attacks as A
 from ewas import models as M
 from ewas import tensor as T
 from ewas import training as TR
-from ewas.data import synth_dataset
+from ewas.data import EVAL_ATTACK, stream, synth_dataset
 from ewas.errors import ConfigError, NonFiniteError
 from ewas.scaling import EwasModule, ewas_forward
 
@@ -511,7 +511,7 @@ class TestEvaluate:
         advs = list(TR.attack_batches(model, ds.images, ds.labels, cfg))
         assert [len(adv.success) for adv in advs] == [128, 2]
         expect = A.pgd(model, ds.images[128:], ds.labels[128:],
-                       replace(cfg, seed=TR._derived_seed(cfg.seed, 1)))
+                       replace(cfg, seed=int(stream(cfg.seed, EVAL_ATTACK, 1).integers(2**32))))
         assert advs[1].x_adv.tobytes() == expect.x_adv.tobytes()
         assert advs[1].success.tobytes() == expect.success.tobytes()
         assert advs[1].loss.tobytes() == expect.loss.tobytes()
