@@ -25,6 +25,12 @@ pair parameter requires grad (every attack step), the pair runs as one
 conv with the norm folded into its weight and bias, and keeps nothing for
 a gamma gradient; this rounds differently from conv then batch norm.
 
+A frozen forward records a tape in eval mode while no parameter requires
+grad: the input gradient of every attack step. Its backward reads nothing
+of an activation but the sign of each ReLU, so its ReLUs keep a bool mask
+instead of their output, and every activation is dropped after its last
+forward reader unless it is captured.
+
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the
 order the layers were built (little-endian payloads in the model's
@@ -99,14 +105,15 @@ class ConvBnLayer:
         self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.create(cout, dtype=dtype)
 
-    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+    def forward(self, x: Tensor, training: bool, relu: bool = False,
+                keep_mask: bool = False) -> Tensor:
         """The conv then the batch norm, which normalizes in place in the conv's
         fresh output and keeps x̂ there, then max(·, 0) with ``relu``. In eval
         mode, when no gradient can reach the pair's parameters, one conv of
         weight W·s and bias β − mean·s, s = γ / sqrt(var + eps), recomputed
-        on every call, then an in-place ReLU."""
-        live = tensor._grad_enabled and any(
-            p.requires_grad for p in (self.weight, self.gamma, self.beta))
+        on every call, then an in-place ReLU that keeps its mask with
+        ``keep_mask``."""
+        live = tensor._grad_enabled and any(p.requires_grad for p in self.tensors())
         if training or live:
             h = conv2d(x, self.weight, None, self.stride, self.padding)
             return batch_norm2d(h, self.gamma, self.beta, self.stats, training,
@@ -115,11 +122,14 @@ class ConvBnLayer:
         weight = Tensor(self.weight.data * s[:, None, None, None])
         bias = Tensor(self.beta.data - self.stats.mean * s)
         out = conv2d(x, weight, bias, self.stride, self.padding)
-        return tensor.relu(out, inplace=True) if relu else out
+        return tensor.relu(out, inplace=True, keep_mask=keep_mask) if relu else out
+
+    def tensors(self):
+        return self.weight, self.gamma, self.beta
 
     def parameters(self):
-        return [(f"{self.conv_name}.weight", self.weight),
-                (f"{self.bn_name}.gamma", self.gamma), (f"{self.bn_name}.beta", self.beta)]
+        names = (f"{self.conv_name}.weight", f"{self.bn_name}.gamma", f"{self.bn_name}.beta")
+        return list(zip(names, self.tensors()))
 
     def state_arrays(self):
         return [
@@ -145,6 +155,9 @@ class LinearLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         return add_rowvec(matmul(x, self.weight), self.bias)
+
+    def tensors(self):
+        return self.weight, self.bias
 
     def parameters(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
@@ -263,7 +276,10 @@ class Model:
             raise ShapeError(
                 f"input dtype {x.data.dtype} does not match model dtype {np.dtype(self.dtype)}"
             )
-        ctx = _ForwardCtx(self, labels, mask_mode, frozenset(capture))
+        frozen = (not train and x.requires_grad and tensor._grad_enabled
+                  and not any(p.requires_grad for layer in self.layers for p in layer.tensors())
+                  and not any(mod.weight.requires_grad for mod in self.ewas_modules))
+        ctx = _ForwardCtx(self, labels, mask_mode, frozenset(capture), frozen)
         logits = self._run(x, train, ctx)
         return ForwardOut(logits, ctx.alc_scores, ctx.captured)
 
@@ -280,33 +296,58 @@ class Model:
 
 
 class _ForwardCtx:
-    """Per-forward bookkeeping for taps: scaling, scores, captures.
+    """Per-forward bookkeeping for taps: scaling, scores, captures, drops.
 
     Scores are stored by module index, not in tap order: modules listed
-    out of forward order still give ``alc_scores[i]`` for module ``i``."""
+    out of forward order still give ``alc_scores[i]`` for module ``i``.
+    ``frozen`` marks a frozen forward (see the module docstring)."""
 
-    def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset):
+    def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset,
+                 frozen: bool = False):
         self.model = model
         self.labels = labels
         self.mask_mode = mask_mode
         self.capture = capture
+        self.frozen = frozen
         self.alc_scores: list[Tensor | None] = [None] * len(model.ewas_modules)
         self.captured: dict[str, Tensor] = {}
 
     def tap(self, name: str, h: Tensor) -> Tensor:
         for i, mod in enumerate(self.model.ewas_modules):
             if mod.host == name:
-                h, self.alc_scores[i] = ewas_forward(h, mod.weight, self.labels,
-                                                     self.mask_mode)
+                h, scores = ewas_forward(h, mod.weight, self.labels, self.mask_mode)
+                self.alc_scores[i] = scores
+                if self.frozen:  # the unscaled activation, via the flat view the scores read
+                    self.drop(scores._parents[0])
         if name in self.capture:
             self.captured[name] = h
         return h
 
     def drop(self, h: Tensor) -> None:
-        """Free ``h`` once its last forward reader has run, if its producer can
-        refill it for a backward (a BN-ReLU output) and it was not captured."""
-        if h._refill is not None and all(h is not c for c in self.captured.values()):
+        """Free ``h`` once its last forward reader has run, unless it was captured.
+
+        A BN-ReLU output is dropped because its producer can refill it for a
+        backward. On a frozen forward every op result is dropped, since no
+        backward reads an activation, and so are the op results before it
+        that share its buffer (a conv output, the sum written into it and the
+        ReLU on that; a flattening view): they would keep the buffer alive.
+        A frozen block thus keeps no activation buffer, only 2 bool masks."""
+        if any(h is c for c in self.captured.values()):
+            return
+        if h._refill is not None:
             h.data = None
+        elif self.frozen:
+            owner = _base(h.data)
+            while h._grad_fn is not None and h.data is not None and _base(h.data) is owner:
+                h.data = None
+                h = h._parents[0]
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +377,7 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, layer in self.blocks:
-            out = ctx.tap(name, layer.forward(h, training, relu=True))
+            out = ctx.tap(name, layer.forward(h, training, relu=True, keep_mask=ctx.frozen))
             ctx.drop(h)  # read again only by the weight gradient of the conv just run
             h = out
         pooled = global_avg_pool(h)
@@ -358,9 +399,11 @@ class BasicBlock:
     place in the fresh ``bn2`` output, which no backward reads, and a
     ``down`` shortcut is dropped after the add, whose backward does not
     read it. So the tape keeps 3 activation-sized buffers per identity
-    block and 4 per downsampling block. The block input and every tapped
-    activation are never written. Its layers are registered with
-    ``model`` as they are built."""
+    block and 4 per downsampling block. A frozen block (an attack step)
+    keeps no activation buffer, only the 2 bool masks of its ReLUs: each
+    activation is dropped after its last forward reader. The block input
+    and every tapped activation are never written. Its layers are
+    registered with ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
                  rng: np.random.Generator | None, tap1: str, tap2: str):
@@ -378,11 +421,12 @@ class BasicBlock:
                                          stride, 0, rng, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True))
+        h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True,
+                                                  keep_mask=ctx.frozen))
         h2 = self.conv2.forward(h, training)
         ctx.drop(h)
         shortcut = x if self.down is None else self.down.forward(x, training)
-        out = relu(add(h2, shortcut, inplace=True), inplace=True)
+        out = relu(add(h2, shortcut, inplace=True), inplace=True, keep_mask=ctx.frozen)
         if self.down is not None:
             shortcut.data = None
         return ctx.tap(self.tap2, out)
@@ -416,12 +460,15 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True))
+        h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True,
+                                                     keep_mask=ctx.frozen))
         for block in self.blocks:
             out = block.forward(h, training, ctx)
-            ctx.drop(h)  # only the stem's output, after block 1, can be dropped
+            ctx.drop(h)  # unfrozen, only the stem's output, after block 1, can be dropped
             h = out
-        return self.head.forward(global_avg_pool(h))
+        pooled = global_avg_pool(h)
+        ctx.drop(h)
+        return self.head.forward(pooled)
 
 
 _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}

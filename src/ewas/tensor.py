@@ -24,6 +24,10 @@ Conventions that tests rely on:
   ``batch_norm2d``, ``relu`` and ``maximum_scalar`` recompute what they
   need from their operands' ``data`` or their own output (Chen et al.
   2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates,
+* ``relu`` reads its mask ``out > 0`` off its output, or with
+  ``keep_mask=True`` keeps that mask itself, one bool per element, so its
+  output may be dropped; ``mul`` and ``matmul`` keep an operand's array
+  only if the other operand requires grad when the forward runs,
 * ``relu(x, inplace=True)``, ``add(a, b, inplace=True)`` and
   ``batch_norm2d(x, ..., inplace=True)`` write into the first operand's
   ``data``: the ReLU and the sum their result, batch norm the normalized
@@ -36,8 +40,10 @@ Conventions that tests rely on:
 * ``data is None`` marks an op result dropped by its owner after its last
   forward reader. A drop is legal only where no backward reads the
   result's ``data``, neither its producer's (``batch_norm2d``,
-  ``conv2d``) nor its readers' (``add``), or where the only backward
-  that does, ``conv2d``'s weight gradient, can have it written again:
+  ``conv2d``, ``relu`` with ``keep_mask``) nor its readers' (``add``,
+  ``reshape``, ``mul`` or ``matmul`` with a partner that gets no
+  gradient), or where the only backward that does, ``conv2d``'s weight
+  gradient, can have it written again:
   ``batch_norm2d(..., relu=True)`` gives its recorded output a private
   ``_refill`` hook that recomputes relu(x̂·γ + β) with the forward's
   expressions into a given array, so it writes the bytes the forward
@@ -237,11 +243,15 @@ def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; each operand that requires grad receives its gradient."""
+    """Elementwise product; each operand that requires grad receives its gradient.
+
+    The closure keeps an operand's array only if the other operand requires
+    grad when the forward runs: a frozen partner's gradient reads nothing of it."""
     _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return _result(ad * bd, (a, b), lambda g: (g * bd if a.requires_grad else None,
-                                               g * ad if b.requires_grad else None))
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    return _result(a.data * b.data, (a, b), lambda g: (None if bd is None else g * bd,
+                                                       None if ad is None else g * ad))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
@@ -252,14 +262,19 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), lambda g: (g * c,))
 
 
-def relu(x: Tensor, inplace: bool = False) -> Tensor:
+def relu(x: Tensor, inplace: bool = False, keep_mask: bool = False) -> Tensor:
     """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0.
 
-    With ``inplace`` the result is written into ``x.data``; the mask is read
-    off the output either way."""
+    With ``inplace`` the result is written into ``x.data``. The backward's
+    mask ``out > 0`` is read off the output, or with ``keep_mask`` computed
+    in the forward and kept as one bool per element instead, so the owner
+    may drop the output's ``data``."""
     if inplace:
         _check_inplace(x, "relu")
     out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
+    if keep_mask:
+        mask = out > 0
+        return _result(out, (x,), lambda g: (g * mask,))
     return _result(out, (x,), lambda g: (g * (out > 0),))
 
 
@@ -302,13 +317,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
         )
-    ad, bd = a.data, b.data
+    # a's gradient comes in a's layout: a flattened activation is batch-innermost
+    a_like = {"shape": a.data.shape, "dtype": a.data.dtype,
+              "order": "F" if a.data.flags.f_contiguous else "C"}
+    ad = a.data if b.requires_grad else None  # like mul, each operand's array is kept
+    bd = b.data if a.requires_grad else None  # only for the other one's gradient
 
-    def grad_fn(g):  # a's gradient in a's layout: a flattened activation is batch-innermost
-        return (np.matmul(g, bd.T, out=np.empty_like(ad)) if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+    def grad_fn(g):
+        return (None if bd is None else np.matmul(g, bd.T, out=np.empty(**a_like)),
+                None if ad is None else ad.T @ g)
 
-    return _result(ad @ bd, (a, b), grad_fn)
+    return _result(a.data @ b.data, (a, b), grad_fn)
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
@@ -469,7 +488,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     transposed kernel. At larger strides that would multiply zeros, and
     with Cin < Cout it would gather Cout·kh·kw rows where col2im writes
     Cin·kh·kw, so there ``dx`` is ``W.T @ g_c`` folded back by kh·kw
-    slice-adds (col2im); the choice depends on shapes only. The closure
+    slice-adds (col2im); the choice depends on shapes only. col2im takes
+    one kernel row u at a time: the rows of ``W.T`` for u, a (Cin·kw,
+    Cout) matrix, times g_c into one reused (Cin·kw, Ho·Wo·B) buffer,
+    then its kw slice-adds, so each element still sums its (u, v) terms
+    in order and the whole column gradient is never built. The closure
     keeps no array of its own: for ``dw`` the backward rebuilds the padded
     buffer from ``x.data``, which the graph holds anyway, or has a dropped
     input's ``_refill`` hook write it straight into that buffer, and only
@@ -518,11 +541,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)
             dx = dx_c.transpose(3, 0, 1, 2)
         elif x.requires_grad:
-            dcols = (wmat.T @ g_c.reshape(cout, -1)).reshape(cin, kh, kw, ho, wo, b)
+            g_mat = g_c.reshape(cout, -1)
+            w_rows = wmat.reshape(cout, cin, kh, kw)
             dxp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
-            for u in range(kh):
+            # made after dxp: once freed, the crop below reuses its memory at the heap's top
+            dcols = np.empty((cin, kw, ho, wo, b), dtype=np.result_type(wmat, g_c))
+            for u in range(kh):  # one kernel row of the column gradient at a time
+                np.matmul(w_rows[:, :, u].reshape(cout, cin * kw).T, g_mat,
+                          out=dcols.reshape(cin * kw, -1))
                 for v in range(kw):
-                    dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
+                    dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, v]
             del dcols  # freed before the crop is copied
             dx = np.ascontiguousarray(
                 dxp[:, padding:padding + h, padding:padding + w]).transpose(3, 0, 1, 2)

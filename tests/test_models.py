@@ -12,7 +12,7 @@ import pytest
 from ewas import models as M
 from ewas import scaling as S
 from ewas import tensor as T
-from ewas.attacks import AttackConfig, frozen_params, pgd
+from ewas.attacks import AttackConfig, attack_objective, frozen_params, pgd
 from ewas.errors import (
     CheckpointChecksumError,
     CheckpointContentError,
@@ -241,8 +241,8 @@ class TestInplaceActivations:
         bn_out = {}
         forward = M.ConvBnLayer.forward
 
-        def record(layer, x, training, relu=False):
-            bn_out[layer.bn_name] = out = forward(layer, x, training, relu)
+        def record(layer, x, training, relu=False, keep_mask=False):
+            bn_out[layer.bn_name] = out = forward(layer, x, training, relu, keep_mask)
             return out
 
         monkeypatch.setattr(M.ConvBnLayer, "forward", record)
@@ -353,6 +353,103 @@ class TestDroppedActivations:
         for bytes_refilled, bytes_forward in refilled:
             assert bytes_refilled == bytes_forward
         assert got == kept
+
+
+def graph_nodes(root):
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+class TestFrozenTape:
+    """A frozen forward (eval mode, no parameter requires grad: an attack step)
+    keeps a bool mask per ReLU and drops every activation it does not capture."""
+
+    # (spec, scaling-module hosts, lambda_attack)
+    CASES = {
+        "resnet18_like_f32": (replace(RESNET, width=8, input_shape=(3, 32, 32),
+                                      dtype="float32"), ("layer2",), 1.0),
+        "resnet18_like_f64": (replace(RESNET, width=8, input_shape=(3, 32, 32)),
+                              ("layer15",), 0.0),
+        "small_cnn": (M.ModelSection(width=8, input_shape=(2, 32, 32)), ("block2",), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_keeps_one_byte_per_relu_element_and_the_folded_weights(self, case, monkeypatch):
+        """What ``attack_objective``'s live graph keeps, measured by tracemalloc:
+        a bool per ReLU element, each folded conv's weight and bias, each
+        scaling module's selected mask and at most 2 KiB per op."""
+        spec, hosts, lam = self.CASES[case]
+        model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(30), 31)
+        rng = np.random.default_rng(32)
+        batch = 16
+        x = T.Tensor(rng.uniform(0, 1, (batch, *spec.input_shape)).astype(spec.dtype),
+                     requires_grad=True)
+        y = rng.integers(0, spec.num_classes, batch)
+        relu, relu_outs = T.relu, []
+
+        def counted_relu(*args, **kwargs):
+            out = relu(*args, **kwargs)
+            relu_outs.append(out.data)
+            return out
+
+        with frozen_params(model):
+            with monkeypatch.context() as patch:  # a first forward finds the ReLU outputs
+                patch.setattr(T, "relu", counted_relu)
+                patch.setattr(M, "relu", counted_relu)
+                attack_objective(model, x, y, "cross_entropy", lam)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loss = attack_objective(model, x, y, "cross_entropy", lam)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        ops = [node for node in graph_nodes(loss) if node._grad_fn is not None]
+        itemsize = np.dtype(spec.dtype).itemsize
+        folded = sum(layer.weight.data.nbytes + layer.gamma.data.nbytes
+                     for layer in model.layers if isinstance(layer, M.ConvBnLayer))
+        masks = sum(mod.weight.data.shape[0] * batch * itemsize for mod in model.ewas_modules)
+        relu_elements = sum(out.size for out in relu_outs)
+        assert kept <= relu_elements + folded + masks + 2048 * len(ops)
+        smallest = min(out.nbytes for out in relu_outs)
+        assert all(node.data is None or node.data.nbytes < smallest for node in ops)
+        assert relu_elements * itemsize > folded + masks  # what a kept output would cost
+
+    # scaling-module hosts for FOLD_SPECS, one early and one late
+    HOSTS = {"small_cnn": ("block1", "block3"), "resnet18_like": ("layer2", "layer15")}
+
+    @pytest.mark.parametrize("mask_mode", ["inference", "training"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_input_gradient_matches_a_forward_that_drops_nothing(self, arch, dtype, lam,
+                                                                 mask_mode):
+        """Captured activations are never dropped, so capturing every point
+        keeps each activation; the input gradient is the same bit for bit."""
+        spec = replace(FOLD_SPECS[arch], dtype=dtype, insertion_points=self.HOSTS[arch])
+        model = randomize_batch_norms(spec.build(33), 34)
+        rng = np.random.default_rng(35)
+        x = rng.uniform(0, 1, (6, *spec.input_shape)).astype(dtype)
+        y = rng.integers(0, spec.num_classes, 6)
+        runs = []
+        for capture in ((), model.INSERTION_POINTS):
+            xt = T.Tensor(x, requires_grad=True)
+            with frozen_params(model):
+                out = model.forward(xt, labels=y, mask_mode=mask_mode, capture=capture)
+                loss = T.softmax_cross_entropy(out.logits, y)
+                for scores in out.alc_scores:
+                    loss = T.add(loss, T.mul_scalar(T.softmax_cross_entropy(scores, y), lam))
+                dropped = sum(node.data is None for node in graph_nodes(loss))
+                T.backward(loss)
+            runs.append((xt.grad.tobytes(), dropped))
+        (got, dropped), (want, dropped_when_captured) = runs
+        assert got == want
+        assert dropped > dropped_when_captured
 
 
 def batch_innermost(a: np.ndarray) -> bool:

@@ -298,6 +298,67 @@ class TestConv2dRowBlocks:
         assert peak <= 2 * padded + 2 * activation + 2 * T._BLOCK_BYTES
 
 
+def col2im_whole_reference(w, g, h, wd, stride, padding):
+    """The col2im input gradient as it was first written: the whole column
+    gradient W.T @ g at once, folded back by kh·kw slice-adds in (u, v) order."""
+    cout, cin, kh, kw = w.shape
+    b, _, ho, wo = g.shape
+    g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(cout, -1)
+    dcols = (w.reshape(cout, -1).T @ g_c).reshape(cin, kh, kw, ho, wo, b)
+    dxp = np.zeros((cin, h + 2 * padding, wd + 2 * padding, b), dtype=w.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, u, v]
+    return dxp[:, padding:padding + h, padding:padding + wd].transpose(3, 0, 1, 2)
+
+
+class TestCol2imByKernelRow:
+    """The col2im input gradient (stride > 1, or Cin < Cout) builds its column
+    gradient one kernel row at a time."""
+
+    # (B, Cin, H, W, Cout, k, stride, padding): the col2im convs of CONV_CASES, of
+    # a width-16 resnet18_like on 3x32x32 inputs at batch 30 and of the toy small_cnn
+    CASES = [case for case in CONV_CASES if case[6] > 1 or case[1] < case[4]] + [
+        (30, 3, 32, 32, 16, 3, 1, 1), (30, 16, 32, 32, 32, 3, 2, 1),
+        (30, 16, 32, 32, 32, 1, 2, 0), (30, 32, 16, 16, 64, 3, 2, 1),
+        (30, 32, 16, 16, 64, 1, 2, 0), (30, 64, 8, 8, 128, 3, 2, 1),
+        (30, 64, 8, 8, 128, 1, 2, 0), (64, 1, 8, 8, 8, 3, 1, 1),
+        (64, 8, 8, 8, 16, 3, 2, 1), (64, 16, 4, 4, 32, 3, 2, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_input_gradient_matches_the_whole_column_gradient_bit_for_bit(self, case, dtype):
+        b, cin, h, w, cout, k, s, p = case
+        rng = np.random.default_rng(sum(case))
+        x = T.Tensor(rng.normal(size=(b, cin, h, w)).astype(dtype), requires_grad=True)
+        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype))
+        out = T.conv2d(x, wt, stride=s, padding=p)
+        g = rng.normal(size=out.shape).astype(dtype)
+        dx = out._grad_fn(g)[0]
+        want = col2im_whole_reference(wt.data, g, h, w, s, p)
+        assert dx.dtype == want.dtype and dx.tobytes() == want.tobytes()
+
+    def test_peak_holds_one_kernel_row_of_the_column_gradient(self):
+        """The input gradient of a stride-2 conv, measured by tracemalloc."""
+        b, cin, h, cout, k = 8, 16, 32, 32, 3
+        ho = h // 2
+        rng = np.random.default_rng(18)
+        x = t(rng.normal(size=(b, cin, h, h)))
+        w = t(rng.normal(size=(cout, cin, k, k)), rg=False)
+        out = T.conv2d(x, w, stride=2, padding=1)
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            dx = out._grad_fn(g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g_c = cout * ho * ho * b * 8
+        padded = cin * (h + 2) * (h + 2) * b * 8
+        dcols = cin * k * k * ho * ho * b * 8  # the whole column gradient, 2.4 MB
+        assert peak <= g_c + padded + dx.nbytes + dcols // k + 4096
+
+
 def retained(op):
     """Run ``op()`` under tracemalloc; returns (bytes it left allocated, its result).
 
@@ -380,6 +441,60 @@ class TestOpRetainedMemory:
         assert out._grad_fn is not None
         assert (out.data is x.data) == inplace
         assert kept <= (0 if inplace else out.data.nbytes) + SLACK
+
+
+class TestFrozenPartnerRetainedMemory:
+    """``mul`` and ``matmul`` keep an operand's array only for the other
+    operand's gradient: once its owner drops it, a frozen partner keeps none."""
+
+    @pytest.mark.parametrize("first", [True, False], ids=["live_first", "live_second"])
+    @pytest.mark.parametrize("op,frozen_shape", [(T.mul, (64, 4096)), (T.matmul, None)],
+                             ids=["mul", "matmul"])
+    def test_keeps_no_copy_of_the_live_operand(self, op, frozen_shape, first):
+        rng = np.random.default_rng(9)
+        leaf = t(rng.normal(size=(64, 4096)))
+        if frozen_shape is None:  # matmul: (64, 4096) @ (4096, 10), or (10, 64) @ (64, 4096)
+            frozen_shape = (4096, 10) if first else (10, 64)
+        partner = t(rng.normal(size=frozen_shape), rg=False)
+
+        def run():
+            live = T.mul_scalar(leaf, 1.0)  # a fresh op result, as activations are
+            out = op(live, partner) if first else op(partner, live)
+            live.data = None  # as a frozen forward's owner drops it
+            return out
+
+        kept, out = retained(run)
+        assert out._grad_fn is not None
+        assert kept <= out.data.nbytes + SLACK  # the live operand is 2 MiB
+
+
+class TestReluKeepMask:
+    """``relu(..., keep_mask=True)`` keeps one bool per element instead of its output."""
+
+    @pytest.mark.parametrize("inplace", [False, True])
+    def test_same_bytes_and_gradient_as_reading_the_output(self, inplace):
+        data = np.random.default_rng(11).normal(size=(3, 4, 5, 5))
+        data[0, 0, 0, :3] = (0.0, np.nan, -0.0)
+        coef = T.Tensor(np.random.default_rng(12).normal(size=data.shape))
+        results = []
+        for keep_mask in (False, True):
+            x = t(data)
+            out = T.relu(T.mul_scalar(x, 1.0), inplace=inplace, keep_mask=keep_mask)
+            T.backward(tsum(T.mul(out, coef)))
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_keeps_one_byte_per_element_once_its_output_is_dropped(self):
+        x = T.mul_scalar(t(np.random.default_rng(13).normal(size=(8, 16, 16, 16))), 1.0)
+
+        def run():
+            out = T.relu(x, keep_mask=True)
+            data, out.data = out.data, None
+            return out, data.size
+
+        kept, (out, size) = retained(run)
+        assert out._grad_fn is not None
+        assert kept <= size + SLACK
 
 
 class TestInplaceOps:
