@@ -25,11 +25,13 @@ pair parameter requires grad (every attack step), the pair runs as one
 conv with the norm folded into its weight and bias, and keeps nothing for
 a gamma gradient; this rounds differently from conv then batch norm.
 
-A frozen forward records a tape in eval mode while no parameter requires
-grad: the input gradient of every attack step. Its backward reads nothing
-of an activation but the sign of each ReLU, so its ReLUs keep a bool mask
-instead of their output, and every activation is dropped after its last
-forward reader unless it is captured.
+The forward code holds an activation only while it still reads it, and
+the tape keeps only what a backward reads (see ``tensor``): an activation
+lives as long as a reference to it. A frozen forward records a tape in
+eval mode while no parameter requires grad: the input gradient of every
+attack step. Its backward reads nothing of an activation but the sign of
+each ReLU, so its ReLUs keep a bool mask instead of their output, and it
+keeps no activation that it does not capture.
 
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the
@@ -111,8 +113,7 @@ class ConvBnLayer:
         fresh output and keeps x̂ there, then max(·, 0) with ``relu``. In eval
         mode, when no gradient can reach the pair's parameters, one conv of
         weight W·s and bias β − mean·s, s = γ / sqrt(var + eps), recomputed
-        on every call, then an in-place ReLU that keeps its mask with
-        ``keep_mask``."""
+        on every call, then a ReLU that keeps its mask with ``keep_mask``."""
         live = tensor._grad_enabled and any(p.requires_grad for p in self.tensors())
         if training or live:
             h = conv2d(x, self.weight, None, self.stride, self.padding)
@@ -122,7 +123,7 @@ class ConvBnLayer:
         weight = Tensor(self.weight.data * s[:, None, None, None])
         bias = Tensor(self.beta.data - self.stats.mean * s)
         out = conv2d(x, weight, bias, self.stride, self.padding)
-        return tensor.relu(out, inplace=True, keep_mask=keep_mask) if relu else out
+        return tensor.relu(out, keep_mask=keep_mask) if relu else out
 
     def tensors(self):
         return self.weight, self.gamma, self.beta
@@ -296,11 +297,12 @@ class Model:
 
 
 class _ForwardCtx:
-    """Per-forward bookkeeping for taps: scaling, scores, captures, drops.
+    """Per-forward bookkeeping for taps: scaling, scores, captures.
 
     Scores are stored by module index, not in tap order: modules listed
     out of forward order still give ``alc_scores[i]`` for module ``i``.
-    ``frozen`` marks a frozen forward (see the module docstring)."""
+    ``frozen`` marks a frozen forward (see the module docstring). A
+    captured activation lives as long as ``captured``."""
 
     def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset,
                  frozen: bool = False):
@@ -317,37 +319,9 @@ class _ForwardCtx:
             if mod.host == name:
                 h, scores = ewas_forward(h, mod.weight, self.labels, self.mask_mode)
                 self.alc_scores[i] = scores
-                if self.frozen:  # the unscaled activation, via the flat view the scores read
-                    self.drop(scores._parents[0])
         if name in self.capture:
             self.captured[name] = h
         return h
-
-    def drop(self, h: Tensor) -> None:
-        """Free ``h`` once its last forward reader has run, unless it was captured.
-
-        A BN-ReLU output is dropped because its producer can refill it for a
-        backward. On a frozen forward every op result is dropped, since no
-        backward reads an activation, and so are the op results before it
-        that share its buffer (a conv output, the sum written into it and the
-        ReLU on that; a flattening view): they would keep the buffer alive.
-        A frozen block thus keeps no activation buffer, only 2 bool masks."""
-        if any(h is c for c in self.captured.values()):
-            return
-        if h._refill is not None:
-            h.data = None
-        elif self.frozen:
-            owner = _base(h.data)
-            while h._grad_fn is not None and h.data is not None and _base(h.data) is owner:
-                h.data = None
-                h = h._parents[0]
-
-
-def _base(a: np.ndarray) -> np.ndarray:
-    """The array that owns ``a``'s memory."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +351,8 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, layer in self.blocks:
-            out = ctx.tap(name, layer.forward(h, training, relu=True, keep_mask=ctx.frozen))
-            ctx.drop(h)  # read again only by the weight gradient of the conv just run
-            h = out
-        pooled = global_avg_pool(h)
-        ctx.drop(h)
-        return self.head.forward(pooled)
+            h = ctx.tap(name, layer.forward(h, training, relu=True, keep_mask=ctx.frozen))
+        return self.head.forward(global_avg_pool(h))
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +363,17 @@ class BasicBlock:
     """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU.
 
     Each batch norm keeps x̂ in its conv's output buffer. The first ReLU
-    runs inside its batch norm, and its output is dropped after ``conv2``
-    has read it, unless a tap scales or captures it: ``conv2``'s weight
-    gradient has it refilled from x̂. The add and the last ReLU run in
-    place in the fresh ``bn2`` output, which no backward reads, and a
-    ``down`` shortcut is dropped after the add, whose backward does not
-    read it. So the tape keeps 3 activation-sized buffers per identity
-    block and 4 per downsampling block. A frozen block (an attack step)
-    keeps no activation buffer, only the 2 bool masks of its ReLUs: each
-    activation is dropped after its last forward reader. The block input
-    and every tapped activation are never written. Its layers are
-    registered with ``model`` as they are built."""
+    runs inside its batch norm, and ``conv2``'s weight gradient keeps its
+    refill hook, not its output, so that output is freed once ``conv2``
+    has read it, unless a tap scales or captures it. No backward reads
+    the ``bn2`` output or a ``down`` shortcut, so they are freed after the
+    add, and the add's sum after the last ReLU, which keeps its output.
+    So the tape keeps 3 activation-sized buffers per identity block and 4
+    per downsampling block. A frozen block (an attack step) keeps no
+    activation buffer, only the 2 bool masks of its ReLUs. Batch norm
+    writes only into its conv's fresh output, so the block input and
+    every tapped activation are never written. Its layers are registered
+    with ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
                  rng: np.random.Generator | None, tap1: str, tap2: str):
@@ -423,13 +393,9 @@ class BasicBlock:
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True,
                                                   keep_mask=ctx.frozen))
-        h2 = self.conv2.forward(h, training)
-        ctx.drop(h)
-        shortcut = x if self.down is None else self.down.forward(x, training)
-        out = relu(add(h2, shortcut, inplace=True), inplace=True, keep_mask=ctx.frozen)
-        if self.down is not None:
-            shortcut.data = None
-        return ctx.tap(self.tap2, out)
+        h = self.conv2.forward(h, training)
+        h = add(h, x if self.down is None else self.down.forward(x, training))
+        return ctx.tap(self.tap2, relu(h, keep_mask=ctx.frozen))
 
 
 class ResNetLike(Model):
@@ -463,12 +429,8 @@ class ResNetLike(Model):
         h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True,
                                                      keep_mask=ctx.frozen))
         for block in self.blocks:
-            out = block.forward(h, training, ctx)
-            ctx.drop(h)  # unfrozen, only the stem's output, after block 1, can be dropped
-            h = out
-        pooled = global_avg_pool(h)
-        ctx.drop(h)
-        return self.head.forward(pooled)
+            h = block.forward(h, training, ctx)
+        return self.head.forward(global_avg_pool(h))
 
 
 _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}

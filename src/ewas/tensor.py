@@ -19,36 +19,31 @@ Conventions that tests rely on:
   column (numpy C order) whatever the memory order -- the single
   contract shared with the scaling module's mask reformat,
 * a graph may be backpropagated exactly once, and ``backward`` frees it
-  node by node as it goes,
-* no backward closure keeps a copy of an activation: ``conv2d``,
-  ``batch_norm2d``, ``relu`` and ``maximum_scalar`` recompute what they
-  need from their operands' ``data`` or their own output (Chen et al.
-  2016, arXiv:1604.06174); only the (B, K) loss ops keep intermediates,
-* ``relu`` reads its mask ``out > 0`` off its output, or with
-  ``keep_mask=True`` keeps that mask itself, one bool per element, so its
-  output may be dropped; ``mul`` and ``matmul`` keep an operand's array
-  only if the other operand requires grad when the forward runs,
-* ``relu(x, inplace=True)``, ``add(a, b, inplace=True)`` and
-  ``batch_norm2d(x, ..., inplace=True)`` write into the first operand's
-  ``data``: the ReLU and the sum their result, batch norm the normalized
-  input x̂, which its backward then reads there instead of recomputing
-  it. That is legal only when the operand is a fresh op result whose
-  producer's backward does not read its own output (``batch_norm2d``,
-  ``conv2d``, ``add``), and nothing else reads the operand afterwards; a
-  leaf that requires grad (a parameter, an attack input) raises, and so
-  does an output with a ``_refill`` hook,
-* ``data is None`` marks an op result dropped by its owner after its last
-  forward reader. A drop is legal only where no backward reads the
-  result's ``data``, neither its producer's (``batch_norm2d``,
-  ``conv2d``, ``relu`` with ``keep_mask``) nor its readers' (``add``,
-  ``reshape``, ``mul`` or ``matmul`` with a partner that gets no
-  gradient), or where the only backward that does, ``conv2d``'s weight
-  gradient, can have it written again:
-  ``batch_norm2d(..., relu=True)`` gives its recorded output a private
-  ``_refill`` hook that recomputes relu(x̂·γ + β) with the forward's
-  expressions into a given array, so it writes the bytes the forward
-  produced (Pleiss et al. 2017, arXiv:1707.06990). A dropped result has
-  no ``shape``; ``backward`` clears the hook with the closure.
+  entry by entry as it goes,
+* the tape is a graph of entries, never of tensors: an op result that
+  requires grad holds a ``_Node`` with its backward closure and its
+  parents' entries, and a leaf (a parameter, a folded weight, an attack
+  input) is its own entry. A closure captures at forward time only the
+  arrays and flags its backward reads, so an activation lives as long as
+  a reference to it: the model code, a capture, or a closure that reads
+  it. ``conv2d`` reads its input only for a weight gradient, ``relu`` its
+  output (or with ``keep_mask=True`` the bool mask ``out > 0``, one byte
+  per element), ``batch_norm2d`` its normalized input x̂; ``add``,
+  ``reshape`` and the pool read nothing of an activation, and ``mul`` and
+  ``matmul`` keep an operand's array only if the other operand requires
+  grad when the forward runs. No closure keeps a copy of an activation:
+  only the (B, K) loss ops keep intermediates (Chen et al. 2016,
+  arXiv:1604.06174),
+* ``batch_norm2d(..., inplace=True)`` writes x̂ into its operand's
+  ``data``, and its backward reads it there instead of recomputing it.
+  That is legal only when the operand is a fresh op result whose
+  producer's backward does not read it (``conv2d``), and nothing else
+  reads the operand afterwards; a leaf that requires grad raises, and so
+  does an output with a ``_refill`` hook. ``batch_norm2d(..., relu=True)``
+  gives its recorded output that hook: it writes relu(x̂·γ + β) again
+  with the forward's expressions into a given array, so the forward's
+  bytes (Pleiss et al. 2017, arXiv:1707.06990). A ``conv2d`` weight
+  gradient keeps the hook instead of its input's array.
 """
 
 from __future__ import annotations
@@ -82,11 +77,22 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """Numeric array plus optional gradient accumulator and tape links."""
+class _Node:
+    """The tape entry of an op result: its backward closure and its parents'
+    entries. Backpropagation consumes it: both links are then cleared."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed",
-                 "_refill")
+    __slots__ = ("grad_fn", "parents")
+    requires_grad = True
+
+    def __init__(self, grad_fn, parents: tuple):
+        self.grad_fn = grad_fn
+        self.parents = parents
+
+
+class Tensor:
+    """Numeric array plus optional gradient accumulator and tape entry."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_refill")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -95,10 +101,18 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._grad_fn = None
-        self._consumed = False
+        self._node = None
         self._refill = None
+
+    @property
+    def _grad_fn(self):
+        """An op result's backward closure; None for a leaf or once consumed.
+        Settable, so a tracer can wrap it."""
+        return None if self._node is None else self._node.grad_fn
+
+    @_grad_fn.setter
+    def _grad_fn(self, fn):
+        self._node.grad_fn = fn
 
     @property
     def shape(self):
@@ -140,20 +154,14 @@ class Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
-    """Wrap an op result, recording the tape edge only when it matters."""
+    """Wrap an op result, recording its tape entry only when it matters."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._consumed = False
     out._refill = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fn = None
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out._node = (_Node(grad_fn, tuple([p._node or p for p in parents]))
+                 if out.requires_grad else None)
     return out
 
 
@@ -162,47 +170,46 @@ def backward(loss: Tensor) -> None:
 
     The graph below ``loss`` is consumed; a second call raises
     ``GraphConsumedError``. Gradient accumulation into leaves is additive
-    across separate graphs. Each node is released as soon as its gradient
+    across separate graphs. Each entry is released as soon as its gradient
     has been routed: its closure and parent links are dropped, so the
-    activations it held are freed while the walk goes on. A consumed
+    arrays it captured are freed while the walk goes on. A consumed
     tensor keeps its ``data``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    # iterative post-order walk: every node comes after all of its parents
-    order: list[Tensor] = []
+    root = loss._node or loss
+    # iterative post-order walk: every entry comes after all of its parents
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        entry, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(entry)
             continue
-        if id(node) in seen:
+        if id(entry) in seen:
             continue
-        if node._consumed:
-            raise GraphConsumedError("graph already consumed by a previous backward()")
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    grad_map = {id(loss): np.ones_like(loss.data)}
+        seen.add(id(entry))
+        stack.append((entry, True))
+        if isinstance(entry, _Node):
+            if entry.grad_fn is None:
+                raise GraphConsumedError("graph already consumed by a previous backward()")
+            stack.extend((parent, False) for parent in entry.parents if id(parent) not in seen)
+    grad_map = {id(root): np.ones_like(loss.data)}
     while order:
-        node = order.pop()
-        g = grad_map.pop(id(node), None)
+        entry = order.pop()
+        g = grad_map.pop(id(entry), None)
         if g is None:
             continue
-        if node._grad_fn is None:
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+        if isinstance(entry, Tensor):
+            if entry.requires_grad:
+                if entry.grad is None:
+                    entry.grad = np.zeros_like(entry.data)
+                entry.grad += g
             continue
-        node._consumed = True
-        parent_grads = node._grad_fn(g)
-        parents = node._parents
-        node._grad_fn, node._parents, node._refill = None, (), None
+        parent_grads = entry.grad_fn(g)
+        parents = entry.parents
+        entry.grad_fn, entry.parents = None, ()
         for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:
                 continue
@@ -222,24 +229,9 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # elementwise and scalar ops
 # ---------------------------------------------------------------------------
 
-def _check_inplace(x: Tensor, op: str) -> None:
-    """An in-place op may not overwrite a parameter, an attack input, or an
-    output whose producer may be asked to write it again."""
-    if x.requires_grad and x._grad_fn is None:
-        raise ValueError(f"{op}(inplace=True) would overwrite a leaf that requires grad")
-    if x._refill is not None:
-        raise ValueError(f"{op}(inplace=True) would overwrite an output its producer refills")
-
-
-def add(a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
-    """a + b; with ``inplace`` the sum is written into ``a.data``."""
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    if inplace:
-        _check_inplace(a, "add")
-        out = np.add(a.data, b.data, out=a.data)
-    else:
-        out = a.data + b.data
-    return _result(out, (a, b), lambda g: (g, g))
+    return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -262,16 +254,13 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), lambda g: (g * c,))
 
 
-def relu(x: Tensor, inplace: bool = False, keep_mask: bool = False) -> Tensor:
+def relu(x: Tensor, keep_mask: bool = False) -> Tensor:
     """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0.
 
-    With ``inplace`` the result is written into ``x.data``. The backward's
-    mask ``out > 0`` is read off the output, or with ``keep_mask`` computed
-    in the forward and kept as one bool per element instead, so the owner
-    may drop the output's ``data``."""
-    if inplace:
-        _check_inplace(x, "relu")
-    out = np.maximum(x.data, 0.0, out=x.data if inplace else None)
+    The backward's mask ``out > 0`` is read off the output, or with
+    ``keep_mask`` computed in the forward and kept as one bool per element
+    instead, so the output is freed with its last reference."""
+    out = np.maximum(x.data, 0.0)
     if keep_mask:
         mask = out > 0
         return _result(out, (x,), lambda g: (g * mask,))
@@ -334,8 +323,8 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Add a length-K vector to every row of a (B, K) tensor."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.data.shape[1] != v.data.shape[0]:
         raise ShapeError(f"add_rowvec: got {x.data.shape} and {v.data.shape}")
-    return _result(x.data + v.data, (x, v),
-                   lambda g: (g, g.sum(axis=0) if v.requires_grad else None))
+    need_dv = v.requires_grad
+    return _result(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0) if need_dv else None))
 
 
 def gather_labels(x: Tensor, labels: np.ndarray) -> Tensor:
@@ -345,13 +334,14 @@ def gather_labels(x: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= k:
         raise IndexError(f"label out of range [0, {k})")
     rows = np.arange(batch)
+    xd = x.data
 
     def grad_fn(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros_like(xd)
         np.add.at(dx, (rows, labels), g)
         return (dx,)
 
-    return _result(x.data[rows, labels].copy(), (x,), grad_fn)
+    return _result(xd[rows, labels].copy(), (x,), grad_fn)
 
 
 def masked_rowmax(x: Tensor, exclude_labels: np.ndarray) -> Tensor:
@@ -365,12 +355,13 @@ def masked_rowmax(x: Tensor, exclude_labels: np.ndarray) -> Tensor:
     if k < 2:
         raise ShapeError("masked_rowmax needs at least 2 columns")
     rows = np.arange(batch)
-    masked = x.data.copy()
+    xd = x.data
+    masked = xd.copy()
     masked[rows, labels] = -np.inf
     winners = masked.argmax(axis=1)
 
     def grad_fn(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros_like(xd)
         np.add.at(dx, (rows, winners), g)
         return (dx,)
 
@@ -387,9 +378,10 @@ def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
     d, k = w.data.shape
     if idx.min() < 0 or idx.max() >= k:
         raise IndexError(f"column index out of range [0, {k})")
+    dtype = w.data.dtype
 
     def grad_fn(g):
-        dwt = np.zeros((k, d), dtype=w.data.dtype)
+        dwt = np.zeros((k, d), dtype=dtype)
         np.add.at(dwt, idx, g)
         return (dwt.T.copy(),)
 
@@ -493,11 +485,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Cout) matrix, times g_c into one reused (Cin·kw, Ho·Wo·B) buffer,
     then its kw slice-adds, so each element still sums its (u, v) terms
     in order and the whole column gradient is never built. The closure
-    keeps no array of its own: for ``dw`` the backward rebuilds the padded
-    buffer from ``x.data``, which the graph holds anyway, or has a dropped
-    input's ``_refill`` hook write it straight into that buffer, and only
-    if ``weight.requires_grad`` was set at forward time. Neither gradient
-    reads ``x.data`` otherwise.
+    keeps no array of its own but the weight, and reads the input only
+    for ``dw``, if ``weight.requires_grad`` is set at forward time: it
+    keeps the input's ``_refill`` hook, which writes it straight into the
+    padded buffer, else ``x.data``, from which the buffer is rebuilt.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -517,30 +508,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data[:, None, None, None]
     out = out.transpose(3, 0, 1, 2)
-    need_dw = weight.requires_grad  # frozen_params may flip it before backward
+    x_in = (x._refill or x.data) if weight.requires_grad else None  # what dw reads
+    need_dx, need_db = x.requires_grad, bias is not None and bias.requires_grad
     col2im = stride > 1 or cin < cout
 
     def grad_fn(g):
         dw = db = dx = None
-        need_db = bias is not None and bias.requires_grad
-        if need_dw or need_db or (x.requires_grad and col2im):
+        if x_in is not None or need_db or (need_dx and col2im):
             g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
-        if need_dw:
-            if x.data is None:  # dropped after the forward: its producer writes it again
+        if x_in is not None:
+            if callable(x_in):  # the producer writes the input again
                 xp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
-                x._refill(xp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
+                x_in(xp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
             else:
-                xp = _pad_batch_inner(x.data, padding, padding)
+                xp = _pad_batch_inner(x_in, padding, padding)
             dw = _weight_grad(g_c, xp, kh, kw, stride).reshape(cout, cin, kh, kw)
             del xp  # freed before dx is computed
         if need_db:
             db = g_c.reshape(cout, -1).sum(axis=1)
-        if x.requires_grad and not col2im:
+        if need_dx and not col2im:
             wflip = wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gp = _pad_batch_inner(g, kh - 1 - padding, kw - 1 - padding)
             dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)
             dx = dx_c.transpose(3, 0, 1, 2)
-        elif x.requires_grad:
+        elif need_dx:
             g_mat = g_c.reshape(cout, -1)
             w_rows = wmat.reshape(cout, cin, kh, kw)
             dxp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
@@ -594,19 +585,22 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     Training mode normalizes by batch statistics (biased variance) and
     updates ``stats`` in place with momentum 0.1 (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
-    The closure keeps only the per-channel mean and inverse standard
-    deviation. With ``inplace`` the normalized input ``xhat`` is written
-    into ``x.data`` and the backward reads it there; without, the backward
+    Besides per-channel numbers the closure keeps one array, and only if
+    its backward reads x̂: with ``inplace`` the normalized input ``xhat``
+    is written into ``x.data`` and read there; without, the backward
     recomputes it from ``x.data`` with the forward's expression. Either way
     it gets the same bits. With ``relu`` the backward's mask is
     ``xhat·gamma + beta > 0``, not a read of the output, and a recorded
-    output gets a ``_refill`` hook that writes its bytes again, so its
-    owner may drop its ``data``.
+    output gets a ``_refill`` hook that writes its bytes again, so a
+    conv's weight gradient need not keep it.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d needs rank-4 input, got {x.data.shape}")
-    if inplace:
-        _check_inplace(x, "batch_norm2d")
+    if inplace and x.requires_grad and x._node is None:
+        raise ValueError("batch_norm2d(inplace=True) would overwrite a leaf that requires grad")
+    if inplace and x._refill is not None:
+        raise ValueError("batch_norm2d(inplace=True) would overwrite an output its producer "
+                         "refills")
     b, c, h, w = x.data.shape
     n = b * h * w
     gd = gamma.data.reshape(1, c, 1, 1)
@@ -633,23 +627,25 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     if relu:
         np.maximum(out, 0.0, out=out)
 
+    need_dx, need_dgamma, need_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    xd = x.data if relu or need_dgamma or (training and need_dx) else None
+
     def xhat():
-        return x.data if inplace else (x.data - mean.reshape(1, c, 1, 1)) * ivs
+        return xd if inplace else (xd - mean.reshape(1, c, 1, 1)) * ivs
 
     def grad_fn(g):
-        need_xhat = relu or gamma.requires_grad or (training and x.requires_grad)
-        xh = xhat() if need_xhat else None
+        xh = None if xd is None else xhat()
         if relu:
             g = g * (xh * gd + bd > 0)
-        dgamma = (g * xh).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        dgamma = (g * xh).sum(axis=(0, 2, 3)) if need_dgamma else None
+        dbeta = g.sum(axis=(0, 2, 3)) if need_dbeta else None
         dx = None
-        if x.requires_grad and training:
+        if need_dx and training:
             dxhat = g * gd
             sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             sum_dxhat_xhat = (dxhat * xh).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
             dx = (ivs / n) * (n * dxhat - sum_dxhat - xh * sum_dxhat_xhat)
-        elif x.requires_grad:
+        elif need_dx:
             dx = g * gd * ivs
         return (dx, dgamma, dbeta)
 
@@ -749,10 +745,12 @@ def kl_divergence(p_ref: Tensor, q: Tensor, reduction: str = "mean") -> Tensor:
     terms = pd * (log_p - log_q)
     rowkl = terms.sum(axis=1)
 
+    qd = q.data
+
     def grad_fn(g):
         w = (g / b) if reduction == "mean" else g[:, None]
         dp = np.where(pd > 0, log_p - log_q + 1.0, 0.0) * w
-        dq = np.where(q.data > 1e-12, -pd / q_safe, 0.0) * w
+        dq = np.where(qd > 1e-12, -pd / q_safe, 0.0) * w
         return (dp, dq)
 
     if reduction == "mean":
@@ -774,7 +772,8 @@ def boosted_cross_entropy(probs: Tensor, labels) -> Tensor:
     labels = _check_labels(labels, k)
     _check_prob_rows(probs.data, "probs")
     lo, hi = 1e-12, 1.0 - 1e-12
-    p = np.clip(probs.data, lo, hi)
+    pd = probs.data
+    p = np.clip(pd, lo, hi)
     rows = np.arange(b)
     masked = p.copy()
     masked[rows, labels] = -np.inf
@@ -783,8 +782,8 @@ def boosted_cross_entropy(probs: Tensor, labels) -> Tensor:
     loss = np.asarray(loss_rows.mean(), dtype=p.dtype)
 
     def grad_fn(g):
-        interior = (probs.data > lo) & (probs.data < hi)
-        dp = np.zeros_like(probs.data)
+        interior = (pd > lo) & (pd < hi)
+        dp = np.zeros_like(pd)
         dp[rows, labels] = -1.0 / p[rows, labels]
         dp[rows, runner] += 1.0 / (1.0 - p[rows, runner])
         return (dp * interior * (g / b),)

@@ -7,7 +7,6 @@ relative error <= 1e-4; mechanism oracle at 1e-10; attack constraints at
 one ulp; reductions bit-exact.
 """
 
-import csv
 import json
 import time
 from contextlib import contextmanager
@@ -26,6 +25,7 @@ from ewas.cli import EXIT_OK, main
 from ewas.data import synth_dataset
 
 from _gradcheck import rel_err
+from _rows import read_rows
 
 GRAD_TOL = 1e-4
 FD_H = 1e-6
@@ -272,7 +272,7 @@ def test_analysis_oracles(tmp_path):
         adv = AN.ActivationStats.collect(adv_samples, 0, "adversarial")
         path = tmp_path / "stats.csv"
         AN.export_stats(nat, adv, path, layer="block4")
-        rows = list(csv.DictReader(open(path)))
+        rows = read_rows(path)
         for kind in ("frequency", "magnitude"):
             kind_rows = [r for r in rows if r["statistic_kind"] == kind]
             assert [int(r["channel_index"]) for r in kind_rows] == \
@@ -357,7 +357,7 @@ def test_ablation_structure_and_signature(tmp_path):
         cfg_path.write_text(json.dumps(cfg))
         assert main(["ablate", "--config", str(cfg_path), "--axis",
                      "attack_lambda", "--values", "0,0.01,0.1"]) == EXIT_OK
-        rows = list(csv.reader(open(tmp_path / "al" / "ablation.csv")))
+        rows = read_rows(tmp_path / "al" / "ablation.csv", header=False)
         assert rows[0] == ["attack_lambda", "natural_acc", "pgd10"]
         assert [r[0] for r in rows[1:]] == ["0.0", "0.01", "0.1"]
         robust = {r[0]: float(r[2]) for r in rows[1:]}
@@ -376,7 +376,7 @@ def test_ablation_structure_and_signature(tmp_path):
         cfg_path2.write_text(json.dumps(cfg))
         assert main(["ablate", "--config", str(cfg_path2), "--axis", "lambda",
                      "--values", "0.01,0.05"]) == EXIT_OK
-        rows = list(csv.reader(open(tmp_path / "lam" / "ablation.csv")))
+        rows = read_rows(tmp_path / "lam" / "ablation.csv", header=False)
         assert rows[0] == ["lambda", "natural_acc", "pgd10"]
         assert [r[0] for r in rows[1:]] == ["0.01", "0.05"]
 
@@ -386,7 +386,7 @@ def test_ablation_structure_and_signature(tmp_path):
         cfg_path3.write_text(json.dumps(cfg))
         assert main(["ablate", "--config", str(cfg_path3), "--axis", "position",
                      "--values", "block3,block4"]) == EXIT_OK
-        rows = list(csv.reader(open(tmp_path / "pos" / "ablation.csv")))
+        rows = read_rows(tmp_path / "pos" / "ablation.csv", header=False)
         assert rows[0] == ["position", "natural_acc", "pgd10"]
         assert [r[0] for r in rows[1:]] == ["block3", "block4"]
 

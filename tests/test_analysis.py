@@ -1,12 +1,12 @@
 """Activation statistics vs brute-force oracles, and CSV export."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from ewas import analysis as AN
 from ewas.errors import ConfigError
+
+from _rows import read_rows
 
 
 def brute_force_frequency(samples, scope="sample"):
@@ -145,7 +145,7 @@ class TestExport:
         nat = AN.ActivationStats.collect(samples, 0, "natural")
         path = tmp_path / "one.csv"
         AN.export_stats(nat, None, path, layer="block4")
-        rows = list(csv.DictReader(open(path)))
+        rows = read_rows(path)
         assert len(rows) == 2  # one per statistic kind
         assert {r["statistic_kind"] for r in rows} == {"frequency", "magnitude"}
         assert "adversarial_value" not in rows[0]
@@ -155,7 +155,7 @@ class TestExport:
         adv = self.make_stats(5, "adversarial")
         path = tmp_path / "both.csv"
         AN.export_stats(nat, adv, path, layer="block3")
-        rows = list(csv.DictReader(open(path)))
+        rows = read_rows(path)
         for kind in ("frequency", "magnitude"):
             vals = [float(r["natural_value"]) for r in rows
                     if r["statistic_kind"] == kind]
@@ -166,7 +166,7 @@ class TestExport:
         adv = self.make_stats(7, "adversarial")
         path = tmp_path / "ord.csv"
         AN.export_stats(nat, adv, path, layer="block4")
-        rows = [r for r in csv.DictReader(open(path))
+        rows = [r for r in read_rows(path)
                 if r["statistic_kind"] == "magnitude"]
         order = AN.channel_ordering(nat, "magnitude")
         got = [int(r["channel_index"]) for r in rows]
@@ -179,7 +179,7 @@ class TestExport:
         adv = self.make_stats(9, "adversarial")
         path = tmp_path / "rt.csv"
         AN.export_stats(nat, adv, path, layer="block2")
-        rows = list(csv.DictReader(open(path)))
+        rows = read_rows(path)
         rebuilt_freq = np.zeros_like(nat.frequency)
         rebuilt_mag = np.zeros_like(nat.magnitude)
         for r in rows:

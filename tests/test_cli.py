@@ -1,6 +1,5 @@
 """Command-line behavior: artifacts, exit codes, config validation."""
 
-import csv
 import ctypes
 import ctypes.util
 import json
@@ -12,6 +11,8 @@ from ewas import attacks, cli
 from ewas.cli import EXIT_ABORT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from ewas.models import ModelSection, load_checkpoint, save_checkpoint
 from ewas.tensor import backward
+
+from _rows import read_rows
 
 
 def write_config(path, **overrides):
@@ -148,7 +149,7 @@ class TestTrain:
         assert (out / "checkpoint.ckpt").exists()
         assert (out / "trainlog.csv").exists()
         assert (out / "resolved_config.json").exists()
-        log_rows = list(csv.DictReader(open(out / "trainlog.csv")))
+        log_rows = read_rows(out / "trainlog.csv")
         assert len(log_rows) == 1
 
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
@@ -229,7 +230,7 @@ class TestEval:
         out = tmp_path / "eval_out"
         assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(open(out / "eval.csv")))
+        rows = read_rows(out / "eval.csv")
         assert [r["attack"] for r in rows] == ["natural", "pgd2"]
 
     def test_checkpoint_class_count_must_fit_the_data(self, trained, tmp_path, capsys):
@@ -253,7 +254,7 @@ class TestEval:
         out = tmp_path / "eval_nat"
         assert main(["eval", "--config", str(cfg2), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(open(out / "eval.csv")))
+        rows = read_rows(out / "eval.csv")
         assert [r["attack"] for r in rows] == ["natural"]
 
     def test_epsilon_zero_robust_equals_natural(self, trained, tmp_path):
@@ -266,7 +267,7 @@ class TestEval:
         out = tmp_path / "eval_noop"
         main(["eval", "--config", str(cfg2), "--checkpoint", str(ckpt),
               "--out", str(out)])
-        rows = list(csv.DictReader(open(out / "eval.csv")))
+        rows = read_rows(out / "eval.csv")
         assert rows[1]["robust_acc"] == rows[1]["natural_acc"]
 
     def test_reevaluation_byte_identical(self, trained, tmp_path):
@@ -343,7 +344,7 @@ class TestAblate:
         out = tmp_path / "ab"
         assert main(["ablate", "--config", str(cfg_path), "--axis", "lambda",
                      "--values", "0.01,0.05", "--out", str(out)]) == EXIT_OK
-        rows = list(csv.reader(open(out / "ablation.csv")))
+        rows = read_rows(out / "ablation.csv", header=False)
         assert rows[0] == ["lambda", "natural_acc", "pgd2"]
         assert len(rows) == 3
         assert [r[0] for r in rows[1:]] == ["0.01", "0.05"]
@@ -354,7 +355,7 @@ class TestAblate:
         out = tmp_path / "pos"
         assert main(["ablate", "--config", str(cfg_path), "--axis", "position",
                      "--values", "block3,block4", "--out", str(out)]) == EXIT_OK
-        rows = list(csv.reader(open(out / "ablation.csv")))
+        rows = read_rows(out / "ablation.csv", header=False)
         assert [r[0] for r in rows[1:]] == ["block3", "block4"]
 
     def test_unknown_position_fails_before_any_training(self, tmp_path, capsys):
@@ -375,7 +376,7 @@ class TestAblate:
         assert main(["ablate", "--config", str(cfg_path), "--axis", "attack_lambda",
                      "--values", "0,0.01", "--out", str(out),
                      "--checkpoint", str(train_out / "checkpoint.ckpt")]) == EXIT_OK
-        rows = list(csv.reader(open(out / "ablation.csv")))
+        rows = read_rows(out / "ablation.csv", header=False)
         assert len(rows) == 3
         # no per-point training directories when a checkpoint is reused
         assert not any(p.name.startswith("attack_lambda") for p in out.iterdir()
@@ -394,7 +395,7 @@ class TestAblate:
         assert main(["ablate", "--config", str(cfg_path), "--axis", "attack_lambda",
                      "--values", "0,0.01", "--out", str(out),
                      "--checkpoint", str(tmp_path / "t" / "checkpoint.ckpt")]) == EXIT_OK
-        rows = list(csv.reader(open(out / "ablation.csv")))
+        rows = read_rows(out / "ablation.csv", header=False)
         assert [r[0] for r in rows] == ["attack_lambda", "0.0", "0.01"]
 
     @pytest.mark.parametrize("axis,values", [("lambda", "0.01"), ("position", "block4")])
@@ -598,7 +599,7 @@ class TestExportActivations:
         out = tmp_path / "act"
         assert main(["export-activations", "--config", str(cfg_path),
                      "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(open(out / "activations.csv")))
+        rows = read_rows(out / "activations.csv")
         assert rows and "adversarial_value" in rows[0]
         # re-validate against the analysis oracles
         from ewas.analysis import ActivationStats, channel_ordering
@@ -652,7 +653,7 @@ class TestExportActivations:
         out = tmp_path / "act_nat"
         assert main(["export-activations", "--config", str(cfg2),
                      "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(open(out / "activations.csv")))
+        rows = read_rows(out / "activations.csv")
         assert "adversarial_value" not in rows[0]
 
     def test_nan_conv_weight_aborts_natural_only_export(self, trained, tmp_path, capsys):
@@ -696,6 +697,6 @@ class TestExportActivations:
         assert main(["export-activations", "--config", str(cfg_path),
                      "--checkpoint", str(out / "checkpoint.ckpt"),
                      "--out", str(act_out)]) == EXIT_OK
-        rows = [r for r in csv.DictReader(open(act_out / "activations.csv"))
+        rows = [r for r in read_rows(act_out / "activations.csv")
                 if r["statistic_kind"] == "frequency"]
         assert all(float(r["natural_value"]) in (0.0, 1.0) for r in rows)

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -22,6 +23,8 @@ from ewas.errors import (
     CheckpointVersionError,
     ConfigError,
 )
+
+from _tape import tape
 
 
 class TestSmallCnn:
@@ -233,30 +236,43 @@ class TestFrozenBatchNormFold:
 
 
 class TestInplaceActivations:
-    """ReLUs and the residual add write into the batch norm output before them."""
+    """Batch norm writes in place only into its conv's fresh output."""
 
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval_fold"])
-    def test_relu_and_residual_share_the_batch_norm_buffer(self, train, monkeypatch):
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval_live"])
+    def test_batch_norm_keeps_xhat_in_its_conv_output(self, train, monkeypatch):
+        """Unfolded (train mode, or eval mode with live parameters), each batch
+        norm leaves x̂ in the buffer its conv wrote, and its output, a buffer
+        of its own, is x̂·γ + β bit for bit."""
         model = randomize_batch_norms(RESNET.build(15), 16)
-        bn_out = {}
-        forward = M.ConvBnLayer.forward
+        pairs = []
+        forward, conv2d = M.ConvBnLayer.forward, M.conv2d
 
         def record(layer, x, training, relu=False, keep_mask=False):
-            bn_out[layer.bn_name] = out = forward(layer, x, training, relu, keep_mask)
+            convs = []
+
+            def recorded_conv(*args):
+                convs.append(out := conv2d(*args))
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(M, "conv2d", recorded_conv)
+                out = forward(layer, x, training, relu, keep_mask)
+            pairs.append((layer, relu, convs, out))
             return out
 
         monkeypatch.setattr(M.ConvBnLayer, "forward", record)
         x = T.Tensor(np.random.default_rng(17).uniform(0, 1, (4, *RESNET.input_shape)),
                      requires_grad=True)
-        if train:
-            taps = model.forward(x, train=True, capture=model.INSERTION_POINTS).captured
-        else:
-            with frozen_params(model):  # an attack step: every pair folded
-                taps = model.forward(x, capture=model.INSERTION_POINTS).captured
-        assert np.shares_memory(taps["layer1"].data, bn_out["stem.bn"].data)
-        for block in model.blocks:
-            assert np.shares_memory(taps[block.tap1].data, bn_out[f"{block.name}.bn1"].data)
-            assert np.shares_memory(taps[block.tap2].data, bn_out[f"{block.name}.bn2"].data)
+        model.forward(x, train=train, capture=model.INSERTION_POINTS)
+        assert len(pairs) == len(batch_norms(model))
+        for layer, relu, (conv,), out in pairs:
+            c = layer.gamma.data.size
+            want = conv.data * layer.gamma.data.reshape(1, c, 1, 1)
+            want += layer.beta.data.reshape(1, c, 1, 1)
+            if relu:
+                np.maximum(want, 0.0, out=want)
+            assert out.data.tobytes() == want.tobytes(), layer.bn_name
+            assert not np.shares_memory(out.data, conv.data), layer.bn_name
 
     @pytest.mark.parametrize("spec,hosts", [
         (M.ModelSection(width=4, input_shape=(2, 8, 8)), ("block1", "block2", "block4")),
@@ -293,23 +309,26 @@ class TestInplaceActivations:
 
 
 class TestDroppedActivations:
-    """A BN-ReLU output is dropped after its last forward reader, unless a tap
-    scales or captures it, and refilled from x̂ for the next conv's weight
-    gradient."""
+    """A BN-ReLU output is freed once its last forward reader has run, unless a
+    tap scales or captures it: the next conv's weight gradient keeps its
+    refill hook, which writes it again from x̂."""
 
-    # (spec, how many BN-ReLU outputs a train forward without captures drops)
+    # (spec, how many BN-ReLU outputs a train forward without captures frees,
+    #  and how many of them it frees without refill hooks)
     SPECS = {
-        # blocks 1, 3 and 4; the module at block2 scales its output
-        "small_cnn": (replace(FOLD_SPECS["small_cnn"], insertion_points=("block2",)), 3),
+        # blocks 1, 3 and 4; the module at block2 scales its output. Block 4's
+        # output is read only by the pool, whose backward reads nothing of it.
+        "small_cnn": (replace(FOLD_SPECS["small_cnn"], insertion_points=("block2",)), 3, 1),
         # the stem and 7 of 8 blocks' inner ones; the module at layer4 scales one
-        "resnet18_like": (replace(RESNET, insertion_points=("layer4",)), 8),
+        "resnet18_like": (replace(RESNET, insertion_points=("layer4",)), 8, 0),
     }
 
     @staticmethod
-    def train_step(spec, capture, monkeypatch):
+    def train_step(spec, capture, refill, monkeypatch):
         """One train-mode forward and backward from a fresh model; returns the
         bytes of the loss, the parameter gradients and the running statistics,
-        and each BN-ReLU output with a copy of its forward bytes."""
+        and how many BN-ReLU outputs were freed before the backward. Without
+        ``refill`` each output loses its hook, so a conv keeps the array."""
         model = randomize_batch_norms(spec.build(24), 25)
         rng = np.random.default_rng(26)
         x = rng.uniform(0, 1, (4, *spec.input_shape))
@@ -319,7 +338,9 @@ class TestDroppedActivations:
         def bn(*args, **kwargs):
             out = T.batch_norm2d(*args, **kwargs)
             if kwargs["relu"]:
-                outputs.append((out, out.data.copy()))
+                outputs.append(weakref.ref(out.data))
+                if not refill:
+                    out._refill = None
             return out
 
         with monkeypatch.context() as patch:
@@ -328,46 +349,30 @@ class TestDroppedActivations:
                                 capture=capture)
         loss = T.add(T.softmax_cross_entropy(fwd.logits, y),
                      T.softmax_cross_entropy(fwd.alc_scores[0], y))
-        refilled = []
-        for out, before in outputs:
-            if out.data is None:
-                dst = np.empty_like(before)
-                out._refill(dst)
-                refilled.append((dst.tobytes(), before.tobytes()))
+        freed = sum(ref() is None for ref in outputs)
         T.backward(loss)
         state = [loss.data.tobytes()]
         state += [p.grad.tobytes() for _, p in model.parameters()]
         state += [a.tobytes() for _, a in model.state_arrays()]
-        return state, refilled
+        return state, freed
 
     @pytest.mark.parametrize("arch", sorted(SPECS))
     def test_dropping_changes_no_bit_of_a_train_step(self, arch, monkeypatch):
-        """Captured at every point, nothing is dropped; without captures, each
-        dropped output refills to its forward bytes and the step is unchanged."""
-        spec, dropped = self.SPECS[arch]
+        """Captured at every point, no output is freed; read by a conv from its
+        array instead of refilled, only one no conv reads is; otherwise each
+        uncaptured, unscaled one is. The step is the same bit for bit."""
+        spec, dropped, unread = self.SPECS[arch]
         every_point = M._ARCHS[spec.arch].INSERTION_POINTS
-        kept, none_dropped = self.train_step(spec, every_point, monkeypatch)
-        got, refilled = self.train_step(spec, (), monkeypatch)
-        assert none_dropped == []
-        assert len(refilled) == dropped
-        for bytes_refilled, bytes_forward in refilled:
-            assert bytes_refilled == bytes_forward
-        assert got == kept
-
-
-def graph_nodes(root):
-    nodes, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    return list(nodes.values())
+        kept, none_freed = self.train_step(spec, every_point, True, monkeypatch)
+        read, freed_unread = self.train_step(spec, (), False, monkeypatch)
+        got, freed = self.train_step(spec, (), True, monkeypatch)
+        assert (none_freed, freed_unread, freed) == (0, unread, dropped)
+        assert got == kept == read
 
 
 class TestFrozenTape:
     """A frozen forward (eval mode, no parameter requires grad: an attack step)
-    keeps a bool mask per ReLU and drops every activation it does not capture."""
+    keeps a bool mask per ReLU and no activation it does not capture."""
 
     # (spec, scaling-module hosts, lambda_attack)
     CASES = {
@@ -382,7 +387,10 @@ class TestFrozenTape:
     def test_keeps_one_byte_per_relu_element_and_the_folded_weights(self, case, monkeypatch):
         """What ``attack_objective``'s live graph keeps, measured by tracemalloc:
         a bool per ReLU element, each folded conv's weight and bias, each
-        scaling module's selected mask and at most 2 KiB per op."""
+        scaling module's selected mask and at most 2 KiB per tape entry. Read
+        off the tape, every array at least as large as the smallest ReLU mask
+        is a ReLU mask, a folded weight, a module weight the scores read, or
+        a selected mask."""
         spec, hosts, lam = self.CASES[case]
         model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(30), 31)
         rng = np.random.default_rng(32)
@@ -409,15 +417,22 @@ class TestFrozenTape:
                 kept = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-        ops = [node for node in graph_nodes(loss) if node._grad_fn is not None]
+        held = tape(loss)
         itemsize = np.dtype(spec.dtype).itemsize
+        weights = [layer.weight.data.shape for layer in batch_norms(model)]
+        weights += [mod.weight.data.shape for mod in model.ewas_modules]
         folded = sum(layer.weight.data.nbytes + layer.gamma.data.nbytes
-                     for layer in model.layers if isinstance(layer, M.ConvBnLayer))
+                     for layer in batch_norms(model))
+        selected = [(mod.weight.data.shape[0], batch) for mod in model.ewas_modules]
         masks = sum(mod.weight.data.shape[0] * batch * itemsize for mod in model.ewas_modules)
         relu_elements = sum(out.size for out in relu_outs)
-        assert kept <= relu_elements + folded + masks + 2048 * len(ops)
+        assert kept <= relu_elements + folded + masks + 2048 * len(held.entries)
         smallest = min(out.nbytes for out in relu_outs)
-        assert all(node.data is None or node.data.nbytes < smallest for node in ops)
+        large = [a for a in held.arrays.values() if a.nbytes >= smallest // itemsize]
+        assert sum(a.dtype == np.bool_ for a in large) == len(relu_outs)
+        assert all(a.dtype == np.bool_ or a.shape in weights or a.shape in selected
+                   for a in large)
+        assert sum(a.shape in selected for a in large) == len(selected)
         assert relu_elements * itemsize > folded + masks  # what a kept output would cost
 
     # scaling-module hosts for FOLD_SPECS, one early and one late
@@ -428,28 +443,38 @@ class TestFrozenTape:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
     def test_input_gradient_matches_a_forward_that_drops_nothing(self, arch, dtype, lam,
-                                                                 mask_mode):
-        """Captured activations are never dropped, so capturing every point
-        keeps each activation; the input gradient is the same bit for bit."""
+                                                                 mask_mode, monkeypatch):
+        """A captured activation lives as long as the capture, so capturing
+        every point keeps each tapped ReLU output; the input gradient is the
+        same bit for bit."""
         spec = replace(FOLD_SPECS[arch], dtype=dtype, insertion_points=self.HOSTS[arch])
         model = randomize_batch_norms(spec.build(33), 34)
         rng = np.random.default_rng(35)
         x = rng.uniform(0, 1, (6, *spec.input_shape)).astype(dtype)
         y = rng.integers(0, spec.num_classes, 6)
-        runs = []
+        relu, runs = T.relu, []
         for capture in ((), model.INSERTION_POINTS):
+            outputs = []
+
+            def recorded_relu(*args, **kwargs):
+                out = relu(*args, **kwargs)
+                outputs.append(weakref.ref(out.data))
+                return out
+
             xt = T.Tensor(x, requires_grad=True)
-            with frozen_params(model):
+            with frozen_params(model), monkeypatch.context() as patch:
+                patch.setattr(T, "relu", recorded_relu)
+                patch.setattr(M, "relu", recorded_relu)
                 out = model.forward(xt, labels=y, mask_mode=mask_mode, capture=capture)
                 loss = T.softmax_cross_entropy(out.logits, y)
                 for scores in out.alc_scores:
                     loss = T.add(loss, T.mul_scalar(T.softmax_cross_entropy(scores, y), lam))
-                dropped = sum(node.data is None for node in graph_nodes(loss))
+                live = sum(ref() is not None for ref in outputs)
                 T.backward(loss)
-            runs.append((xt.grad.tobytes(), dropped))
-        (got, dropped), (want, dropped_when_captured) = runs
+            runs.append((xt.grad.tobytes(), live))
+        (got, live), (want, live_when_captured) = runs
         assert got == want
-        assert dropped > dropped_when_captured
+        assert live < live_when_captured
 
 
 def batch_innermost(a: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, gradients vs finite differences, graph rules."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -409,8 +410,8 @@ class TestConv2dRetainedMemory:
 
 
 class TestOpRetainedMemory:
-    """Elementwise ops and batch norm keep their output and O(C) numbers, no copy of
-    x; an in-place op keeps neither."""
+    """Elementwise ops and batch norm keep at most their output and O(C) numbers,
+    no copy of x; ``add`` keeps nothing."""
 
     @staticmethod
     def x():
@@ -427,20 +428,21 @@ class TestOpRetainedMemory:
         kept, out = retained(lambda: T.batch_norm2d(x, gamma, beta, stats, training, **fused))
         assert kept <= out.data.nbytes + 8 * 8 * c + SLACK
 
-    @pytest.mark.parametrize("op,inplace", [
-        (lambda x, b: T.relu(x), False),
-        (lambda x, b: T.maximum_scalar(x, -0.5), False),
-        (lambda x, b: T.relu(x, inplace=True), True),
-        (lambda x, b: T.add(x, b, inplace=True), True),
-    ], ids=["relu", "maximum_scalar", "relu_inplace", "add_inplace"])
-    def test_elementwise_max_keeps_only_its_output(self, op, inplace):
-        """An in-place op's output is its operand's buffer: it keeps no new one."""
-        x = T.mul_scalar(self.x(), 1.0)  # a fresh op result, as in-place operands are
-        b = t(np.ones(x.shape))
-        kept, out = retained(lambda: op(x, b))
-        assert out._grad_fn is not None
-        assert (out.data is x.data) == inplace
-        assert kept <= (0 if inplace else out.data.nbytes) + SLACK
+    @pytest.mark.parametrize("op", [lambda x: T.relu(x), lambda x: T.maximum_scalar(x, -0.5)],
+                             ids=["relu", "maximum_scalar"])
+    def test_elementwise_max_keeps_only_its_output(self, op):
+        """Still kept once its owner has dropped it: the loss below reads it."""
+        x = self.x()
+        kept, loss = retained(lambda: tsum(op(x)))
+        assert loss._grad_fn is not None
+        assert kept <= x.data.nbytes + SLACK
+
+    def test_add_keeps_nothing(self):
+        """Its output is freed once its owner has dropped it."""
+        x, b = self.x(), t(np.ones((8, 16, 16, 16)))
+        kept, loss = retained(lambda: tsum(T.add(x, b)))
+        assert loss._grad_fn is not None
+        assert kept <= SLACK
 
 
 class TestFrozenPartnerRetainedMemory:
@@ -460,7 +462,7 @@ class TestFrozenPartnerRetainedMemory:
         def run():
             live = T.mul_scalar(leaf, 1.0)  # a fresh op result, as activations are
             out = op(live, partner) if first else op(partner, live)
-            live.data = None  # as a frozen forward's owner drops it
+            del live  # as a frozen forward's owner drops it
             return out
 
         kept, out = retained(run)
@@ -471,75 +473,23 @@ class TestFrozenPartnerRetainedMemory:
 class TestReluKeepMask:
     """``relu(..., keep_mask=True)`` keeps one bool per element instead of its output."""
 
-    @pytest.mark.parametrize("inplace", [False, True])
-    def test_same_bytes_and_gradient_as_reading_the_output(self, inplace):
+    def test_same_bytes_and_gradient_as_reading_the_output(self):
         data = np.random.default_rng(11).normal(size=(3, 4, 5, 5))
         data[0, 0, 0, :3] = (0.0, np.nan, -0.0)
         coef = T.Tensor(np.random.default_rng(12).normal(size=data.shape))
         results = []
         for keep_mask in (False, True):
             x = t(data)
-            out = T.relu(T.mul_scalar(x, 1.0), inplace=inplace, keep_mask=keep_mask)
+            out = T.relu(T.mul_scalar(x, 1.0), keep_mask=keep_mask)
             T.backward(tsum(T.mul(out, coef)))
             results.append((out.data.tobytes(), x.grad.tobytes()))
         assert results[0] == results[1]
 
     def test_keeps_one_byte_per_element_once_its_output_is_dropped(self):
         x = T.mul_scalar(t(np.random.default_rng(13).normal(size=(8, 16, 16, 16))), 1.0)
-
-        def run():
-            out = T.relu(x, keep_mask=True)
-            data, out.data = out.data, None
-            return out, data.size
-
-        kept, (out, size) = retained(run)
-        assert out._grad_fn is not None
-        assert kept <= size + SLACK
-
-
-class TestInplaceOps:
-    """``relu`` and ``add`` with ``inplace=True`` write into the first operand."""
-
-    @staticmethod
-    def fresh(x):
-        """A non-leaf copy of ``x``: the kind of operand ``inplace`` is for."""
-        return T.mul_scalar(x, 1.0)
-
-    def test_relu_matches_out_of_place_bytes_and_gradient(self):
-        data = np.random.default_rng(6).normal(size=(3, 4, 5, 5))
-        data[0, 0, 0, :3] = (0.0, np.nan, -0.0)
-        coef = T.Tensor(np.random.default_rng(7).normal(size=data.shape))
-        results = []
-        for inplace in (False, True):
-            x = t(data)
-            out = T.relu(self.fresh(x), inplace=inplace)
-            T.backward(tsum(T.mul(out, coef)))
-            results.append((out.data.tobytes(), x.grad.tobytes()))
-        assert results[0] == results[1]
-
-    def test_add_matches_out_of_place_bytes_and_gradient(self):
-        rng = np.random.default_rng(8)
-        a_data, b_data = rng.normal(size=(3, 4, 5, 5)), rng.normal(size=(3, 4, 5, 5))
-        coef = T.Tensor(rng.normal(size=a_data.shape))
-        results = []
-        for inplace in (False, True):
-            a, b = t(a_data), t(b_data)
-            out = T.relu(T.add(self.fresh(a), b, inplace=inplace), inplace=inplace)
-            T.backward(tsum(T.mul(out, coef)))
-            results.append((out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
-            assert b.data.tobytes() == b_data.tobytes()
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("op", [lambda x: T.relu(x, inplace=True),
-                                    lambda x: T.add(x, t(np.ones(3)), inplace=True)],
-                             ids=["relu", "add"])
-    def test_leaf_that_requires_grad_raises(self, op):
-        x = t([-1.0, 0.5, 2.0])
-        with pytest.raises(ValueError, match="leaf"):
-            op(x)
-        with T.no_grad(), pytest.raises(ValueError, match="leaf"):
-            op(x)
-        np.testing.assert_array_equal(x.data, [-1.0, 0.5, 2.0])
+        kept, loss = retained(lambda: tsum(T.relu(x, keep_mask=True)))
+        assert loss._grad_fn is not None
+        assert kept <= x.data.size + SLACK
 
 
 class TestRelu:
@@ -666,29 +616,37 @@ class TestBatchNormInplaceAndRelu:
         rng = np.random.default_rng(32)
         x = t(rng.normal(size=(2, 2, 3, 3)))
         gamma, beta, stats = t(np.ones(2)), t(np.zeros(2)), T.RunningStats.create(2)
+        data = x.data.copy()
         with pytest.raises(ValueError, match="leaf"):
             T.batch_norm2d(x, gamma, beta, stats, True, inplace=True)
+        with T.no_grad(), pytest.raises(ValueError, match="leaf"):
+            T.batch_norm2d(x, gamma, beta, stats, True, inplace=True)
+        assert x.data.tobytes() == data.tobytes()
         out = T.batch_norm2d(T.mul_scalar(x, 1.0), gamma, beta, stats, True, relu=True)
         assert out._refill is not None
         with pytest.raises(ValueError, match="refills"):
-            T.relu(out, inplace=True)
+            T.batch_norm2d(out, gamma, beta, stats, True, inplace=True)
 
     @pytest.mark.parametrize("stride,cout", [(1, 3), (2, 5)], ids=["correlate_dx", "col2im_dx"])
     def test_conv_of_a_dropped_input_gets_the_same_gradients(self, stride, cout):
-        """The weight gradient refills a dropped input into its padded buffer;
-        the input gradient never reads it."""
+        """The weight gradient refills its input into its padded buffer, so the
+        input is freed with its last reference; a plain copy of it, which has no
+        hook, is kept and read instead. Both give the same bits."""
         rng = np.random.default_rng(34)
         data = rng.normal(size=(3, 4, 6, 6))
         w_data = rng.normal(size=(cout, 4, 3, 3))
         results = []
-        for drop in (False, True):
+        for refill in (False, True):
             x, w = t(data), t(w_data)
             gamma, beta, stats = t(np.full(4, 1.2)), t(np.full(4, 0.1)), T.RunningStats.create(4)
             h = T.batch_norm2d(T.mul_scalar(x, 1.0), gamma, beta, stats, True,
                                relu=True, inplace=True)
+            if not refill:
+                h = T.mul_scalar(h, 1.0)  # a plain copy: exact, forward and backward
             out = T.conv2d(h, w, stride=stride, padding=1)
-            if drop:
-                h.data = None
+            freed = weakref.ref(h.data)
+            del h
+            assert (freed() is None) == refill
             T.backward(tsum(T.mul(out, T.Tensor(np.ones(out.shape)))))
             results.append([g.tobytes() for g in (x.grad, w.grad, gamma.grad, beta.grad)])
         assert results[0] == results[1]
@@ -868,7 +826,19 @@ class TestBackward:
 
         kept, loss = retained(forward_and_backward)
         assert kept <= sum(leaf.grad.nbytes for leaf in leaves) + SLACK
-        assert loss._grad_fn is None and loss._parents == ()
+        assert loss._grad_fn is None and loss._node.parents == ()
+
+    def test_a_replaced_grad_fn_routes_the_backward(self):
+        """A tracer may wrap an op result's closure: ``backward`` calls the wrapper."""
+        x = t([1.0, -2.0, 3.0])
+        out = T.mul_scalar(x, 2.0)
+        calls = []
+        grad_fn = out._grad_fn
+        out._grad_fn = lambda g: calls.append(g.copy()) or (grad_fn(g)[0] * 10.0,)
+        T.backward(tsum(out))
+        assert len(calls) == 1 and calls[0].tolist() == [1.0, 1.0, 1.0]
+        np.testing.assert_array_equal(x.grad, [20.0, 20.0, 20.0])
+        assert out._grad_fn is None
 
     def test_accumulation_is_additive(self):
         x = t([1.0, 2.0])

@@ -15,6 +15,8 @@ from ewas.data import EVAL_ATTACK, stream, synth_dataset
 from ewas.errors import ConfigError, NonFiniteError
 from ewas.scaling import EwasModule, ewas_forward
 
+from _tape import owner, tape
+
 
 def np_softmax(z):
     e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -540,16 +542,6 @@ class TestTapeMemory:
         y = np.arange(16) % 5
         return model, x, x_adv, y
 
-    @staticmethod
-    def graph_nodes(root):
-        nodes, stack = {}, [root]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        return nodes.values()
-
     def test_trades_graph_keeps_each_activation_once(self):
         model, x, x_adv, y = self.trades_inputs()
         tracemalloc.start()
@@ -559,24 +551,17 @@ class TestTapeMemory:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        buffers = {}  # the arrays node data live in; a view counts its base once
-        ops = 0
-        for node in self.graph_nodes(terms["total"]):
-            if node._grad_fn is None or node.data is None:
-                continue  # leaves (the parameters, and the inputs wrapped without a copy)
-                          # and nodes dropped after their last forward reader
-            ops += 1
-            base = node.data
-            while isinstance(base.base, np.ndarray):
-                base = base.base
-            buffers[id(base)] = base.nbytes
-        # Per op, its Tensor, closure cells and O(C) or O(B·K) numbers: about
+        held = tape(terms["total"])
+        leaves = {id(owner(t.data)) for t in held.tensors}  # parameters and inputs
+        buffers = sum(a.nbytes for key, a in held.arrays.items() if key not in leaves)
+        # Per entry, its closure cells and O(C) or O(B·K) numbers: about
         # 1.1 KiB here, where the smallest activation takes 16 KiB.
-        assert kept <= sum(buffers.values()) + 2048 * ops
+        assert kept <= buffers + 2048 * len(held.entries)
 
     def block_buffers(self, monkeypatch, downsampling: bool) -> list[int]:
         """Activation-sized buffers the TRADES graph keeps for each block of one
-        kind that no scaling module taps; dropped nodes (``data is None``) keep none."""
+        kind that no scaling module taps: what the tape below its output holds
+        and neither the tape below its input nor the input itself does."""
         model, x, x_adv, y = self.trades_inputs()
         hosts = set(model.spec.insertion_points)
         calls = []
@@ -585,39 +570,27 @@ class TestTapeMemory:
         def record(block, h, training, ctx):
             out = forward(block, h, training, ctx)
             if (block.down is not None) == downsampling and not {block.tap1, block.tap2} & hosts:
-                calls.append((h, out, out.data.nbytes))
+                below_in = {*tape(h).arrays, id(owner(h.data))}
+                calls.append((below_in, tape(out).arrays, out.data.nbytes))
             return out
 
         monkeypatch.setattr(M.BasicBlock, "forward", record)
         TR.loss_terms("trades", model, x, x_adv, y, 0.5, 6.0)
-        counts = []
-        for block_in, block_out, nbytes in calls:
-            buffers, seen, stack = set(), {id(block_in)}, [block_out]
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                stack.extend(node._parents)
-                if (node._grad_fn is not None and node.data is not None
-                        and node.data.nbytes == nbytes):
-                    base = node.data
-                    while isinstance(base.base, np.ndarray):
-                        base = base.base
-                    buffers.add(id(base))
-            counts.append(len(buffers))
-        return counts
+        return [sum(a.nbytes == nbytes for key, a in below_out.items() if key not in below_in)
+                for below_in, below_out, nbytes in calls]
 
     def test_identity_block_keeps_three_activation_buffers(self, monkeypatch):
-        """conv1 holds x̂1, conv2 holds x̂2, and bn2 = add = ReLU is the block
-        output. The bn1-ReLU output is dropped after conv2 reads it; out-of-place
-        ops kept 7 buffers, in-place ReLUs and add 4."""
+        """conv1 holds x̂1, conv2 holds x̂2, and the last ReLU its output. conv2
+        keeps the bn1-ReLU output's refill hook, so that output is freed once
+        conv2 has read it; the bn2 output and the sum, which no backward
+        reads, are freed after the add and the ReLU. Out-of-place ops that
+        each kept their operands kept 7 buffers."""
         # 5 identity blocks, natural and adversarial forward
         assert self.block_buffers(monkeypatch, downsampling=False) == [3] * 10
 
     def test_downsampling_block_keeps_four_activation_buffers(self, monkeypatch):
         """The identity block's 3 plus the down conv, which holds its x̂; the
-        down_bn output, read only by the in-place add, is dropped (6 before)."""
+        down_bn output, read only by the add, is freed after it (6 before)."""
         # stage2.block1 and stage3.block1; the module at layer15 scales stage4.block1
         assert self.block_buffers(monkeypatch, downsampling=True) == [4] * 4
 
@@ -627,4 +600,5 @@ class TestTapeMemory:
         values = {key: float(term.data) for key, term in terms.items()}
         T.backward(terms["total"])
         assert {key: float(term.data) for key, term in terms.items()} == values
-        assert terms["total"]._parents == () and terms["cls"]._parents == ()
+        assert terms["total"]._grad_fn is None and terms["cls"]._grad_fn is None
+        assert tape(terms["total"]).entries == [terms["total"]._node]
