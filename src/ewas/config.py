@@ -11,7 +11,8 @@ section is ``models.ModelSection``, the one description of a model, and
 the data section the ``DataSection`` subclass its ``kind`` names. The
 checks that relate a section to a model are ``RunConfig``'s:
 ``check_model`` (the analysis layer, the presets' lambdas), which parsing
-runs on the config's own model, and ``load_split`` (the data).
+runs on the config's own model, and ``load_split`` and
+``class_samples`` (the data).
 
 ``RunConfig.resolved()`` returns the config with all defaults filled in;
 commands write it next to their outputs so a run can be repeated
@@ -238,17 +239,24 @@ class RunConfig:
                             preset.lambda_attack)
 
     def load_split(self, split: str, spec: ModelSection) -> Dataset:
-        """The ``split`` data, which must fit the model ``spec`` describes; an
-        empty split, a class count or image shape that does not fit, or a
-        train split whose last batch would hold one sample (train-mode batch
-        norm needs 2) is a ``ConfigError`` naming the key."""
-        data = self.data.load(split, self.seed)
-        if len(data) == 0:
-            raise ConfigError(f"data: the {split} split has no samples")
+        """The ``split`` data for a command that trains or evaluates on it: it
+        must fit the model ``spec`` describes (``_fitting_split``), and a train
+        split whose last batch would hold one sample (train-mode batch norm
+        needs 2) is a ``ConfigError`` naming ``train.batch_size``."""
+        data = self._fitting_split(split, spec)
         if split == "train" and self.train and len(data) % self.train.batch_size == 1:
             raise ConfigError(f"train.batch_size: {self.train.batch_size} leaves the last of "
                               f"the {len(data)} train samples in a batch of one; train-mode "
                               "batch norm needs 2")
+        return data
+
+    def _fitting_split(self, split: str, spec: ModelSection) -> Dataset:
+        """The ``split`` data; an empty split, or a class count or image shape
+        that does not fit the model ``spec`` describes, is a ``ConfigError``
+        naming the key."""
+        data = self.data.load(split, self.seed)
+        if len(data) == 0:
+            raise ConfigError(f"data: the {split} split has no samples")
         if data.num_classes != spec.num_classes:
             raise ConfigError(f"model.num_classes: the model has {spec.num_classes} classes, "
                               f"the {split} data {data.num_classes}")
@@ -259,10 +267,11 @@ class RunConfig:
 
     def class_samples(self, spec: ModelSection) -> tuple[np.ndarray, np.ndarray]:
         """The images and labels of ``analysis.class_label`` in the analysis
-        split, loaded by ``load_split``; a class with no samples there is a
-        ``ConfigError`` naming ``analysis.class_label``."""
+        split, which must fit the model ``spec`` describes; a class with no
+        samples there is a ``ConfigError`` naming ``analysis.class_label``.
+        Nothing trains on them, so ``train.batch_size`` is not checked."""
         analysis = self.required("analysis", self.analysis)
-        data = self.load_split(analysis.split, spec)
+        data = self._fitting_split(analysis.split, spec)
         keep = data.labels == analysis.class_label
         if not keep.any():
             raise ConfigError(f"analysis.class_label: no {analysis.split} samples of "

@@ -27,11 +27,11 @@ a gamma gradient; this rounds differently from conv then batch norm.
 
 The forward code holds an activation only while it still reads it, and
 the tape keeps only what a backward reads (see ``tensor``): an activation
-lives as long as a reference to it. A frozen forward records a tape in
-eval mode while no parameter requires grad: the input gradient of every
-attack step. Its backward reads nothing of an activation but the sign of
-each ReLU, so its ReLUs keep a bool mask instead of their output, and it
-keeps no activation that it does not capture.
+lives as long as a reference to it. One rule decides what that is: no op
+writes its operand; eval-mode ReLUs keep a bool mask. So in an attack
+step (eval mode, no parameter requires grad), whose convs are all
+folded, the backward reads nothing of an activation but the sign of each
+ReLU, and the tape keeps no activation that the forward does not capture.
 
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the
@@ -91,7 +91,10 @@ class ConvBnLayer:
     Its records keep the two halves' names: ``{conv_name}.weight``, then
     ``{bn_name}.gamma``, ``.beta``, ``.running_mean`` and ``.running_var``.
     Without a generator (``rng=None``) the weight is zeros, for a caller
-    that overwrites it."""
+    that overwrites it. No op writes its operand; eval-mode ReLUs keep a
+    bool mask: batch norm keeps x̂ in a buffer of its own, so the conv's
+    output is freed when ``forward`` returns, and a folded pair's ReLU
+    keeps its mask."""
 
     def __init__(self, conv_name: str, bn_name: str, cin: int, cout: int, kernel: int,
                  stride: int, padding: int, rng: np.random.Generator | None, dtype):
@@ -107,23 +110,20 @@ class ConvBnLayer:
         self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.create(cout, dtype=dtype)
 
-    def forward(self, x: Tensor, training: bool, relu: bool = False,
-                keep_mask: bool = False) -> Tensor:
-        """The conv then the batch norm, which normalizes in place in the conv's
-        fresh output and keeps x̂ there, then max(·, 0) with ``relu``. In eval
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """The conv then the batch norm, then max(·, 0) with ``relu``. In eval
         mode, when no gradient can reach the pair's parameters, one conv of
         weight W·s and bias β − mean·s, s = γ / sqrt(var + eps), recomputed
-        on every call, then a ReLU that keeps its mask with ``keep_mask``."""
+        on every call, then a ReLU that keeps its mask."""
         live = tensor._grad_enabled and any(p.requires_grad for p in self.tensors())
         if training or live:
             h = conv2d(x, self.weight, None, self.stride, self.padding)
-            return batch_norm2d(h, self.gamma, self.beta, self.stats, training,
-                                relu=relu, inplace=True)
+            return batch_norm2d(h, self.gamma, self.beta, self.stats, training, relu=relu)
         s = self.gamma.data / np.sqrt(self.stats.var + BN_EPS)
         weight = Tensor(self.weight.data * s[:, None, None, None])
         bias = Tensor(self.beta.data - self.stats.mean * s)
         out = conv2d(x, weight, bias, self.stride, self.padding)
-        return tensor.relu(out, keep_mask=keep_mask) if relu else out
+        return tensor.relu(out, keep_mask=True) if relu else out
 
     def tensors(self):
         return self.weight, self.gamma, self.beta
@@ -277,10 +277,7 @@ class Model:
             raise ShapeError(
                 f"input dtype {x.data.dtype} does not match model dtype {np.dtype(self.dtype)}"
             )
-        frozen = (not train and x.requires_grad and tensor._grad_enabled
-                  and not any(p.requires_grad for layer in self.layers for p in layer.tensors())
-                  and not any(mod.weight.requires_grad for mod in self.ewas_modules))
-        ctx = _ForwardCtx(self, labels, mask_mode, frozenset(capture), frozen)
+        ctx = _ForwardCtx(self, labels, mask_mode, frozenset(capture))
         logits = self._run(x, train, ctx)
         return ForwardOut(logits, ctx.alc_scores, ctx.captured)
 
@@ -301,16 +298,15 @@ class _ForwardCtx:
 
     Scores are stored by module index, not in tap order: modules listed
     out of forward order still give ``alc_scores[i]`` for module ``i``.
-    ``frozen`` marks a frozen forward (see the module docstring). A
-    captured activation lives as long as ``captured``."""
+    A captured activation lives as long as ``captured``; the forward
+    carries no other state, since no op writes its operand and eval-mode
+    ReLUs keep a bool mask whatever the parameters."""
 
-    def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset,
-                 frozen: bool = False):
+    def __init__(self, model: Model, labels, mask_mode: str, capture: frozenset):
         self.model = model
         self.labels = labels
         self.mask_mode = mask_mode
         self.capture = capture
-        self.frozen = frozen
         self.alc_scores: list[Tensor | None] = [None] * len(model.ewas_modules)
         self.captured: dict[str, Tensor] = {}
 
@@ -351,7 +347,7 @@ class SmallCnn(Model):
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
         h = x
         for name, layer in self.blocks:
-            h = ctx.tap(name, layer.forward(h, training, relu=True, keep_mask=ctx.frozen))
+            h = ctx.tap(name, layer.forward(h, training, relu=True))
         return self.head.forward(global_avg_pool(h))
 
 
@@ -362,18 +358,18 @@ class SmallCnn(Model):
 class BasicBlock:
     """conv-BN-ReLU, conv-BN, add shortcut, ReLU. Taps after each ReLU.
 
-    Each batch norm keeps x̂ in its conv's output buffer. The first ReLU
-    runs inside its batch norm, and ``conv2``'s weight gradient keeps its
-    refill hook, not its output, so that output is freed once ``conv2``
-    has read it, unless a tap scales or captures it. No backward reads
-    the ``bn2`` output or a ``down`` shortcut, so they are freed after the
-    add, and the add's sum after the last ReLU, which keeps its output.
-    So the tape keeps 3 activation-sized buffers per identity block and 4
-    per downsampling block. A frozen block (an attack step) keeps no
-    activation buffer, only the 2 bool masks of its ReLUs. Batch norm
-    writes only into its conv's fresh output, so the block input and
-    every tapped activation are never written. Its layers are registered
-    with ``model`` as they are built."""
+    No op writes its operand; eval-mode ReLUs keep a bool mask. Each
+    batch norm keeps x̂ in a buffer of its own, and its conv's output is
+    freed once the batch norm has read it. The first ReLU runs inside its
+    batch norm, and ``conv2``'s weight gradient keeps its refill hook,
+    not its output, so that output is freed once ``conv2`` has read it,
+    unless a tap scales or captures it. No backward reads the ``bn2``
+    output or a ``down`` shortcut, so they are freed after the add, and
+    the add's sum after the last ReLU, which in train mode keeps its
+    output. So the tape keeps 3 activation-sized buffers per identity
+    block and 4 per downsampling block. In an attack step the block keeps
+    no activation buffer, only the 2 bool masks of its ReLUs. Its layers
+    are registered with ``model`` as they are built."""
 
     def __init__(self, model: Model, name: str, cin: int, cout: int, stride: int,
                  rng: np.random.Generator | None, tap1: str, tap2: str):
@@ -391,11 +387,10 @@ class BasicBlock:
                                          stride, 0, rng, dtype))
 
     def forward(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True,
-                                                  keep_mask=ctx.frozen))
+        h = ctx.tap(self.tap1, self.conv1.forward(x, training, relu=True))
         h = self.conv2.forward(h, training)
         h = add(h, x if self.down is None else self.down.forward(x, training))
-        return ctx.tap(self.tap2, relu(h, keep_mask=ctx.frozen))
+        return ctx.tap(self.tap2, relu(h, keep_mask=not training))
 
 
 class ResNetLike(Model):
@@ -426,8 +421,7 @@ class ResNetLike(Model):
                                           self.dtype))
 
     def _run(self, x: Tensor, training: bool, ctx: _ForwardCtx) -> Tensor:
-        h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True,
-                                                     keep_mask=ctx.frozen))
+        h = ctx.tap(self.stem_tap, self.stem.forward(x, training, relu=True))
         for block in self.blocks:
             h = block.forward(h, training, ctx)
         return self.head.forward(global_avg_pool(h))

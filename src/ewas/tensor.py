@@ -26,24 +26,21 @@ Conventions that tests rely on:
   input) is its own entry. A closure captures at forward time only the
   arrays and flags its backward reads, so an activation lives as long as
   a reference to it: the model code, a capture, or a closure that reads
-  it. ``conv2d`` reads its input only for a weight gradient, ``relu`` its
-  output (or with ``keep_mask=True`` the bool mask ``out > 0``, one byte
-  per element), ``batch_norm2d`` its normalized input x̂; ``add``,
-  ``reshape`` and the pool read nothing of an activation, and ``mul`` and
-  ``matmul`` keep an operand's array only if the other operand requires
-  grad when the forward runs. No closure keeps a copy of an activation:
-  only the (B, K) loss ops keep intermediates (Chen et al. 2016,
-  arXiv:1604.06174),
-* ``batch_norm2d(..., inplace=True)`` writes x̂ into its operand's
-  ``data``, and its backward reads it there instead of recomputing it.
-  That is legal only when the operand is a fresh op result whose
-  producer's backward does not read it (``conv2d``), and nothing else
-  reads the operand afterwards; a leaf that requires grad raises, and so
-  does an output with a ``_refill`` hook. ``batch_norm2d(..., relu=True)``
-  gives its recorded output that hook: it writes relu(x̂·γ + β) again
-  with the forward's expressions into a given array, so the forward's
-  bytes (Pleiss et al. 2017, arXiv:1707.06990). A ``conv2d`` weight
-  gradient keeps the hook instead of its input's array.
+  it. No op writes its operand; eval-mode ReLUs keep a bool mask (the
+  models pass ``keep_mask=True``). ``conv2d`` reads its input only for a
+  weight gradient, ``relu`` its output (or with ``keep_mask=True`` the
+  bool mask ``out > 0``, one byte per element, built only when its
+  result is recorded), ``batch_norm2d`` the normalized input x̂, which it
+  computes into a buffer of its own; ``add``, ``reshape`` and the pool
+  read nothing of an activation, and ``mul`` and ``matmul`` keep an
+  operand's array only if the other operand requires grad when the
+  forward runs. No closure keeps a copy of an activation: only the (B,
+  K) loss ops keep intermediates (Chen et al. 2016, arXiv:1604.06174),
+* ``batch_norm2d(..., relu=True)`` gives its recorded output a
+  ``_refill`` hook: it writes relu(x̂·γ + β) again from the kept x̂ with
+  the forward's expressions into a given array, so the forward's bytes
+  (Pleiss et al. 2017, arXiv:1707.06990). A ``conv2d`` weight gradient
+  keeps the hook instead of its input's array.
 """
 
 from __future__ import annotations
@@ -258,10 +255,11 @@ def relu(x: Tensor, keep_mask: bool = False) -> Tensor:
     """max(x, 0), NaN where x is NaN; the subgradient at exactly 0 is 0.
 
     The backward's mask ``out > 0`` is read off the output, or with
-    ``keep_mask`` computed in the forward and kept as one bool per element
-    instead, so the output is freed with its last reference."""
+    ``keep_mask`` computed in the forward, if the result is recorded, and
+    kept as one bool per element instead, so the output is freed with its
+    last reference."""
     out = np.maximum(x.data, 0.0)
-    if keep_mask:
+    if keep_mask and _grad_enabled and x.requires_grad:
         mask = out > 0
         return _result(out, (x,), lambda g: (g * mask,))
     return _result(out, (x,), lambda g: (g * (out > 0),))
@@ -577,7 +575,7 @@ class RunningStats:
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, relu: bool = False, inplace: bool = False) -> Tensor:
+                 training: bool, relu: bool = False) -> Tensor:
     """Channelwise batch normalization over a (B, C, H, W) tensor, followed by
     max(·, 0) with ``relu``.
 
@@ -585,27 +583,19 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     Training mode normalizes by batch statistics (biased variance) and
     updates ``stats`` in place with momentum 0.1 (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
-    Besides per-channel numbers the closure keeps one array, and only if
-    its backward reads x̂: with ``inplace`` the normalized input ``xhat``
-    is written into ``x.data`` and read there; without, the backward
-    recomputes it from ``x.data`` with the forward's expression. Either way
-    it gets the same bits. With ``relu`` the backward's mask is
-    ``xhat·gamma + beta > 0``, not a read of the output, and a recorded
-    output gets a ``_refill`` hook that writes its bytes again, so a
-    conv's weight gradient need not keep it.
+    The normalized input ``xhat`` is computed into a buffer of its own,
+    never into ``x.data``. Besides per-channel numbers the closure keeps
+    that buffer, and only if its backward reads x̂. With ``relu`` the
+    backward's mask is ``xhat·gamma + beta > 0``, not a read of the
+    output, and a recorded output gets a ``_refill`` hook that writes its
+    bytes again, so a conv's weight gradient need not keep it.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d needs rank-4 input, got {x.data.shape}")
-    if inplace and x.requires_grad and x._node is None:
-        raise ValueError("batch_norm2d(inplace=True) would overwrite a leaf that requires grad")
-    if inplace and x._refill is not None:
-        raise ValueError("batch_norm2d(inplace=True) would overwrite an output its producer "
-                         "refills")
     b, c, h, w = x.data.shape
     n = b * h * w
     gd = gamma.data.reshape(1, c, 1, 1)
     bd = beta.data.reshape(1, c, 1, 1)
-    dst = x.data if inplace else None
 
     if training:
         if b < 2:
@@ -613,28 +603,24 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
                 f"batch norm in train mode needs batch >= 2, got {b}"
             )
         mean = x.data.mean(axis=(0, 2, 3))
-        centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
-        var = (centered * centered).mean(axis=(0, 2, 3))
+        xhat = x.data - mean.reshape(1, c, 1, 1)  # centered here, normalized below
+        var = (xhat * xhat).mean(axis=(0, 2, 3))
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         stats.mean += 0.1 * (mean - stats.mean)
         stats.var += 0.1 * (var * n / (n - 1) - stats.var)
     else:
-        mean = stats.mean.copy()  # a later train-mode forward updates stats in place
         inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
-        centered = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=dst)
+        xhat = x.data - stats.mean.reshape(1, c, 1, 1)
     ivs = inv_std.reshape(1, c, 1, 1)
-    out = np.multiply(centered, ivs, out=dst) * gd + bd
+    np.multiply(xhat, ivs, out=xhat)
+    out = xhat * gd + bd
     if relu:
         np.maximum(out, 0.0, out=out)
 
     need_dx, need_dgamma, need_dbeta = x.requires_grad, gamma.requires_grad, beta.requires_grad
-    xd = x.data if relu or need_dgamma or (training and need_dx) else None
-
-    def xhat():
-        return xd if inplace else (xd - mean.reshape(1, c, 1, 1)) * ivs
+    xh = xhat if relu or need_dgamma or (training and need_dx) else None
 
     def grad_fn(g):
-        xh = None if xd is None else xhat()
         if relu:
             g = g * (xh * gd + bd > 0)
         dgamma = (g * xh).sum(axis=(0, 2, 3)) if need_dgamma else None
@@ -652,7 +638,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     result = _result(out, (x, gamma, beta), grad_fn)
     if relu and result.requires_grad:
         def refill(dst):  # the forward's expressions, so the forward's bits
-            np.multiply(xhat(), gd, out=dst)
+            np.multiply(xh, gd, out=dst)
             np.add(dst, bd, out=dst)
             np.maximum(dst, 0.0, out=dst)
 

@@ -15,8 +15,9 @@ KL terms use the natural-input distribution as the reference, and the
 (1 - p_y) weights apply per sample before batch averaging. With several
 scaling modules the auxiliary terms are summed with equal weight lam.
 
-The inner maximization generates adversarial examples with PGD on the
-combined cross-entropy objective (the training lam as lambda_attack).
+The inner maximization generates adversarial examples with PGD as
+``train.attack`` sets it up, with that attack's own ``loss_kind`` and
+``lambda_attack``, not the training lam.
 Batch-norm statistics are frozen while the attack runs and updated only
 by the outer step's forward passes.
 

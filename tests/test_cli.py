@@ -682,6 +682,27 @@ class TestExportActivations:
         err = capsys.readouterr().err
         assert "block1" in err and "block4" in err
 
+    def test_train_split_with_a_last_batch_of_one_exports(self, tmp_path, capsys):
+        """Export never trains: 33 train samples in batches of 32 stop ``train``
+        but not an export of the train split."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg = write_config(cfg_path, analysis={"layer": "block4", "class_label": 0,
+                                               "attack": "pgd2", "scope": "sample",
+                                               "split": "train"})
+        cfg["data"]["samples_per_class"] = 11
+        cfg["train"]["batch_size"] = 32
+        cfg_path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ModelSection(**cfg["model"]).build(cfg["seed"]), ckpt)
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) \
+            == EXIT_USAGE
+        assert "train.batch_size: 32 leaves the last" in capsys.readouterr().err
+        out = tmp_path / "act"
+        assert main(["export-activations", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--out", str(out)]) == EXIT_OK
+        rows = read_rows(out / "activations.csv")
+        assert rows and "adversarial_value" in rows[0]
+
     def test_single_sample_class_frequencies_binary(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path,

@@ -236,43 +236,41 @@ class TestFrozenBatchNormFold:
 
 
 class TestInplaceActivations:
-    """Batch norm writes in place only into its conv's fresh output."""
+    """No op writes its operand: conv outputs, taps and ALC inputs keep their bytes."""
+
+    HOSTS = {"small_cnn": ("block2",), "resnet18_like": ("layer4", "layer15")}
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval_live"])
-    def test_batch_norm_keeps_xhat_in_its_conv_output(self, train, monkeypatch):
-        """Unfolded (train mode, or eval mode with live parameters), each batch
-        norm leaves x̂ in the buffer its conv wrote, and its output, a buffer
-        of its own, is x̂·γ + β bit for bit."""
-        model = randomize_batch_norms(RESNET.build(15), 16)
-        pairs = []
-        forward, conv2d = M.ConvBnLayer.forward, M.conv2d
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_conv_outputs_keep_their_bytes_through_forward_and_backward(self, arch, train,
+                                                                         monkeypatch):
+        """Unfolded (train mode, or eval mode with live parameters), every
+        conv output, the operand of a batch norm, still holds the bytes its
+        conv wrote after the forward and after the backward."""
+        spec = replace(FOLD_SPECS[arch], insertion_points=self.HOSTS[arch])
+        model = randomize_batch_norms(spec.build(40), 41)
+        convs = []
 
-        def record(layer, x, training, relu=False, keep_mask=False):
-            convs = []
-
-            def recorded_conv(*args):
-                convs.append(out := conv2d(*args))
-                return out
-
-            with monkeypatch.context() as patch:
-                patch.setattr(M, "conv2d", recorded_conv)
-                out = forward(layer, x, training, relu, keep_mask)
-            pairs.append((layer, relu, convs, out))
+        def recorded_conv(*args):
+            out = T.conv2d(*args)
+            convs.append((out, out.data.tobytes()))
             return out
 
-        monkeypatch.setattr(M.ConvBnLayer, "forward", record)
-        x = T.Tensor(np.random.default_rng(17).uniform(0, 1, (4, *RESNET.input_shape)),
-                     requires_grad=True)
-        model.forward(x, train=train, capture=model.INSERTION_POINTS)
-        assert len(pairs) == len(batch_norms(model))
-        for layer, relu, (conv,), out in pairs:
-            c = layer.gamma.data.size
-            want = conv.data * layer.gamma.data.reshape(1, c, 1, 1)
-            want += layer.beta.data.reshape(1, c, 1, 1)
-            if relu:
-                np.maximum(want, 0.0, out=want)
-            assert out.data.tobytes() == want.tobytes(), layer.bn_name
-            assert not np.shares_memory(out.data, conv.data), layer.bn_name
+        monkeypatch.setattr(M, "conv2d", recorded_conv)
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.uniform(0, 1, (4, *spec.input_shape)), requires_grad=True)
+        y = rng.integers(0, spec.num_classes, 4)
+        out = model.forward(x, labels=y, train=train,
+                            mask_mode="training" if train else "inference")
+        loss = T.softmax_cross_entropy(out.logits, y)
+        for scores in out.alc_scores:
+            loss = T.add(loss, T.softmax_cross_entropy(scores, y))
+        after_forward = [conv.data.tobytes() for conv, _ in convs]
+        T.backward(loss)
+        assert len(convs) == len(batch_norms(model)) and x.grad is not None
+        for (conv, made), forward_bytes in zip(convs, after_forward):
+            assert forward_bytes == made
+            assert conv.data.tobytes() == made
 
     @pytest.mark.parametrize("spec,hosts", [
         (M.ModelSection(width=4, input_shape=(2, 8, 8)), ("block1", "block2", "block4")),
@@ -371,8 +369,9 @@ class TestDroppedActivations:
 
 
 class TestFrozenTape:
-    """A frozen forward (eval mode, no parameter requires grad: an attack step)
-    keeps a bool mask per ReLU and no activation it does not capture."""
+    """An attack step's forward (eval mode, no parameter requires grad, so every
+    conv is folded) keeps a bool mask per ReLU and no activation it does not
+    capture."""
 
     # (spec, scaling-module hosts, lambda_attack)
     CASES = {

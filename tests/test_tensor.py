@@ -410,23 +410,25 @@ class TestConv2dRetainedMemory:
 
 
 class TestOpRetainedMemory:
-    """Elementwise ops and batch norm keep at most their output and O(C) numbers,
-    no copy of x; ``add`` keeps nothing."""
+    """Elementwise ops keep at most their output, batch norm its output, its
+    x̂ and O(C) numbers, and neither a copy of x; ``add`` keeps nothing."""
 
     @staticmethod
     def x():
         return t(np.random.default_rng(5).normal(size=(8, 16, 16, 16)))
 
-    @pytest.mark.parametrize("fused", [{}, {"relu": True, "inplace": True}],
-                             ids=["plain", "relu_inplace"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
     @pytest.mark.parametrize("training", [True, False])
-    def test_batch_norm_keeps_output_plus_per_channel_stats(self, training, fused):
+    def test_batch_norm_keeps_output_plus_per_channel_stats(self, training, relu):
+        """Besides its output, one x̂; the operand, a fresh op result made and
+        dropped inside the count, is freed."""
         c = 16
-        x = T.mul_scalar(self.x(), 1.0)  # a fresh op result, as in-place operands are
+        x = self.x()
         gamma, beta = t(np.full(c, 1.5)), t(np.full(c, 0.25))
         stats = T.RunningStats(np.full(c, 0.1), np.full(c, 2.0))
-        kept, out = retained(lambda: T.batch_norm2d(x, gamma, beta, stats, training, **fused))
-        assert kept <= out.data.nbytes + 8 * 8 * c + SLACK
+        kept, out = retained(lambda: T.batch_norm2d(T.mul_scalar(x, 1.0), gamma, beta, stats,
+                                                    training, relu=relu))
+        assert kept <= 2 * out.data.nbytes + 8 * 8 * c + SLACK
 
     @pytest.mark.parametrize("op", [lambda x: T.relu(x), lambda x: T.maximum_scalar(x, -0.5)],
                              ids=["relu", "maximum_scalar"])
@@ -582,50 +584,29 @@ class TestBatchNorm:
         assert_grad_matches(loss_fn, beta.data, beta.grad, what="bn/beta")
 
 
-class TestBatchNormInplaceAndRelu:
-    """``inplace`` keeps x̂ in the operand's buffer and ``relu`` runs the ReLU
-    inside the batch norm; neither changes a bit of what batch norm then
-    ``relu`` compute."""
+class TestBatchNormFusedRelu:
+    """``relu`` runs the ReLU inside the batch norm; it changes no bit of what
+    batch norm then ``relu`` compute, and neither writes its operand."""
 
     @staticmethod
-    def step(data, training, inplace, fused):
+    def step(data, training, fused):
         rng = np.random.default_rng(31)
         c = data.shape[1]
         x, gamma, beta = t(data), t(rng.uniform(0.5, 1.5, c)), t(rng.normal(0.0, 0.5, c))
         stats = T.RunningStats(rng.normal(size=c), rng.uniform(0.5, 2.0, c))
         coef = T.Tensor(rng.normal(size=data.shape))
-        h = T.mul_scalar(x, 1.0)  # a fresh op result, as in-place operands are
-        out = T.batch_norm2d(h, gamma, beta, stats, training, relu=fused, inplace=inplace)
+        out = T.batch_norm2d(x, gamma, beta, stats, training, relu=fused)
         if not fused:
             out = T.relu(out)
-        kept_xhat = inplace and h.data.tobytes() != data.tobytes()
         T.backward(tsum(T.mul(out, coef)))
-        return kept_xhat, [out.data.tobytes(), x.grad.tobytes(), gamma.grad.tobytes(),
-                           beta.grad.tobytes(), stats.mean.tobytes(), stats.var.tobytes()]
+        assert x.data.tobytes() == data.tobytes()
+        return [out.data.tobytes(), x.grad.tobytes(), gamma.grad.tobytes(),
+                beta.grad.tobytes(), stats.mean.tobytes(), stats.var.tobytes()]
 
     @pytest.mark.parametrize("training", [True, False])
     def test_matches_batch_norm_then_relu_bit_for_bit(self, training):
         data = np.random.default_rng(30).normal(1.0, 2.0, size=(4, 3, 5, 5))
-        reference = self.step(data, training, inplace=False, fused=False)[1]
-        for inplace, fused in [(True, False), (False, True), (True, True)]:
-            kept_xhat, got = self.step(data, training, inplace, fused)
-            assert got == reference
-            assert kept_xhat == inplace
-
-    def test_inplace_refuses_a_leaf_and_a_refillable_output(self):
-        rng = np.random.default_rng(32)
-        x = t(rng.normal(size=(2, 2, 3, 3)))
-        gamma, beta, stats = t(np.ones(2)), t(np.zeros(2)), T.RunningStats.create(2)
-        data = x.data.copy()
-        with pytest.raises(ValueError, match="leaf"):
-            T.batch_norm2d(x, gamma, beta, stats, True, inplace=True)
-        with T.no_grad(), pytest.raises(ValueError, match="leaf"):
-            T.batch_norm2d(x, gamma, beta, stats, True, inplace=True)
-        assert x.data.tobytes() == data.tobytes()
-        out = T.batch_norm2d(T.mul_scalar(x, 1.0), gamma, beta, stats, True, relu=True)
-        assert out._refill is not None
-        with pytest.raises(ValueError, match="refills"):
-            T.batch_norm2d(out, gamma, beta, stats, True, inplace=True)
+        assert self.step(data, training, fused=True) == self.step(data, training, fused=False)
 
     @pytest.mark.parametrize("stride,cout", [(1, 3), (2, 5)], ids=["correlate_dx", "col2im_dx"])
     def test_conv_of_a_dropped_input_gets_the_same_gradients(self, stride, cout):
@@ -639,8 +620,7 @@ class TestBatchNormInplaceAndRelu:
         for refill in (False, True):
             x, w = t(data), t(w_data)
             gamma, beta, stats = t(np.full(4, 1.2)), t(np.full(4, 0.1)), T.RunningStats.create(4)
-            h = T.batch_norm2d(T.mul_scalar(x, 1.0), gamma, beta, stats, True,
-                               relu=True, inplace=True)
+            h = T.batch_norm2d(x, gamma, beta, stats, True, relu=True)
             if not refill:
                 h = T.mul_scalar(h, 1.0)  # a plain copy: exact, forward and backward
             out = T.conv2d(h, w, stride=stride, padding=1)
