@@ -63,18 +63,22 @@ class Dataset:
 
 def load_cifar_binary(paths, num_classes: int = 10) -> Dataset:
     """Load a list of CIFAR-style binary batches: per record one label byte
-    then 3072 pixel bytes (row-major R, G, B planes). Files concatenate in order."""
-    chunks_img, chunks_lab = [], []
+    then 3072 pixel bytes (row-major R, G, B planes). Files concatenate in order,
+    into arrays sized from the file sizes; one file's bytes are held at a time."""
+    sizes = [Path(path).stat().st_size for path in paths]
+    for path, size in zip(paths, sizes):
+        if size % CIFAR_RECORD_BYTES != 0:
+            raise DataFormatError(f"{path}: length {size} not divisible by {CIFAR_RECORD_BYTES}")
+    n = sum(sizes) // CIFAR_RECORD_BYTES
+    images, labels = np.empty((n, 3, 32, 32)), np.empty(n, dtype=np.int64)
+    lo = 0
     for path in paths:
-        blob = Path(path).read_bytes()
-        if len(blob) % CIFAR_RECORD_BYTES != 0:
-            raise DataFormatError(
-                f"{path}: length {len(blob)} not divisible by {CIFAR_RECORD_BYTES}"
-            )
-        raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        chunks_lab.append(raw[:, 0].astype(np.int64))
-        chunks_img.append(raw[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0)
-    return Dataset(np.concatenate(chunks_img), np.concatenate(chunks_lab), num_classes)
+        raw = np.frombuffer(Path(path).read_bytes(), np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        hi = lo + len(raw)
+        labels[lo:hi] = raw[:, 0]
+        np.divide(raw[:, 1:].reshape(-1, 3, 32, 32), 255.0, out=images[lo:hi])
+        lo = hi
+    return Dataset(images, labels, num_classes)
 
 
 def synth_dataset(num_classes: int, samples_per_class: int, shape,

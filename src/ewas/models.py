@@ -73,7 +73,6 @@ from .tensor import (
     conv2d,
     global_avg_pool,
     matmul,
-    no_grad,
     relu,
 )
 
@@ -104,11 +103,16 @@ class ConvBnLayer:
         self.padding = padding
         fan_in = cin * kernel * kernel
         shape = (cout, cin, kernel, kernel)
-        w = np.zeros(shape) if rng is None else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
+        w = np.zeros(shape, dtype) if rng is None else rng.normal(0, np.sqrt(2 / fan_in), shape)
+        self.weight = Tensor(w, requires_grad=True, dtype=dtype)
         self.gamma = Tensor(np.ones(cout, dtype=dtype), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True, dtype=dtype)
         self.stats = RunningStats.create(cout, dtype=dtype)
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, int, int]:
+        """The (C, H, W) of the output for an input of (C_in, H, W)."""
+        cout, _, k, _ = self.weight.data.shape
+        return (cout, *((n + 2 * self.padding - k) // self.stride + 1 for n in shape[1:]))
 
     def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
         """The conv then the batch norm, then max(·, 0) with ``relu``. In eval
@@ -147,12 +151,12 @@ class LinearLayer:
         self.name = name
         bound = 1.0 / np.sqrt(fan_in)
         if rng is None:
-            w, b = np.zeros((fan_in, fan_out)), np.zeros(fan_out)
+            w, b = np.zeros((fan_in, fan_out), dtype), np.zeros(fan_out, dtype)
         else:
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
             b = rng.uniform(-bound, bound, size=fan_out)
-        self.weight = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(b.astype(dtype), requires_grad=True, dtype=dtype)
+        self.weight = Tensor(w, requires_grad=True, dtype=dtype)
+        self.bias = Tensor(b, requires_grad=True, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return add_rowvec(matmul(x, self.weight), self.bias)
@@ -242,7 +246,8 @@ class Model:
     An architecture's constructor takes ``(spec, seed)``, draws its weights
     from ``stream(seed, BACKBONE)`` (zeros if it is ``None``) and registers
     each layer with ``_add`` as it builds it; that order is the order of
-    ``parameters()``, ``state_arrays()`` and the checkpoint records.
+    ``parameters()``, ``state_arrays()`` and the checkpoint records. It puts
+    each insertion point's (C, H, W), from the layers' geometry, in ``tap_shapes``.
     """
 
     arch = "model"
@@ -255,6 +260,7 @@ class Model:
         self.dtype = np.dtype(spec.dtype).type
         self.layers: list = []
         self.ewas_modules: list[EwasModule] = []
+        self.tap_shapes: dict[str, tuple[int, int, int]] = {}
         self.checkpoint_meta: dict = {}
 
     # subclasses provide INSERTION_POINTS and _run(x, training, ctx)
@@ -336,11 +342,12 @@ class SmallCnn(Model):
         width = spec.width
         channels = (width, 2 * width, 4 * width, 4 * width)
         self.blocks = []
-        cin = spec.input_shape[0]
+        shape = spec.input_shape
         for name, cout, stride in zip(self.INSERTION_POINTS, channels, self.STRIDES):
-            self.blocks.append((name, self._add(ConvBnLayer(
-                f"{name}.conv", f"{name}.bn", cin, cout, 3, stride, 1, rng, self.dtype))))
-            cin = cout
+            layer = self._add(ConvBnLayer(f"{name}.conv", f"{name}.bn", shape[0], cout, 3,
+                                          stride, 1, rng, self.dtype))
+            self.blocks.append((name, layer))
+            shape = self.tap_shapes[name] = layer.out_shape(shape)
         self.head = self._add(LinearLayer("head", channels[-1], spec.num_classes, rng,
                                           self.dtype))
 
@@ -406,17 +413,17 @@ class ResNetLike(Model):
         self.stem = self._add(ConvBnLayer("stem.conv", "stem.bn", spec.input_shape[0], width,
                                           3, 1, 1, rng, self.dtype))
         self.stem_tap = next(taps)
+        shape = self.tap_shapes[self.stem_tap] = self.stem.out_shape(spec.input_shape)
         self.blocks: list[BasicBlock] = []
-        cin = width
         for s, (cout, stride) in enumerate(
             zip((width, 2 * width, 4 * width, 8 * width), (1, 2, 2, 2))
         ):
             for b in range(2):
-                self.blocks.append(
-                    BasicBlock(self, f"stage{s + 1}.block{b + 1}", cin, cout,
-                               stride if b == 0 else 1, rng, next(taps), next(taps))
-                )
-                cin = cout
+                block = BasicBlock(self, f"stage{s + 1}.block{b + 1}", shape[0], cout,
+                                   stride if b == 0 else 1, rng, next(taps), next(taps))
+                self.blocks.append(block)
+                shape = self.tap_shapes[block.tap1] = block.conv1.out_shape(shape)
+                shape = self.tap_shapes[block.tap2] = block.conv2.out_shape(shape)
         self.head = self._add(LinearLayer("head", 8 * width, spec.num_classes, rng,
                                           self.dtype))
 
@@ -431,17 +438,15 @@ _ARCHS = {cls.arch: cls for cls in (SmallCnn, ResNetLike)}
 
 
 def insert_ewas(model: Model, host_layer: str, seed: int | None = 0) -> Model:
-    """Attach a scaling module with one column per model class, sized by a
-    dry-run at ``host_layer``. Module ``i`` draws its weights from
+    """Attach a scaling module with one column per model class, sized by
+    ``model.tap_shapes[host_layer]``. Module ``i`` draws its weights from
     ``stream(seed, MODULE, i)``, or is zeros if ``seed`` is ``None``.
 
     Multiple insertions are kept in list order; a repeated host name
     scales the already-scaled activation.
     """
     model.spec.check_hooks("insertion point", [host_layer])
-    with no_grad():
-        probe = np.zeros((1, *model.spec.input_shape), dtype=model.dtype)
-        flat = model.forward(probe, capture=(host_layer,)).captured[host_layer].data.size
+    flat = math.prod(model.tap_shapes[host_layer])
     rng = stream(seed, MODULE, len(model.ewas_modules))
     model.ewas_modules.append(EwasModule.create(host_layer, flat, model.num_classes, rng,
                                                 dtype=model.dtype))
@@ -497,18 +502,20 @@ def save_checkpoint(model: Model, path, epoch: int | None = None,
         buf += name_b
         buf += struct.pack("<B", arr.ndim)
         buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += np.ascontiguousarray(arr, dtype=payload_dtype).tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+        buf += np.ascontiguousarray(arr, dtype=payload_dtype).data  # its bytes, no copy
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(buf)
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Walks a ``memoryview``: each ``take`` is a slice of it, not a copy."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointTruncatedError(
                 f"needed {n} bytes at offset {self.pos}, file has {len(self.blob)}"
@@ -527,14 +534,16 @@ def load_checkpoint(path) -> Model:
 
     The record framing is walked and the CRC verified before the metadata
     is decoded or a model is built, so a corrupted byte fails with a
-    ``CheckpointError``, never with a ``ConfigError`` from garbled metadata."""
+    ``CheckpointError``, never with a ``ConfigError`` from garbled metadata.
+    Every payload is read through one view of the file's bytes and copied
+    once, into the array it restores."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4:
         raise CheckpointTruncatedError("file shorter than the fixed header")
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointMagicError(f"bad magic {blob[:8]!r}")
-    body = blob[:-4]
+    body = memoryview(blob)[:-4]
     r = _Reader(body)
     r.take(len(CHECKPOINT_MAGIC))
     version, f64_flag = r.unpack("<II")
@@ -559,10 +568,10 @@ def load_checkpoint(path) -> Model:
         raise CheckpointChecksumError("checksum mismatch; file is corrupt")
 
     try:
-        meta = json.loads(meta_raw.decode())
+        meta = json.loads(str(meta_raw, "utf-8"))
         model = ModelSection(**meta["model"]).build(None)  # zeros: every array is read below
         model.checkpoint_meta = {key: meta[key] for key in ("epoch", "seed", "config_digest")}
-        names = [name.decode() for name, _, _ in records]
+        names = [str(name, "utf-8") for name, _, _ in records]
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
         raise CheckpointContentError(f"metadata or record name invalid: {exc}") from exc
     expected = _param_records(model)
@@ -570,16 +579,15 @@ def load_checkpoint(path) -> Model:
     bad = sorted({name for name in names if name not in known or names.count(name) > 1})
     if bad:
         raise CheckpointContentError(f"duplicate or unknown record names: {bad}")
-    arrays = {name: np.frombuffer(raw, dtype=payload_dtype).reshape(shape)
-              for name, (_, shape, raw) in zip(names, records)}
+    arrays = {name: (shape, raw) for name, (_, shape, raw) in zip(names, records)}
     missing = [name for name in known if name not in arrays]
     if missing:
         raise CheckpointTruncatedError(f"missing parameter records: {missing}")
     for name, target in expected:
-        src = arrays[name].astype(target.dtype)
-        if src.shape != target.shape:
+        shape, raw = arrays[name]
+        if shape != target.shape:
             raise CheckpointTruncatedError(
-                f"record {name!r} has shape {src.shape}, expected {target.shape}"
+                f"record {name!r} has shape {shape}, expected {target.shape}"
             )
-        target[...] = src
+        target[...] = np.frombuffer(raw, dtype=payload_dtype).reshape(shape)
     return model

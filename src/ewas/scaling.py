@@ -46,8 +46,8 @@ class EwasModule:
         a generator, for a caller that overwrites them."""
         bound = 1.0 / np.sqrt(flat_size)
         shape = (flat_size, num_classes)
-        w = np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
-        return cls(host, Tensor(w.astype(dtype), requires_grad=True, dtype=dtype))
+        w = np.zeros(shape, dtype) if rng is None else rng.uniform(-bound, bound, size=shape)
+        return cls(host, Tensor(w, requires_grad=True, dtype=dtype))
 
 
 def ewas_forward(z: Tensor, weight: Tensor, labels: np.ndarray | None = None,

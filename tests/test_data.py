@@ -1,5 +1,7 @@
 """The CIFAR binary loader, synthetic data, deterministic batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,30 @@ class TestCifarBinary:
         p2.write_bytes(self.record(3, value=30))
         ds = D.load_cifar_binary([p1, p2])
         np.testing.assert_array_equal(ds.labels, [1, 2, 3])
+
+    def test_two_files_fill_one_array_exactly_as_byte_over_255(self, tmp_path):
+        """The pixels are the bytes of ``astype(float64) / 255.0``, filled file by
+        file into one array: the load holds the images, one file's bytes and the
+        ufunc's cast buffers. Converting each file twice and concatenating held
+        twice the images."""
+        rng = np.random.default_rng(3)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, n in zip(paths, (40, 60)):
+            path.write_bytes(b"".join(self.record(int(rng.integers(10)), rng=rng)
+                                      for _ in range(n)))
+        tracemalloc.start()
+        try:
+            ds = D.load_cifar_binary(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw = [np.frombuffer(p.read_bytes(), np.uint8).reshape(-1, D.CIFAR_RECORD_BYTES)
+               for p in paths]
+        old = np.concatenate([r[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
+                              for r in raw])
+        assert ds.images.tobytes() == old.tobytes()
+        np.testing.assert_array_equal(ds.labels, np.concatenate([r[:, 0] for r in raw]))
+        assert peak <= ds.images.nbytes + paths[1].stat().st_size + 256 * 1024
 
     def test_all_255_record(self, tmp_path):
         path = tmp_path / "w.bin"

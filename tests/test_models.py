@@ -115,6 +115,20 @@ class TestResNetLike:
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
+class TestTapShapes:
+    @pytest.mark.parametrize("arch,width", [("small_cnn", 1), ("small_cnn", 3),
+                                            ("resnet18_like", 4), ("resnet18_like", 5)])
+    @pytest.mark.parametrize("hw", [(8, 8), (9, 11), (13, 8), (15, 17)])
+    def test_recorded_geometry_matches_a_forward(self, arch, width, hw):
+        """The constructor derives each insertion point's (C, H, W) from the
+        convs' kernel, stride and padding; a forward agrees at every point."""
+        spec = M.ModelSection(arch=arch, width=width, input_shape=(2, *hw))
+        model = spec.build(0)
+        points = model.INSERTION_POINTS
+        out = model.forward(np.zeros((1, *spec.input_shape)), capture=points)
+        assert model.tap_shapes == {name: out.captured[name].data.shape[1:] for name in points}
+
+
 def randomize_batch_norms(model, seed):
     """Non-trivial gamma, beta and running stats, so a fold has work to do."""
     rng = np.random.default_rng(seed)
@@ -627,6 +641,20 @@ class TestInsertEwas:
             assert old.tobytes() == new.tobytes()
 
 
+CIFAR = M.ModelSection(arch="resnet18_like", width=16, input_shape=(3, 32, 32),
+                       num_classes=10, insertion_points=("layer15",))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheckpoint:
     def _trained_like_model(self, dtype=np.float64):
         model = M.ModelSection(width=2, dtype=np.dtype(dtype).name).build(11)
@@ -681,16 +709,21 @@ class TestCheckpoint:
                                            (RESNET, "layer15")],
                              ids=["small_cnn", "resnet18_like"])
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, spec, host):
-        """The file overwrites every array, so loading builds with zeros."""
-        model = spec.build(21)
-        M.insert_ewas(model, host, seed=22)
+        """The file overwrites every array, so loading builds with zeros; and
+        ``insert_ewas`` sizes a module from ``tap_shapes``, so neither building
+        nor loading runs a forward."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a forward ran or initial weights were drawn")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M.Model, "forward", fail)
+            model = spec.build(21)
+            M.insert_ewas(model, host, seed=22)
         path = tmp_path / "n.ckpt"
         M.save_checkpoint(model, path)
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("load_checkpoint drew initial weights")
-
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(M.Model, "forward", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
         loaded = M.load_checkpoint(path)
         for (n1, t1), (n2, t2) in zip(model.parameters(), loaded.parameters(), strict=True):
             assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
@@ -767,6 +800,22 @@ class TestCheckpoint:
         a = model.forward(x, mask_mode="inference").logits.data
         b = loaded.forward(x, mask_mode="inference").logits.data
         assert a.tobytes() == b.tobytes()
+
+    def test_load_peak_is_at_most_two_and_a_half_files(self, tmp_path):
+        """The file's bytes are held once and every payload is read through a
+        view of them into the model's zeroed array. Copies of the body and of
+        each record, and a cast per record, held 4.4 files."""
+        path = tmp_path / "l.ckpt"
+        M.save_checkpoint(replace(CIFAR, dtype="float32").build(0), path)
+        assert traced_peak(lambda: M.load_checkpoint(path)) <= 2.5 * path.stat().st_size
+
+    def test_save_peak_is_at_most_one_and_a_half_files(self, tmp_path):
+        """Each array's bytes are appended to one buffer, which is checksummed
+        and written as it is; ``tobytes`` and ``bytes(buf)`` copies held 2.1
+        files."""
+        model = CIFAR.build(0)
+        path = tmp_path / "s.ckpt"
+        assert traced_peak(lambda: M.save_checkpoint(model, path)) <= 1.5 * path.stat().st_size
 
     @pytest.mark.parametrize("spec,seed,modules,digest", [
         (M.ModelSection(width=2), 11, [("block3", 12), ("block4", 13)],

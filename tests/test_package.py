@@ -35,7 +35,7 @@ def test_every_exported_name_resolves():
     (scaling, "alc_score"),
     (scaling, "select_mask"),
     (scaling, "apply_scaling"),
-    (models.Model, "activation_shape"),  # insert_ewas's dry run
+    (models.Model, "activation_shape"),  # Model.tap_shapes
     (data, "load_idx"),  # no data kind reads IDX files
     (config, "_IdxData"),
     (errors, "MagicNumberError"),
