@@ -27,11 +27,11 @@ a gamma gradient; this rounds differently from conv then batch norm.
 
 The forward code holds an activation only while it still reads it, and
 the tape keeps only what a backward reads (see ``tensor``): an activation
-lives as long as a reference to it. One rule decides what that is: no op
-writes its operand; eval-mode ReLUs keep a bool mask. So in an attack
-step (eval mode, no parameter requires grad), whose convs are all
-folded, the backward reads nothing of an activation but the sign of each
-ReLU, and the tape keeps no activation that the forward does not capture.
+lives as long as a reference to it. No op writes its operand; eval-mode
+ReLUs keep a bool mask. So in an attack step (eval mode, no parameter
+requires grad), whose convs are all folded, the tape keeps the sign of
+each ReLU, no activation the forward does not capture, and no selected
+scaling mask: the scaling gathers its weight columns again.
 
 Checkpoints are a binary format: magic, version, metadata JSON (epoch,
 seed, config digest, model description), named parameter records in the

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeError
-from .tensor import Tensor, matmul, mul, reshape, take_columns
+from .tensor import Tensor, matmul, reshape, take_columns
 
 MODES = ("training", "inference")
 
@@ -60,15 +60,12 @@ def ewas_forward(z: Tensor, weight: Tensor, labels: np.ndarray | None = None,
     index on ties) in inference mode. The choice is a constant of
     differentiation: gradients reach z and the chosen columns, never the
     choice. An unknown mode, or training mode without labels, raises
-    ``ModeError``; a weight without C*H*W rows, ``matmul``'s ``ShapeError``.
+    ``ModeError``; a weight without C*H*W rows or labels not (B,), ``ShapeError``.
     """
     if mode not in MODES:
         raise ModeError(f"unknown selection mode {mode!r}; expected one of {MODES}")
     if mode == "training" and labels is None:
         raise ModeError("training-mode mask selection requires labels")
-    b = z.data.shape[0]
-    scores = matmul(reshape(z, (b, -1)), weight)
-    idx = (np.asarray(labels, dtype=np.int64) if mode == "training"
-           else scores.data.argmax(axis=1))  # argmax takes the first maximum
-    mask = reshape(take_columns(weight, idx), z.data.shape)
-    return mul(z, mask), scores
+    scores = matmul(reshape(z, (z.data.shape[0], -1)), weight)
+    idx = labels if mode == "training" else scores.data.argmax(axis=1)  # the first maximum
+    return take_columns(z, weight, idx), scores

@@ -12,7 +12,7 @@ Conventions that tests rely on:
 * ``relu`` has subgradient 0 at exactly 0,
 * shapes are logical: an op's result may be a non-contiguous view. A
   conv output is a (B, C, H, W) view of a C-contiguous (C, H, W, B)
-  array; elementwise ops, batch norm and the scaling mask keep that
+  array; elementwise ops, batch norm and the scaling product keep that
   batch-innermost layout, and the pool and ``matmul`` give their input
   gradients in it, so no conv needs a transposing copy but the first,
 * flattening a (B, C, H, W) tensor is channel-major, then row, then
@@ -32,10 +32,12 @@ Conventions that tests rely on:
   bool mask ``out > 0``, one byte per element, built only when its
   result is recorded), ``batch_norm2d`` the normalized input x̂, which it
   computes into a buffer of its own; ``add``, ``reshape`` and the pool
-  read nothing of an activation, and ``mul`` and ``matmul`` keep an
+  read nothing of an activation, ``mul`` and ``matmul`` keep an
   operand's array only if the other operand requires grad when the
-  forward runs. No closure keeps a copy of an activation: only the (B,
-  K) loss ops keep intermediates (Chen et al. 2016, arXiv:1604.06174),
+  forward runs, and ``take_columns`` keeps z's array only for a weight
+  gradient and gathers w's columns again for z's. No closure keeps a
+  copy of an activation or a selected mask: only the (B, K) loss ops
+  keep intermediates (Chen et al. 2016, arXiv:1604.06174),
 * ``batch_norm2d(..., relu=True)`` gives its recorded output a
   ``_refill`` hook: it writes relu(x̂·γ + β) again from the kept x̂ with
   the forward's expressions into a given array, so the forward's bytes
@@ -222,6 +224,15 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
+def _check_labels(labels, b: int, k: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (b,):
+        raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise IndexError(f"label out of range [0, {k})")
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 # ---------------------------------------------------------------------------
@@ -327,10 +338,8 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 def gather_labels(x: Tensor, labels: np.ndarray) -> Tensor:
     """Pick x[b, labels[b]] for each row; returns a (B,) tensor."""
-    labels = np.asarray(labels, dtype=np.int64)
     batch, k = x.data.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise IndexError(f"label out of range [0, {k})")
+    labels = _check_labels(labels, batch, k)
     rows = np.arange(batch)
     xd = x.data
 
@@ -348,10 +357,10 @@ def masked_rowmax(x: Tensor, exclude_labels: np.ndarray) -> Tensor:
     The winning index is a constant of differentiation: the gradient is
     routed to the selected entry only.
     """
-    labels = np.asarray(exclude_labels, dtype=np.int64)
     batch, k = x.data.shape
     if k < 2:
         raise ShapeError("masked_rowmax needs at least 2 columns")
+    labels = _check_labels(exclude_labels, batch, k)
     rows = np.arange(batch)
     xd = x.data
     masked = xd.copy()
@@ -366,24 +375,26 @@ def masked_rowmax(x: Tensor, exclude_labels: np.ndarray) -> Tensor:
     return _result(masked[rows, winners].copy(), (x,), grad_fn)
 
 
-def take_columns(w: Tensor, idx: np.ndarray) -> Tensor:
-    """Stack columns w[:, idx[b]] into a (B, D) tensor, a view of a (D, B) array.
+def take_columns(z: Tensor, w: Tensor, idx: np.ndarray) -> Tensor:
+    """z[b] * w[:, idx[b]] reformatted to z[b]'s shape, gathered batch-innermost.
 
-    The index vector is constant under differentiation; gradients scatter
-    back into the selected columns additively.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    d, k = w.data.shape
-    if idx.min() < 0 or idx.max() >= k:
-        raise IndexError(f"column index out of range [0, {k})")
-    dtype = w.data.dtype
+    The index vector is constant under differentiation: the backward
+    gathers the columns again for z's gradient and scatters g·z into them,
+    additively, for w's."""
+    shape, (d, k) = z.data.shape, w.data.shape
+    b = shape[0]
+    idx = _check_labels(idx, b, k)
+    wd, zd = w.data, (z.data if w.requires_grad else None)
 
     def grad_fn(g):
-        dwt = np.zeros((k, d), dtype=dtype)
-        np.add.at(dwt, idx, g)
-        return (dwt.T.copy(),)
+        dz = g * wd.take(idx, axis=1).T.reshape(shape)
+        if zd is None:
+            return dz, None
+        dwt = np.zeros((k, d), dtype=wd.dtype)
+        np.add.at(dwt, idx, (g * zd).reshape(b, d))
+        return dz, dwt.T.copy()
 
-    return _result(w.data.take(idx, axis=1).T, (w,), grad_fn)
+    return _result(z.data * wd.take(idx, axis=1).T.reshape(shape), (z, w), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +661,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 # classification losses
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be a 1-d index array, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise IndexError(f"label out of range [0, {k})")
-    return labels
-
-
 def softmax(x: Tensor) -> Tensor:
     """Rowwise softmax of a (B, K) tensor."""
     if x.data.ndim != 2:
@@ -685,7 +687,7 @@ def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Te
     if reduction not in ("mean", "none"):
         raise ValueError(f"unknown reduction {reduction!r}")
     b, k = logits.data.shape
-    labels = _check_labels(labels, k)
+    labels = _check_labels(labels, b, k)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     rows = np.arange(b)
@@ -755,7 +757,7 @@ def boosted_cross_entropy(probs: Tensor, labels) -> Tensor:
     if probs.data.ndim != 2:
         raise ShapeError(f"boosted_cross_entropy needs (B, K) probs, got {probs.data.shape}")
     b, k = probs.data.shape
-    labels = _check_labels(labels, k)
+    labels = _check_labels(labels, b, k)
     _check_prob_rows(probs.data, "probs")
     lo, hi = 1e-12, 1.0 - 1e-12
     pd = probs.data

@@ -5,6 +5,7 @@
 cells of every backward closure, following nested closures such as a
 batch norm's ``_refill`` hook and the containers they capture, and
 collects the arrays found, one per owning buffer, and the tensors found.
+``closure(node)`` reads one entry's closure alone.
 """
 
 from dataclasses import dataclass, field
@@ -43,6 +44,13 @@ def tape(loss: T.Tensor) -> Tape:
             continue
         entries.extend(entry.parents)
         _read(entry.grad_fn, out, set())
+    return out
+
+
+def closure(node: T._Node) -> Tape:
+    """What one op result's backward closure holds."""
+    out = Tape()
+    _read(node.grad_fn, out, set())
     return out
 
 

@@ -24,7 +24,7 @@ from ewas.errors import (
     ConfigError,
 )
 
-from _tape import tape
+from _tape import closure, owner, tape
 
 
 class TestSmallCnn:
@@ -399,11 +399,11 @@ class TestFrozenTape:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_keeps_one_byte_per_relu_element_and_the_folded_weights(self, case, monkeypatch):
         """What ``attack_objective``'s live graph keeps, measured by tracemalloc:
-        a bool per ReLU element, each folded conv's weight and bias, each
-        scaling module's selected mask and at most 2 KiB per tape entry. Read
-        off the tape, every array at least as large as the smallest ReLU mask
-        is a ReLU mask, a folded weight, a module weight the scores read, or
-        a selected mask."""
+        a bool per ReLU element, each folded conv's weight and bias and at
+        most 2 KiB per tape entry. Read off the tape, every array at least as
+        large as the smallest ReLU mask is a ReLU mask, a folded weight or a
+        module weight, and no array has a selected mask's (C*H*W, B) shape:
+        the scaling gathers its columns again in the backward."""
         spec, hosts, lam = self.CASES[case]
         model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(30), 31)
         rng = np.random.default_rng(32)
@@ -437,16 +437,14 @@ class TestFrozenTape:
         folded = sum(layer.weight.data.nbytes + layer.gamma.data.nbytes
                      for layer in batch_norms(model))
         selected = [(mod.weight.data.shape[0], batch) for mod in model.ewas_modules]
-        masks = sum(mod.weight.data.shape[0] * batch * itemsize for mod in model.ewas_modules)
         relu_elements = sum(out.size for out in relu_outs)
-        assert kept <= relu_elements + folded + masks + 2048 * len(held.entries)
+        assert kept <= relu_elements + folded + 2048 * len(held.entries)
         smallest = min(out.nbytes for out in relu_outs)
         large = [a for a in held.arrays.values() if a.nbytes >= smallest // itemsize]
         assert sum(a.dtype == np.bool_ for a in large) == len(relu_outs)
-        assert all(a.dtype == np.bool_ or a.shape in weights or a.shape in selected
-                   for a in large)
-        assert sum(a.shape in selected for a in large) == len(selected)
-        assert relu_elements * itemsize > folded + masks  # what a kept output would cost
+        assert all(a.dtype == np.bool_ or a.shape in weights for a in large)
+        assert not any(a.shape in selected for a in held.arrays.values())
+        assert relu_elements * itemsize > folded  # what a kept output would cost
 
     # scaling-module hosts for FOLD_SPECS, one early and one late
     HOSTS = {"small_cnn": ("block1", "block3"), "resnet18_like": ("layer2", "layer15")}
@@ -490,6 +488,40 @@ class TestFrozenTape:
         assert live < live_when_captured
 
 
+class TestTrainTape:
+    """A train step's forward: every parameter requires grad."""
+
+    @pytest.mark.parametrize("arch", sorted(FOLD_SPECS))
+    def test_scaling_keeps_its_input_and_no_selected_mask(self, arch, monkeypatch):
+        """With the weight requiring grad, each scaling's closure keeps z's
+        array for the weight gradient, the weight and the indices, and no
+        array on the tape has a selected mask's (C*H*W, B) shape."""
+        spec = replace(FOLD_SPECS[arch], insertion_points=TestFrozenTape.HOSTS[arch])
+        model = spec.build(36)
+        rng = np.random.default_rng(37)
+        batch = 6
+        x = rng.uniform(0, 1, (batch, *spec.input_shape))
+        y = rng.integers(0, spec.num_classes, batch)
+        scalings, take_columns = [], S.take_columns
+
+        def recorded(z, w, idx):
+            out = take_columns(z, w, idx)
+            scalings.append((z.data, w.data, idx, out))
+            return out
+
+        monkeypatch.setattr(S, "take_columns", recorded)
+        out = model.forward(x, labels=y, train=True, mask_mode="training")
+        loss = T.softmax_cross_entropy(out.logits, y)
+        for scores in out.alc_scores:
+            loss = T.add(loss, T.softmax_cross_entropy(scores, y))
+        held = tape(loss)
+        assert len(scalings) == len(spec.insertion_points)
+        for z, w, idx, scaled in scalings:
+            kept = closure(scaled._node).arrays
+            assert set(kept) == {id(owner(z)), id(owner(w)), id(owner(idx))}
+            assert not any(a.shape == (w.shape[0], batch) for a in held.arrays.values())
+
+
 def batch_innermost(a: np.ndarray) -> bool:
     """A (B, C, H, W) array is a view of a C-contiguous (C, H, W, B) one."""
     return a.transpose(1, 2, 3, 0).flags.c_contiguous
@@ -510,9 +542,9 @@ class TestBatchInnermostLayout:
     def test_taps_and_masks_are_batch_innermost(self, arch, mode, monkeypatch):
         spec, hosts = LAYOUT_SPECS[arch]
         model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(20), 21)
-        masks = []
-        mul = S.mul
-        monkeypatch.setattr(S, "mul", lambda z, mask: masks.append(mask) or mul(z, mask))
+        scaled, take_columns = [], S.take_columns
+        monkeypatch.setattr(S, "take_columns",
+                            lambda *args: scaled.append(take_columns(*args)) or scaled[-1])
         rng = np.random.default_rng(22)
         x = rng.uniform(0, 1, (4, *spec.input_shape))
         y = rng.integers(0, spec.num_classes, 4)
@@ -525,8 +557,8 @@ class TestBatchInnermostLayout:
         else:  # a pgd step: the input requires grad, the parameters are frozen
             with frozen_params(model):
                 out = model.forward(T.Tensor(x, requires_grad=True), labels=y, capture=taps)
-        assert sorted(out.captured) == sorted(taps) and len(masks) == len(hosts)
-        for name, h in [*out.captured.items(), *(("mask", m) for m in masks)]:
+        assert sorted(out.captured) == sorted(taps) and len(scaled) == len(hosts)
+        for name, h in [*out.captured.items(), *(("scaled", s) for s in scaled)]:
             assert batch_innermost(h.data), name
 
     @pytest.mark.parametrize("arch", sorted(LAYOUT_SPECS))

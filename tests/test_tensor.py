@@ -892,17 +892,39 @@ def test_gather_and_masked_rowmax_grads():
 
 
 def test_take_columns_selects_and_scatters():
-    w = t(np.arange(12, dtype=np.float64).reshape(3, 4))
-    idx = np.array([1, 1, 3])
-    out = T.take_columns(w, idx)
-    np.testing.assert_array_equal(out.data, w.data[:, idx].T)
-    g = np.ones((3, 3))
-    T.backward(tsum(out))
-    expect = np.zeros((3, 4))
-    expect[:, 1] = 2.0  # selected twice
-    expect[:, 3] = 1.0
-    np.testing.assert_array_equal(w.grad, expect)
-    assert g is not None
+    """Each sample times its gathered column; both gradients match central
+    differences, with a column selected twice."""
+    rng = np.random.default_rng(61)
+    z, w = t(rng.normal(size=(4, 2, 1, 3))), t(rng.normal(size=(6, 5)))
+    idx = np.array([1, 3, 1, 4])
+    out = T.take_columns(z, w, idx)
+    assert out.data.tobytes() == (z.data * w.data[:, idx].T.reshape(z.shape)).tobytes()
+    c = t(rng.normal(size=z.shape), rg=False)  # a non-uniform upstream gradient
+
+    def forward():
+        return tsum(T.mul(T.take_columns(z, w, idx), c))
+
+    T.backward(forward())
+    assert_grad_matches(lambda: float(forward().data), z.data, z.grad, what="take_columns dz")
+    assert_grad_matches(lambda: float(forward().data), w.data, w.grad, what="take_columns dw")
+
+
+LABEL_OPS = {  # every op that indexes by label, on 3 samples of 4 classes
+    "gather_labels": lambda y: T.gather_labels(t(np.zeros((3, 4))), y),
+    "masked_rowmax": lambda y: T.masked_rowmax(t(np.zeros((3, 4))), y),
+    "softmax_cross_entropy": lambda y: T.softmax_cross_entropy(t(np.zeros((3, 4))), y),
+    "boosted_cross_entropy": lambda y: T.boosted_cross_entropy(t(np.full((3, 4), 0.25)), y),
+    "take_columns": lambda y: T.take_columns(t(np.zeros((3, 2, 1, 1))), t(np.zeros((2, 4))), y),
+}
+
+
+@pytest.mark.parametrize("labels, error", [([0, 1], ShapeError), ([0, 1, 2, 3], ShapeError),
+                                           ([0, -1, 2], IndexError)],
+                         ids=["short", "long", "negative"])
+@pytest.mark.parametrize("op", sorted(LABEL_OPS))
+def test_labels_must_be_one_per_sample_and_in_range(op, labels, error):
+    with pytest.raises(error):
+        LABEL_OPS[op](np.array(labels))
 
 
 def test_maximum_scalar_propagates_nan_with_zero_gradient():
