@@ -7,7 +7,6 @@ white-box l-infinity attacks."""
 from .attacks import (
     AdversarialBatch,
     AttackConfig,
-    attack_objective,
     cw_margin_loss,
     pgd,
     project_linf_box,
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialBatch", "AttackConfig", "Dataset", "ForwardOut", "Model",
-    "ModelSection", "Tensor", "TrainConfig", "attack_objective", "backward",
-    "batches", "cw_margin_loss", "evaluate", "ewas_forward", "insert_ewas",
+    "ModelSection", "Tensor", "TrainConfig", "backward", "batches",
+    "cw_margin_loss", "evaluate", "ewas_forward", "insert_ewas",
     "load_cifar_binary", "load_checkpoint", "loss_terms", "lr_schedule",
     "no_grad", "pgd", "project_linf_box", "save_checkpoint", "synth_dataset",
     "train",

@@ -3,7 +3,8 @@
 Every attack is one ``AttackConfig`` run by the one attack loop, ``pgd``:
 signed-gradient ascent on an objective, projected after every step onto
 the intersection of the epsilon-ball around the clean input and the
-[0, 1] pixel box. FGSM is the preset ``steps: 1, step_size: epsilon``
+[0, 1] pixel box. ``pgd`` runs its own inference forward and objective
+at every iterate. FGSM is the preset ``steps: 1, step_size: epsilon``
 without a random start; the C&W attack is the preset
 ``loss_kind: "cw_margin"``, which ascends the negated margin.
 
@@ -152,21 +153,6 @@ def _objective(out, y, loss_kind: str, lambda_attack: float, kappa: float,
     return loss
 
 
-def attack_objective(model, x: Tensor, y, loss_kind: str, lambda_attack: float,
-                     kappa: float = 0.0, mask_mode: str = "inference") -> Tensor:
-    """Combined attack objective of the backbone and any scaling modules.
-
-    cross_entropy: CE(logits, y) + lambda * sum CE(scores, y).
-    cw_margin: margin(logits, y) + lambda * sum margin(scores, y); an
-    ascending attacker negates this.
-    """
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss_kind {loss_kind!r}")
-    require_modules(model.ewas_modules, "lambda_attack", lambda_attack)
-    out = model.forward(x, labels=y, train=False, mask_mode=mask_mode)
-    return _objective(out, y, loss_kind, lambda_attack, kappa)
-
-
 @contextmanager
 def frozen_params(model):
     """Temporarily clear requires_grad on model parameters."""
@@ -184,34 +170,34 @@ def frozen_params(model):
 def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
     """Projected signed-gradient ascent inside the epsilon-ball.
 
-    The objective is recomputed through the full inference path on every
-    iteration, so inference-mode scaling masks are reselected as the
-    input moves. Success and the per-sample objective are scored at the
-    final iterate. Deterministic for fixed (model, x, y, config).
+    ``pgd`` runs its own inference forward (with ``config.mask_mode``) and
+    objective at every iterate: the batch mean at each step's input, for
+    the gradient, and the per-sample values at the final iterate, where
+    success is scored. Inference-mode scaling masks are thus reselected
+    as the input moves. Deterministic for fixed (model, x, y, config).
     """
+    require_modules(model.ewas_modules, "lambda_attack", config.lambda_attack)
     y = np.asarray(y, dtype=np.int64)
     dtype = model.dtype
     x0 = np.asarray(x, dtype=dtype)
     direction = -1.0 if config.loss_kind == "cw_margin" else 1.0
-    x_adv = x0.copy()
+
+    def forward_and_objective(x_in, reduction):
+        out = model.forward(x_in, labels=y, train=False, mask_mode=config.mask_mode)
+        return out, _objective(out, y, config.loss_kind, config.lambda_attack,
+                               config.kappa, reduction)
+
+    x_adv = x0
     if config.random_start and config.epsilon > 0:
         rng = np.random.default_rng(config.seed)
         noise = rng.uniform(-config.epsilon, config.epsilon, size=x0.shape)
         x_adv = project_linf_box(x0 + noise.astype(dtype), x0, config.epsilon)
-    x_adv = x_adv.astype(dtype, copy=False)
     with frozen_params(model):
         for _ in range(config.steps):
             xt = Tensor(x_adv, requires_grad=True)
-            loss = attack_objective(
-                model, xt, y, config.loss_kind, config.lambda_attack,
-                config.kappa, config.mask_mode,
-            )
-            backward(loss)
+            backward(forward_and_objective(xt, "mean")[1])
             step = direction * config.step_size * np.sign(xt.grad)
             x_adv = project_linf_box(x_adv + step, x0, config.epsilon)
     with no_grad():
-        out = model.forward(x_adv, labels=y, train=False, mask_mode=config.mask_mode)
-        loss = _objective(out, y, config.loss_kind, config.lambda_attack,
-                          config.kappa, reduction="none")
+        out, loss = forward_and_objective(x_adv, "none")
     return AdversarialBatch(x_adv, out.logits.data.argmax(axis=1) != y, loss.data)
-

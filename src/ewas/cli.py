@@ -79,17 +79,19 @@ def _parse_values(axis: str, raw: str) -> list:
     vals = [v.strip() for v in raw.split(",") if v.strip()]
     if not vals:
         raise ConfigError("--values: at least one value is required")
-    if axis == "position":
-        return vals
-    try:
-        lambdas = [float(v) for v in vals]
-    except ValueError as exc:
-        raise ConfigError(f"--values: expected numbers for axis {axis!r}: {exc}") from exc
-    for lam in lambdas:
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ConfigError(f"--values: axis {axis!r} takes finite lambdas >= 0, "
-                              f"got {lam:g}")
-    return lambdas
+    if axis != "position":
+        try:
+            vals = [float(v) for v in vals]
+        except ValueError as exc:
+            raise ConfigError(f"--values: expected numbers for axis {axis!r}: {exc}") from exc
+        for lam in vals:
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ConfigError(f"--values: axis {axis!r} takes finite lambdas >= 0, "
+                                  f"got {lam:g}")
+    for i, v in enumerate(vals):  # a repeat would run a point twice: two rows, one directory
+        if v in vals[:i]:
+            raise ConfigError(f"--values: {v} is given more than once")
+    return vals
 
 
 def cmd_ablate(args) -> int:

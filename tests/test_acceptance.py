@@ -97,7 +97,9 @@ def test_gradient_suite():
                     [xa] if method == "at" else [xn, xa])
 
             xt = T.Tensor(x.copy(), requires_grad=True)
-            run(lambda: A.attack_objective(model, xt, y, "cross_entropy", 0.01), [xt])
+            run(lambda: A._objective(
+                model.forward(xt, labels=y, train=False, mask_mode="inference"),
+                y, "cross_entropy", 0.01, 0.0), [xt])
 
         elapsed = time.perf_counter() - t0
         assert elapsed <= 120.0, f"gradient suite took {elapsed:.1f}s (> 2 min)"
@@ -198,7 +200,9 @@ def test_attack_invariants():
         x = rng.uniform(0, 1, (8, 1, 8, 8))
         y = rng.integers(0, 3, size=8)
         xt = T.Tensor(x)
-        combined = A.attack_objective(model, xt, y, "cross_entropy", 0.0)
+        combined = A._objective(
+            model.forward(xt, labels=y, train=False, mask_mode="inference"),
+            y, "cross_entropy", 0.0, 0.0)
         out = model.forward(x, labels=y, train=False, mask_mode="inference")
         backbone = T.softmax_cross_entropy(out.logits, y)
         assert combined.data.tobytes() == backbone.data.tobytes()

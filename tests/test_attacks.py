@@ -42,6 +42,24 @@ def small_ewas_model(seed=0, width=2):
     return model
 
 
+def objective(model, x, y, lam):
+    """The CE objective ``pgd`` takes at ``x``: its inference forward, then ``_objective``."""
+    out = model.forward(x, labels=y, train=False, mask_mode="inference")
+    return A._objective(out, y, "cross_entropy", lam, 0.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestProject:
     def test_inside_ball_unchanged(self):
         x = np.array([0.5, 0.52])
@@ -120,7 +138,7 @@ class TestAttackObjective:
         model = small_ewas_model()
         x = T.Tensor(np.random.default_rng(0).uniform(0, 1, (2, 1, 8, 8)))
         y = np.array([0, 1])
-        combined = A.attack_objective(model, x, y, "cross_entropy", 0.0)
+        combined = objective(model, x, y, 0.0)
         out = model.forward(x.data, labels=y, train=False, mask_mode="inference")
         backbone = T.softmax_cross_entropy(out.logits, y)
         assert combined.data.tobytes() == backbone.data.tobytes()
@@ -133,7 +151,7 @@ class TestAttackObjective:
         out = model.forward(x, labels=y, train=False, mask_mode="inference")
         ce = float(T.softmax_cross_entropy(out.logits, y).data)
         alc_ce = float(T.softmax_cross_entropy(out.alc_scores[0], y).data)
-        total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", 1.0)
+        total = objective(model, T.Tensor(x), y, 1.0)
         assert float(total.data) == pytest.approx(ce + alc_ce, rel=1e-12)
 
     def test_backbone_term_independent_of_lambda(self):
@@ -144,15 +162,18 @@ class TestAttackObjective:
         backbone = float(T.softmax_cross_entropy(out.logits, y).data)
         alc = float(T.softmax_cross_entropy(out.alc_scores[0], y).data)
         for lam in (0.5, 2.0, 10.0):
-            total = float(A.attack_objective(model, T.Tensor(x), y,
-                                             "cross_entropy", lam).data)
+            total = float(objective(model, T.Tensor(x), y, lam).data)
             assert total - lam * alc == pytest.approx(backbone, rel=1e-9)
 
-    def test_lambda_without_module_rejected(self):
+    def test_lambda_without_module_rejected(self, monkeypatch):
+        """``pgd`` checks for a module once, before its random start or any forward."""
         model = M.ModelSection(width=2).build(0)
-        with pytest.raises(ConfigError):
-            A.attack_objective(model, T.Tensor(np.zeros((2, 1, 8, 8))),
-                               np.array([0, 1]), "cross_entropy", 0.5)
+        forwards = count_calls(monkeypatch, model, "forward")
+        cfg = A.AttackConfig(epsilon=0.1, step_size=0.05, steps=2, random_start=True,
+                             lambda_attack=0.5)
+        with pytest.raises(ConfigError, match=r"^lambda_attack: 0\.5 > 0"):
+            A.pgd(model, np.zeros((2, 1, 8, 8)), np.array([0, 1]), cfg)
+        assert forwards == []
 
     def test_two_modules_each_weighted_by_lambda(self):
         model = M.ModelSection(width=2).build(16)
@@ -168,7 +189,7 @@ class TestAttackObjective:
         lam = 0.5
         expect = ce(out.logits) + lam * (ce(out.alc_scores[0])
                                          + ce(out.alc_scores[1]))
-        total = A.attack_objective(model, T.Tensor(x), y, "cross_entropy", lam)
+        total = objective(model, T.Tensor(x), y, lam)
         assert float(total.data) == pytest.approx(expect, rel=1e-12)
 
 
@@ -237,6 +258,24 @@ class TestPgd:
         cfg = A.AttackConfig(epsilon=eps, step_size=eps / 4, steps=8, random_start=False)
         adv = A.pgd(model, x, y, cfg)
         np.testing.assert_allclose(adv.x_adv, corner, atol=1e-12)
+
+    @pytest.mark.parametrize("random_start,loss_kind", [(True, "cross_entropy"),
+                                                        (False, "cw_margin")])
+    def test_one_forward_per_iterate(self, random_start, loss_kind, monkeypatch):
+        """``steps`` forwards and backwards for the gradients, then one scoring
+        forward; the caller's float64 ``x``, which ``x0`` aliases, keeps its bytes."""
+        model = small_ewas_model(seed=20)
+        x = np.random.default_rng(21).uniform(0, 1, (4, 1, 8, 8))
+        y = np.array([0, 1, 2, 0])
+        before = x.tobytes()
+        assert np.asarray(x, dtype=model.dtype) is x
+        forwards = count_calls(monkeypatch, model, "forward")
+        backwards = count_calls(monkeypatch, A, "backward")  # pgd's tensor.backward
+        cfg = A.AttackConfig(epsilon=0.1, step_size=0.03, steps=3, random_start=random_start,
+                             loss_kind=loss_kind, lambda_attack=0.5, seed=4)
+        A.pgd(model, x, y, cfg)
+        assert (len(forwards), len(backwards)) == (cfg.steps + 1, cfg.steps)
+        assert x.tobytes() == before
 
     def test_invariants_on_random_instances(self):
         model = small_ewas_model(seed=10)

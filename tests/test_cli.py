@@ -570,6 +570,23 @@ class TestLambdaNeedsModule:
             f"config error: --values: axis {axis!r} takes finite lambdas >= 0, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,values,repeat", [
+        ("lambda", "0.01,0.010", "0.01"), ("attack_lambda", "0,0.5,0.50", "0.5"),
+        ("position", "block4,block4", "block4"),
+    ])
+    def test_repeated_values_exit_before_any_output(self, axis, values, repeat, tmp_path,
+                                                    capsys):
+        """A repeat, compared as a float on a lambda axis, would write one
+        point's directory or row twice."""
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg_path), "--axis", axis,
+                     "--values", values, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"config error: --values: {repeat} is given more than once")
+        assert not out.exists()
+
     def test_train_lambdas_are_not_checked_against_a_checkpoint(self, bare, tmp_path):
         """A module config evaluates a baseline checkpoint: only the presets'
         lambdas, all 0 here, must find a module in it."""

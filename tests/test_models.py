@@ -13,7 +13,7 @@ import pytest
 from ewas import models as M
 from ewas import scaling as S
 from ewas import tensor as T
-from ewas.attacks import AttackConfig, attack_objective, frozen_params, pgd
+from ewas.attacks import AttackConfig, _objective, frozen_params, pgd
 from ewas.errors import (
     CheckpointChecksumError,
     CheckpointContentError,
@@ -398,12 +398,13 @@ class TestFrozenTape:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_keeps_one_byte_per_relu_element_and_the_folded_weights(self, case, monkeypatch):
-        """What ``attack_objective``'s live graph keeps, measured by tracemalloc:
-        a bool per ReLU element, each folded conv's weight and bias and at
-        most 2 KiB per tape entry. Read off the tape, every array at least as
-        large as the smallest ReLU mask is a ReLU mask, a folded weight or a
-        module weight, and no array has a selected mask's (C*H*W, B) shape:
-        the scaling gathers its columns again in the backward."""
+        """What one attack step's forward and objective keep live, measured by
+        tracemalloc: a bool per ReLU element, each folded conv's weight and
+        bias and at most 2 KiB per tape entry. Read off the tape, every array
+        at least as large as the smallest ReLU mask is a ReLU mask, a folded
+        weight or a module weight, and no array has a selected mask's
+        (C*H*W, B) shape: the scaling gathers its columns again in the
+        backward."""
         spec, hosts, lam = self.CASES[case]
         model = randomize_batch_norms(replace(spec, insertion_points=hosts).build(30), 31)
         rng = np.random.default_rng(32)
@@ -418,15 +419,19 @@ class TestFrozenTape:
             relu_outs.append(out.data)
             return out
 
+        def objective():  # as ``pgd`` takes it at one step's input
+            out = model.forward(x, labels=y, train=False, mask_mode="inference")
+            return _objective(out, y, "cross_entropy", lam, 0.0)
+
         with frozen_params(model):
             with monkeypatch.context() as patch:  # a first forward finds the ReLU outputs
                 patch.setattr(T, "relu", counted_relu)
                 patch.setattr(M, "relu", counted_relu)
-                attack_objective(model, x, y, "cross_entropy", lam)
+                objective()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                loss = attack_objective(model, x, y, "cross_entropy", lam)
+                loss = objective()
                 kept = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()

@@ -30,6 +30,7 @@ def test_every_exported_name_resolves():
     (training, "TrainLog"),  # train() returns its list of EpochRecord
     (config, "_DataOptions"),  # DataSection, the base of the data kinds
     (attacks, "_final_metrics"),  # pgd scores its final iterate inline
+    (attacks, "attack_objective"),  # pgd runs the forward and ``_objective`` itself
     (data, "_read_exact"),  # Path.read_bytes
     (scaling, "flatten_activation"),  # ewas_forward, the one EWAS step
     (scaling, "alc_score"),

@@ -8,7 +8,7 @@ import pytest
 from ewas import models as M
 from ewas import tensor as T
 from ewas import training as TR
-from ewas.attacks import AttackConfig, attack_objective, frozen_params, pgd
+from ewas.attacks import AttackConfig, _objective, frozen_params, pgd
 
 from _tape import tape
 
@@ -34,8 +34,9 @@ def attack_loss():
     model = SPEC.build(3)
     x, _, y = inputs(4)
     with frozen_params(model):
-        return attack_objective(model, T.Tensor(x, requires_grad=True), y,
-                                "cross_entropy", 1.0), model
+        out = model.forward(T.Tensor(x, requires_grad=True), labels=y, train=False,
+                            mask_mode="inference")
+        return _objective(out, y, "cross_entropy", 1.0, 0.0), model
 
 
 @pytest.mark.parametrize("make", [training_loss("at"), training_loss("trades"),
