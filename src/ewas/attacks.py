@@ -177,7 +177,7 @@ def pgd(model, x, y, config: AttackConfig) -> AdversarialBatch:
     as the input moves. Deterministic for fixed (model, x, y, config).
     """
     require_modules(model.ewas_modules, "lambda_attack", config.lambda_attack)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)  # the first objective checks it: non-integer labels raise IndexError
     dtype = model.dtype
     x0 = np.asarray(x, dtype=dtype)
     direction = -1.0 if config.loss_kind == "cw_margin" else 1.0

@@ -237,8 +237,8 @@ def _keep_freed_pages() -> None:
     system and faults it back in page by page; here buffers up to 32 MiB,
     the largest mmap threshold glibc accepts, come from the heap and up to
     1 GiB of free heap top is kept. A buffer above 32 MiB is still mapped
-    and faulted in afresh each time; since ``conv2d`` builds its column
-    matrices in row blocks, its largest buffer is the padded input. Where
+    and faulted in afresh each time; a band of ``conv2d``'s lowered input
+    holds at most max(the padded input's bytes, 1 MiB). Where
     the C library cannot be opened by ``ctypes`` (Windows) or has no
     ``mallopt`` (macOS, other non-glibc libcs), this does nothing.
     """

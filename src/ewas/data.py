@@ -45,7 +45,10 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise DataFormatError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
         if self.images.ndim != 4:
             raise DataFormatError(f"images must be (N, C, H, W), got {self.images.shape}")
         if len(self.images) != len(self.labels):

@@ -225,7 +225,10 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _check_labels(labels, b: int, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":  # bool too; numpy's error for such an index
+        raise IndexError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.shape != (b,):
         raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
@@ -401,64 +404,47 @@ def take_columns(z: Tensor, w: Tensor, idx: np.ndarray) -> Tensor:
 # convolution, pooling, normalization
 # ---------------------------------------------------------------------------
 
-_BLOCK_BYTES = 1 << 20  # most bytes a block's column matrix may hold, at least one output row
+_BLOCK_BYTES = 1 << 20  # the fewest bytes a band is allowed, however small its padded input
 
 
-def _pad_batch_inner(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(C, H+2ph, W+2pw, B) zero-padded copy of a (B, C, H, W) array; a negative pad crops.
-    Unpadded, a batch-innermost ``a`` (a conv output) gives its own buffer, only to be read."""
-    if ph == pw == 0:
-        return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
-    b, c, h, w = a.shape
-    out = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=a.dtype)
-    ch, cw, oh, ow = max(-ph, 0), max(-pw, 0), max(ph, 0), max(pw, 0)
-    out[:, oh:out.shape[1] - oh, ow:out.shape[2] - ow] = (
-        a[:, :, ch:h - ch, cw:w - cw].transpose(1, 2, 3, 0))
-    return out
+def _band_rows(row_bytes: int, padded_bytes: int, kh: int, stride: int) -> int:
+    """Output rows per band: at least one, else all a band of max(padded, _BLOCK_BYTES) holds."""
+    return max(1, (max(padded_bytes, _BLOCK_BYTES) // row_bytes - kh) // stride + 1)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, row0: int,
-            ho: int, wo: int) -> np.ndarray:
-    """(Cin·kh·kw, Ho·Wo·B) column matrix of output rows row0 .. row0+ho-1,
-    read from a batch-innermost padded input (Cin, Hp, Wp, B)."""
-    cin, b = xp.shape[0], xp.shape[3]
-    s0, s1, s2, s3 = xp.strides
-    view = np.ndarray((cin, kh, kw, ho, wo, b), xp.dtype, xp, offset=row0 * stride * s1,
-                      strides=(s0, s1, s2, s1 * stride, s2 * stride, s3))
-    return view.reshape(cin * kh * kw, ho * wo * b)
+def _bands(a: np.ndarray, ph: int, pw: int, kh: int, kw: int, stride: int,
+           ho: int, wo: int):
+    """Yield (i0, i1, windows) for bands of output rows i0 .. i1-1 of a
+    (C, H, W, B) input zero-padded by ph, pw (a negative pad crops).
 
-
-def _row_blocks(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
-    """Yield (i0, i1, cols): the column matrix of output rows i0 .. i1-1, in
-    blocks of as many rows as fit in ``_BLOCK_BYTES``, and at least one."""
-    row_bytes = xp.shape[0] * kh * kw * wo * xp.shape[3] * xp.itemsize
-    rows = max(1, _BLOCK_BYTES // row_bytes)
+    A band is lowered along its width, low[r, v, c, j, b] = xpad[c, r0 + r,
+    stride·j + v, b], straight from ``a`` with zeros only in the padding.
+    ``windows`` is a read-only (rows, kh·kw·C, Wo·B) view whose row i is
+    the contiguous low[stride·i : stride·i + kh], in K order (u, v, c).
+    One buffer serves every band: a view is valid until the next one."""
+    c, h, w, b = a.shape
+    padded = c * (h + 2 * ph) * (w + 2 * pw) * b * a.itemsize
+    rows = min(ho, _band_rows(kw * c * wo * b * a.itemsize, padded, kh, stride))
+    alloc = np.zeros if ph > 0 or pw > 0 else np.empty  # unpadded, every element is data
+    low = alloc((stride * (rows - 1) + kh, kw, c, wo, b), dtype=a.dtype)
     for i0 in range(0, ho, rows):
         i1 = min(i0 + rows, ho)
-        yield i0, i1, _im2col(xp, kh, kw, stride, i0, i1 - i0, wo)
-
-
-def _correlate(wmat: np.ndarray, xp: np.ndarray, kh: int, kw: int, stride: int,
-               ho: int, wo: int) -> np.ndarray:
-    """(Cout, Ho, Wo, B) cross-correlation of a batch-innermost padded input
-    with a (Cout, Cin·kh·kw) weight matrix, one block of output rows at a time."""
-    cout = wmat.shape[0]
-    out = np.empty((cout, ho, wo, xp.shape[3]), dtype=np.result_type(wmat, xp))
-    for i0, i1, cols in _row_blocks(xp, kh, kw, stride, ho, wo):
-        np.matmul(wmat, cols, out=out[:, i0:i1].reshape(cout, -1))
-    return out
-
-
-def _weight_grad(g_c: np.ndarray, xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(Cout, Cin·kh·kw) sum over row blocks of ``g_block @ cols_block.T``,
-    for a (Cout, Ho, Wo, B) gradient and the forward's padded input."""
-    cout, ho, wo = g_c.shape[:3]
-    parts = (g_c[:, i0:i1].reshape(cout, -1) @ cols.T
-             for i0, i1, cols in _row_blocks(xp, kh, kw, stride, ho, wo))
-    dw = next(parts)
-    for part in parts:
-        dw += part
-    return dw
+        r0, nr = stride * i0, stride * (i1 - i0 - 1) + kh
+        y0, y1 = max(r0 - ph, 0), min(r0 + nr - ph, h)  # the input rows the band reads
+        top = y0 + ph - r0
+        bottom = max(top, y1 + ph - r0)
+        for v in range(kw):  # output columns j0 .. j1-1 read input columns x0, x0 + stride, ..
+            j0, j1 = max(0, -((v - pw) // stride)), min(wo, (w - 1 + pw - v) // stride + 1)
+            if j1 > j0:
+                x0 = stride * j0 + v - pw
+                low[top:bottom, v, :, j0:j1] = (
+                    a[:, y0:y1, x0:x0 + stride * (j1 - j0):stride].transpose(1, 0, 2, 3))
+        if bottom < nr:  # rows below the input, which an earlier band may have filled
+            low[bottom:nr] = 0
+        windows = np.ndarray((i1 - i0, kh * kw * c, wo * b), low.dtype, low,
+                             strides=(stride * low.strides[0], low.strides[2], low.itemsize))
+        windows.flags.writeable = False  # its rows overlap
+        yield i0, i1, windows
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -468,36 +454,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x: (B, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,) or None.
     Output spatial size is floor((H + 2p - kh) / stride) + 1.
 
-    Batch-innermost: the input is copied once into a zeroed (Cin, H+2p,
-    W+2p, B) buffer, or read in place when there is no padding and it is
-    already batch-innermost. A strided view of a band of its rows
-    reshapes to the column matrix of a block of output rows, (Cin·kh·kw,
-    rows·Wo·B), and the forward is ``W(Cout, Cin·kh·kw) @ cols`` block by
-    block, written into one (Cout, Ho, Wo, B) array. The result is a (B,
-    Cout, Ho, Wo) view of that array, not a copy, and so is ``dx``: the
-    next conv reads its input contiguously, and a gradient that comes
-    back in that layout is used without a copy. A block holds as many
-    output rows as fit in ``_BLOCK_BYTES``, and at least one, so no
-    whole-input column matrix is ever built (Cho & Brand 2017, MEC);
-    block edges depend only on shapes and dtype. With the batch axis
-    innermost, every run the gather moves is at least B contiguous
-    elements (Wo·B at stride 1). With the gradient as g_c = (Cout, Ho,
-    Wo, B), ``dw`` is the sum over the same row blocks of
-    ``g_block @ cols_block.T``. At stride 1 with Cin ≥ Cout, ``dx`` is
-    itself a blocked correlation: the gradient padded by k − 1 − p
-    (cropped where that is negative) correlated with the flipped,
-    transposed kernel. At larger strides that would multiply zeros, and
-    with Cin < Cout it would gather Cout·kh·kw rows where col2im writes
-    Cin·kh·kw, so there ``dx`` is ``W.T @ g_c`` folded back by kh·kw
-    slice-adds (col2im); the choice depends on shapes only. col2im takes
-    one kernel row u at a time: the rows of ``W.T`` for u, a (Cin·kw,
-    Cout) matrix, times g_c into one reused (Cin·kw, Ho·Wo·B) buffer,
-    then its kw slice-adds, so each element still sums its (u, v) terms
-    in order and the whole column gradient is never built. The closure
-    keeps no array of its own but the weight, and reads the input only
-    for ``dw``, if ``weight.requires_grad`` is set at forward time: it
-    keeps the input's ``_refill`` hook, which writes it straight into the
-    padded buffer, else ``x.data``, from which the buffer is rebuilt.
+    Batch-innermost and lowered along the width (Cho & Brand 2017, MEC):
+    ``_bands`` copies the (Cin, H, W, B) input into kw width-shifted
+    copies, a band buffer (rows, kw, Cin, Wo, B) with zeros only where the
+    padding falls, so no padded copy is made. Output row i reads the
+    contiguous (kh·kw·Cin, Wo·B) matrix of its kh input rows, and one
+    stacked ``np.matmul`` with the weight in K order (u, v, c) fills a
+    band's rows of one (Cout, Ho, Wo, B) array. The result is a (B, Cout,
+    Ho, Wo) view of that array, not a copy, and so is ``dx``. A band holds
+    at most max(the padded input's bytes, ``_BLOCK_BYTES``) and at least
+    one output row. Each output row is its own GEMM, and ``dw`` adds the
+    per-row products ``g_i @ windows_i.T`` in row order, so band edges
+    change no bit. At stride 1 with Cin ≥ Cout, ``dx`` is the gradient,
+    padded by k − 1 − p (cropped where that is negative), correlated the
+    same way with the flipped, transposed kernel. Otherwise that would
+    multiply zeros or lower Cout·kh·kw rows where col2im writes Cin·kh·kw,
+    so ``dx`` is col2im: for each kernel row u, the (Cin·kw, Cout) rows of
+    ``W.T`` times g_c into one reused (Cin·kw, Ho·Wo·B) buffer, then kw
+    slice-adds, so each element sums its (u, v) terms in order. The
+    closure keeps no array of its own but the weight, and reads the input
+    only for ``dw``, if ``weight.requires_grad`` is set at forward time:
+    it keeps the input's ``_refill`` hook, which writes it into an
+    unpadded (Cin, H, W, B) buffer, else ``x.data``.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(
@@ -512,8 +490,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = _correlate(wmat, _pad_batch_inner(x.data, padding, padding), kh, kw, stride, ho, wo)
+    wd = weight.data
+    out = np.empty((cout, ho, wo, b), dtype=np.result_type(wd, x.data))
+    out_rows = out.reshape(cout, ho, -1).transpose(1, 0, 2)
+    wmat = wd.transpose(0, 2, 3, 1).reshape(cout, -1)
+    for i0, i1, windows in _bands(x.data.transpose(1, 2, 3, 0), padding, padding,
+                                  kh, kw, stride, ho, wo):
+        np.matmul(wmat, windows, out=out_rows[i0:i1])
     if bias is not None:
         out += bias.data[:, None, None, None]
     out = out.transpose(3, 0, 1, 2)
@@ -523,31 +506,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def grad_fn(g):
         dw = db = dx = None
-        if x_in is not None or need_db or (need_dx and col2im):
-            g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
+        g_c = np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # a view of a batch-innermost g
         if x_in is not None:
             if callable(x_in):  # the producer writes the input again
-                xp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
-                x_in(xp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
+                xc = np.empty((cin, h, w, b), dtype=wd.dtype)
+                x_in(xc.transpose(3, 0, 1, 2))
             else:
-                xp = _pad_batch_inner(x_in, padding, padding)
-            dw = _weight_grad(g_c, xp, kh, kw, stride).reshape(cout, cin, kh, kw)
-            del xp  # freed before dx is computed
+                xc = x_in.transpose(1, 2, 3, 0)
+            dw_k = np.zeros((cout, kh * kw * cin), dtype=np.result_type(wd, g_c))
+            part = np.empty_like(dw_k)
+            for i0, _, windows in _bands(xc, padding, padding, kh, kw, stride, ho, wo):
+                for i, window in enumerate(windows, i0):  # in row order, whatever the bands
+                    dw_k += np.matmul(g_c[:, i].reshape(cout, -1), window.T, out=part)
+            del xc, windows, window, part  # freed before dx is computed
+            dw = np.ascontiguousarray(dw_k.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if need_db:
             db = g_c.reshape(cout, -1).sum(axis=1)
         if need_dx and not col2im:
-            wflip = wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gp = _pad_batch_inner(g, kh - 1 - padding, kw - 1 - padding)
-            dx_c = _correlate(wflip.reshape(cin, cout * kh * kw), gp, kh, kw, 1, h, w)
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
+            dx_c = np.empty((cin, h, w, b), dtype=np.result_type(wd, g_c))
+            dx_rows = dx_c.reshape(cin, h, -1).transpose(1, 0, 2)
+            for i0, i1, windows in _bands(g_c, kh - 1 - padding, kw - 1 - padding,
+                                          kh, kw, 1, h, w):
+                np.matmul(wflip, windows, out=dx_rows[i0:i1])
             dx = dx_c.transpose(3, 0, 1, 2)
         elif need_dx:
             g_mat = g_c.reshape(cout, -1)
-            w_rows = wmat.reshape(cout, cin, kh, kw)
-            dxp = np.zeros((cin, hp, wp, b), dtype=wmat.dtype)
+            dxp = np.zeros((cin, hp, wp, b), dtype=wd.dtype)
             # made after dxp: once freed, the crop below reuses its memory at the heap's top
-            dcols = np.empty((cin, kw, ho, wo, b), dtype=np.result_type(wmat, g_c))
+            dcols = np.empty((cin, kw, ho, wo, b), dtype=np.result_type(wd, g_c))
             for u in range(kh):  # one kernel row of the column gradient at a time
-                np.matmul(w_rows[:, :, u].reshape(cout, cin * kw).T, g_mat,
+                np.matmul(wd[:, :, u].reshape(cout, cin * kw).T, g_mat,
                           out=dcols.reshape(cin * kw, -1))
                 for v in range(kw):
                     dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += dcols[:, v]
@@ -594,37 +583,42 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     Training mode normalizes by batch statistics (biased variance) and
     updates ``stats`` in place with momentum 0.1 (variance stored
     unbiased). Eval mode normalizes by ``stats`` and leaves them alone.
-    The normalized input ``xhat`` is computed into a buffer of its own,
-    never into ``x.data``. Besides per-channel numbers the closure keeps
-    that buffer, and only if its backward reads x̂. With ``relu`` the
-    backward's mask is ``xhat·gamma + beta > 0``, not a read of the
-    output, and a recorded output gets a ``_refill`` hook that writes its
-    bytes again, so a conv's weight gradient need not keep it.
+    It computes on (C, H, W, B) arrays, a view of a batch-innermost
+    operand, and returns (B, C, H, W) views of them. Per-channel sums and
+    dot products reduce the rows of (C, H·W·B) views, so the variance
+    needs no squared temporary. x̂ goes into a buffer of its own, never
+    into ``x.data``, and the closure keeps it only if its backward reads
+    it. The train-mode backward takes dβ = Σ g and dγ = Σ g·x̂ first; as
+    Σ dx̂ = γ·dβ and Σ dx̂·x̂ = γ·dγ, dx = a·g + b·x̂ + c per channel. With
+    ``relu`` the backward's mask is the forward's ``xhat·gamma + beta``
+    compared with 0, and a recorded output gets a ``_refill`` hook that
+    writes its bytes again, so a conv's weight gradient need not keep it.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm2d needs rank-4 input, got {x.data.shape}")
     b, c, h, w = x.data.shape
     n = b * h * w
-    gd = gamma.data.reshape(1, c, 1, 1)
-    bd = beta.data.reshape(1, c, 1, 1)
+    gd, bd = gamma.data.reshape(c, 1, 1, 1), beta.data.reshape(c, 1, 1, 1)
 
+    def dot(p, q):  # per-channel sums of p·q over (C, H, W, B) arrays
+        return np.einsum("ij,ij->i", p.reshape(c, n), q.reshape(c, n))
+
+    xc = np.ascontiguousarray(x.data.transpose(1, 2, 3, 0))
     if training:
         if b < 2:
-            raise DegenerateBatchError(
-                f"batch norm in train mode needs batch >= 2, got {b}"
-            )
-        mean = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - mean.reshape(1, c, 1, 1)  # centered here, normalized below
-        var = (xhat * xhat).mean(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            raise DegenerateBatchError(f"batch norm in train mode needs batch >= 2, got {b}")
+        mean = xc.reshape(c, n).mean(axis=1)
+        xhat = xc - mean.reshape(c, 1, 1, 1)  # centered here, normalized below
+        var = dot(xhat, xhat) / n
         stats.mean += 0.1 * (mean - stats.mean)
         stats.var += 0.1 * (var * n / (n - 1) - stats.var)
     else:
-        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
-        xhat = x.data - stats.mean.reshape(1, c, 1, 1)
-    ivs = inv_std.reshape(1, c, 1, 1)
-    np.multiply(xhat, ivs, out=xhat)
-    out = xhat * gd + bd
+        var = stats.var
+        xhat = xc - stats.mean.reshape(c, 1, 1, 1)
+    ivs = (1.0 / np.sqrt(var + BN_EPS)).reshape(c, 1, 1, 1)
+    xhat *= ivs
+    out = xhat * gd
+    out += bd
     if relu:
         np.maximum(out, 0.0, out=out)
 
@@ -632,23 +626,25 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     xh = xhat if relu or need_dgamma or (training and need_dx) else None
 
     def grad_fn(g):
+        g = np.ascontiguousarray(g.transpose(1, 2, 3, 0))
         if relu:
-            g = g * (xh * gd + bd > 0)
-        dgamma = (g * xh).sum(axis=(0, 2, 3)) if need_dgamma else None
-        dbeta = g.sum(axis=(0, 2, 3)) if need_dbeta else None
-        dx = None
-        if need_dx and training:
-            dxhat = g * gd
-            sum_dxhat = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            sum_dxhat_xhat = (dxhat * xh).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-            dx = (ivs / n) * (n * dxhat - sum_dxhat - xh * sum_dxhat_xhat)
-        elif need_dx:
-            dx = g * gd * ivs
-        return (dx, dgamma, dbeta)
+            pre = xh * gd  # the forward's expressions, so the forward's mask
+            pre += bd
+            g = np.multiply(g, pre > 0, out=pre)
+        sums = training and need_dx
+        dbeta = g.reshape(c, n).sum(axis=1) if need_dbeta or sums else None
+        dgamma = dot(g, xh) if need_dgamma or sums else None
+        dx = g * (a := gd * ivs) if need_dx else None
+        if sums:
+            dx -= xh * (a * dgamma.reshape(c, 1, 1, 1) / n)
+            dx -= a * dbeta.reshape(c, 1, 1, 1) / n
+        return (None if dx is None else dx.transpose(3, 0, 1, 2),
+                dgamma if need_dgamma else None, dbeta if need_dbeta else None)
 
-    result = _result(out, (x, gamma, beta), grad_fn)
+    result = _result(out.transpose(3, 0, 1, 2), (x, gamma, beta), grad_fn)
     if relu and result.requires_grad:
         def refill(dst):  # the forward's expressions, so the forward's bits
+            dst = dst.transpose(1, 2, 3, 0)
             np.multiply(xh, gd, out=dst)
             np.add(dst, bd, out=dst)
             np.maximum(dst, 0.0, out=dst)

@@ -240,6 +240,14 @@ class TestPgd:
             adv = A.pgd(model, x, y, cfg)
             assert adv.x_adv.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.2], [True, False]], ids=["fractional", "bool"])
+    def test_non_integer_labels_raise(self, labels):
+        """They are not truncated to classes 0 and 1 and attacked."""
+        x = np.random.default_rng(6).uniform(0, 1, (2, 1, 8, 8))
+        with pytest.raises(IndexError, match="integers"):
+            A.pgd(small_ewas_model(seed=9), x, np.array(labels),
+                  A.AttackConfig(epsilon=0.1, step_size=0.05, steps=1))
+
     def test_linear_model_reaches_ball_corner(self):
         """Closed form: CE on w.x grows along sign((w_other - w_y)) so the
         optimum inside the ball is the sign-aligned corner."""

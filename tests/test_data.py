@@ -84,6 +84,15 @@ class TestDataset:
         with pytest.raises(DataFormatError, match="pixel values"):
             D.Dataset(images, np.array([0, 1]), num_classes=2)
 
+    @pytest.mark.parametrize("labels", [[0.4, 1.9], [True, False]], ids=["fractional", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        """Not truncated to labels 0 and 1."""
+        with pytest.raises(DataFormatError, match="integers"):
+            D.Dataset(np.zeros((2, 1, 2, 2)), np.array(labels), num_classes=3)
+
+    def test_empty_label_list_accepted(self):
+        assert D.Dataset(np.zeros((0, 1, 2, 2)), [], num_classes=3).labels.dtype == np.int64
+
     def test_count_mismatch(self):
         with pytest.raises(CountMismatchError, match="2 images vs 1 labels"):
             D.Dataset(np.zeros((2, 1, 2, 2)), np.array([0]), num_classes=2)

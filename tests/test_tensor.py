@@ -245,38 +245,111 @@ class TestConv2dKernelParity:
                                         np.ones((2, 4, 3, 3)), 2, 1)[1], rtol=1e-12)
 
 
-class TestConv2dRowBlocks:
-    """With ``_BLOCK_BYTES`` at 1 every block is one output row."""
+# every conv shape of a width-16 resnet18_like on 3x32x32 inputs, batch 30:
+# (Cin, H, Cout, k, stride, padding)
+RESNET_W16_CONVS = [(3, 32, 16, 3, 1, 1), (16, 32, 16, 3, 1, 1), (16, 32, 32, 3, 2, 1),
+                    (16, 32, 32, 1, 2, 0), (32, 16, 32, 3, 1, 1), (32, 16, 64, 3, 2, 1),
+                    (32, 16, 64, 1, 2, 0), (64, 8, 64, 3, 1, 1), (64, 8, 128, 3, 2, 1),
+                    (64, 8, 128, 1, 2, 0), (128, 4, 128, 3, 1, 1)]
+# every conv shape of the toy recipe's small_cnn (width 8, 1x8x8 inputs)
+TOY_CONVS = [(1, 8, 8, 3, 1, 1), (8, 8, 16, 3, 2, 1), (16, 4, 32, 3, 2, 1), (32, 2, 32, 3, 1, 1)]
+# (B, Cin, H, W, Cout, k, stride, padding) of all three, at a small batch
+LOWERING_CASES = CONV_CASES + [(2, cin, h, h, cout, k, s, p)
+                               for cin, h, cout, k, s, p in RESNET_W16_CONVS + TOY_CONVS]
+BAND_RULES = {"default": None, "one_row": lambda *args: 1, "two_rows": lambda *args: 2}
+
+
+def zero_padded(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """A (C, H, W, B) array with ph rows and pw columns of zeros on each side;
+    a negative pad crops instead."""
+    h, w = a.shape[1:3]
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    return np.pad(a[:, ch:h - ch, cw:w - cw],
+                  ((0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2, (0, 0)))
+
+
+class TestBands:
+    """``_bands`` lowers a (C, H, W, B) array along its width, never padding it whole."""
+
+    @pytest.mark.parametrize("rule", sorted(BAND_RULES))
+    @pytest.mark.parametrize("case", LOWERING_CASES)
+    def test_windows_are_slices_of_the_zero_padded_input(self, case, rule, monkeypatch):
+        """Output row i's window is the (kh·kw·C, Wo·B) matrix of padded rows
+        stride·i .. stride·i + kh − 1 in K order (u, v, c), bit for bit: for
+        the forward's input and for the stride-1 input gradient's lowering of
+        the output gradient, whose pad k − 1 − p crops where it is negative."""
+        if BAND_RULES[rule] is not None:
+            monkeypatch.setattr(T, "_band_rows", BAND_RULES[rule])
+        b, cin, h, w, cout, k, s, p = case
+        rng = np.random.default_rng(sum(case))
+        ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        lowerings = [(rng.normal(size=(cin, h, w, b)), p, s),
+                     (rng.normal(size=(cout, ho, wo, b)), k - 1 - p, 1)]
+        for a, pad, stride in lowerings:
+            xp = zero_padded(a, pad, pad)
+            out_h = (xp.shape[1] - k) // stride + 1
+            out_w = (xp.shape[2] - k) // stride + 1
+            rows = []
+            for i0, i1, windows in T._bands(a, pad, pad, k, k, stride, out_h, out_w):
+                assert not windows.flags.writeable and windows.shape[0] == i1 - i0
+                for i in range(i0, i1):
+                    want = np.stack([xp[:, stride * i + u, v:v + stride * (out_w - 1) + 1:stride]
+                                     for u in range(k) for v in range(k)])
+                    assert windows[i - i0].tobytes() == want.reshape(-1, out_w * b).tobytes()
+                    rows.append(i)
+            assert rows == list(range(out_h))
+
+
+class TestConv2dBands:
+    """Band edges change no result: one output row per band, one band in all,
+    and the default bands give the same bytes."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("case", CONV_CASES)
-    def test_one_row_blocks_match_loop_reference(self, case, dtype, tol, monkeypatch):
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+    def test_one_row_bands_match_loop_reference(self, case, dtype, tol, monkeypatch):
+        monkeypatch.setattr(T, "_band_rows", lambda *args: 1)
         check_against_loop_reference(case, dtype, tol)
 
-    # every conv shape of a width-16 resnet18_like on 3x32x32 inputs, batch 30:
-    # (Cin, H, Cout, k, stride, padding)
-    RESNET_W16_CONVS = [(3, 32, 16, 3, 1, 1), (16, 32, 16, 3, 1, 1), (16, 32, 32, 3, 2, 1),
-                        (16, 32, 32, 1, 2, 0), (32, 16, 32, 3, 1, 1), (32, 16, 64, 3, 2, 1),
-                        (32, 16, 64, 1, 2, 0), (64, 8, 64, 3, 1, 1), (64, 8, 128, 3, 2, 1),
-                        (64, 8, 128, 1, 2, 0), (128, 4, 128, 3, 1, 1)]
+    @staticmethod
+    def conv_bytes(shape, dtype):
+        """Forward, dx and dw bytes of one conv at batch 30."""
+        cin, h, cout, k, s, p = shape
+        rng = np.random.default_rng(sum(shape))
+        x = T.Tensor(as_batch_innermost(rng.normal(size=(30, cin, h, h)).astype(dtype)),
+                     requires_grad=True)
+        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype), requires_grad=True)
+        bt = T.Tensor(rng.normal(size=cout).astype(dtype))
+        out = T.conv2d(x, wt, bt, stride=s, padding=p)
+        g = as_batch_innermost(rng.normal(size=out.shape).astype(dtype))
+        dx, dw = out._grad_fn(g)[:2]
+        return [a.tobytes() for a in (out.data, dx, dw)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", RESNET_W16_CONVS)
-    def test_forward_bytes_match_one_block(self, shape, dtype, monkeypatch):
-        """Row blocks leave the forward's bytes as one whole GEMM made them.
+    def test_one_band_gives_the_default_bands_bytes(self, shape, dtype, monkeypatch):
+        """Each output row is its own GEMM and ``dw`` adds the rows in order,
+        so how the rows are grouped into bands changes no bit."""
+        banded = self.conv_bytes(shape, dtype)
+        monkeypatch.setattr(T, "_band_rows", lambda *args: 1 << 30)
+        assert self.conv_bytes(shape, dtype) == banded
 
-        This holds for these shapes, not for every shape: BLAS may pick
-        another kernel for a GEMM of few columns, so one-row blocks of the
-        small CONV_CASES can differ in the last bit."""
-        cin, h, cout, k, s, p = shape
-        rng = np.random.default_rng(sum(shape))
-        x = T.Tensor(rng.normal(size=(30, cin, h, h)).astype(dtype))
-        wt = T.Tensor(rng.normal(size=(cout, cin, k, k)).astype(dtype))
-        bt = T.Tensor(rng.normal(size=cout).astype(dtype))
-        blocked = T.conv2d(x, wt, bt, stride=s, padding=p).data
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 1 << 62)
-        assert T.conv2d(x, wt, bt, stride=s, padding=p).data.tobytes() == blocked.tobytes()
+    def test_forward_peak_holds_the_output_and_one_band(self):
+        """A forward's peak, measured by tracemalloc: its output, one band of
+        at most max(the padded input's bytes, ``_BLOCK_BYTES``) and the weight
+        in K order, never a padded copy and a band at once."""
+        b, c, h, w, k = 8, 16, 32, 32, 3
+        rng = np.random.default_rng(19)
+        x = t(rng.normal(size=(b, c, h, w)))
+        wt = t(rng.normal(size=(c, c, k, k)))
+        padded = c * (h + 2) * (w + 2) * b * 8
+        assert padded > T._BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, wt, stride=1, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + max(padded, T._BLOCK_BYTES) + wt.data.nbytes + SLACK
 
     def test_peak_stays_under_the_column_matrix(self):
         """Forward plus backward with a weight gradient, measured by tracemalloc."""
@@ -582,6 +655,58 @@ class TestBatchNorm:
         assert_grad_matches(loss_fn, x.data, x.grad, what="bn/x")
         assert_grad_matches(loss_fn, gamma.data, gamma.grad, what="bn/gamma")
         assert_grad_matches(loss_fn, beta.data, beta.grad, what="bn/beta")
+
+
+def batch_norm_reference(x, gamma, beta, g, relu):
+    """Train-mode batch norm in float64, by the centered formulas over
+    (B, C, H, W) axes: output, dx, dγ and dβ for upstream gradient g, and the
+    running statistics a fresh ``RunningStats`` is updated to."""
+    x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
+    axes, c = (0, 2, 3), x.shape[1]
+    n = x.size // c
+    mean = x.mean(axis=axes)
+    centered = x - mean.reshape(1, c, 1, 1)
+    var = (centered * centered).mean(axis=axes)
+    inv_std = (1.0 / np.sqrt(var + T.BN_EPS)).reshape(1, c, 1, 1)
+    xhat = centered * inv_std
+    out = xhat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+    if relu:
+        g = g * (out > 0)
+        out = np.maximum(out, 0.0)
+    dxhat = g * gamma.reshape(1, c, 1, 1)
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=axes, keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+    stats = (0.1 * mean, 0.9 + 0.1 * var * n / (n - 1))
+    return (out, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)) + stats
+
+
+class TestBatchNormTrainMode:
+    """The train-mode forward, its running statistics and all three gradients
+    against the centered formulas: row sums and dot products over (C, H·W·B)
+    views, and dx as a·g + b·x̂ + c, change them only by rounding."""
+
+    @pytest.mark.parametrize("layout", [as_batch_innermost, np.ascontiguousarray],
+                             ids=["batch_innermost", "c_contiguous"])
+    @pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+    @pytest.mark.parametrize("shape", [(30, 16, 32, 32), (5, 3, 7, 9)], ids=["stage1", "odd"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_the_centered_formulas(self, shape, relu, layout, dtype, tol):
+        c = shape[1]
+        rng = np.random.default_rng(sum(shape))
+        data = rng.normal(1.0, 2.0, size=shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        x = T.Tensor(layout(data), requires_grad=True)
+        gamma = T.Tensor(rng.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True)
+        beta = T.Tensor(rng.normal(0.0, 0.5, c).astype(dtype), requires_grad=True)
+        stats = T.RunningStats.create(c, dtype)
+        out = T.batch_norm2d(x, gamma, beta, stats, True, relu=relu)
+        T.backward(tsum(T.mul(out, T.Tensor(layout(g)))))
+        assert out.data.dtype == dtype and batch_innermost(out.data)
+        want = batch_norm_reference(data, gamma.data, beta.data, g, relu)
+        got = (out.data, x.grad, gamma.grad, beta.grad, stats.mean, stats.var)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
+            err = np.max(np.abs(a - b)) / np.max(np.abs(b))
+            assert err <= tol, f"{name}: relative error {err:.3g} > {tol}"
 
 
 class TestBatchNormFusedRelu:
@@ -919,10 +1044,14 @@ LABEL_OPS = {  # every op that indexes by label, on 3 samples of 4 classes
 
 
 @pytest.mark.parametrize("labels, error", [([0, 1], ShapeError), ([0, 1, 2, 3], ShapeError),
-                                           ([0, -1, 2], IndexError)],
-                         ids=["short", "long", "negative"])
+                                           ([0, -1, 2], IndexError),
+                                           ([0.9, 2.7, 1.0], IndexError),
+                                           ([1.5, True, 0], IndexError),
+                                           ([True, False, True], IndexError)],
+                         ids=["short", "long", "negative", "fractional", "mixed", "bool"])
 @pytest.mark.parametrize("op", sorted(LABEL_OPS))
 def test_labels_must_be_one_per_sample_and_in_range(op, labels, error):
+    """Non-integer labels raise rather than being truncated to columns (0.9 -> 0)."""
     with pytest.raises(error):
         LABEL_OPS[op](np.array(labels))
 
